@@ -16,7 +16,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,36 +29,28 @@ from .rng import derive_seed, make_rng
 
 log = logging.getLogger(__name__)
 
-MEASURE_DEFAULTS = {
-    "n": 500,
-    "m": 100,
-    "epochs_a": 60,
-    "epochs_b": 10,
-    "lr_a": 0.01,
-    "lr_b": 0.01,
-    "momentum": 0.9,
-    "weight_decay": 1e-4,
-    "accuracy_gate": 0.80,
-    "pretext_mode": "four_way",
-    "calibration_mode": "seen_only",
-    "base_seed": 0,
-    "machine": {"kind": "small_cnn"},
-    "set_a": None,
-    "workers": None,  # default: available cores
-    "init_checkpoint": None,
-}
 
-TRAIN_DEFAULTS = {
-    "epochs": 50,
-    "lr": 0.01,
-    "batch_size": 16,
-    "split_seed": None,
-    "test_fraction": 0.2,
-    "augment": True,
-    "base_seed": 0,
-    "machine": None,
-    "workers": None,  # accepted for config symmetry; training is single-process
-}
+def _defaults(config_cls, **cli_only):
+    """A command's config keys: the dataclass's fields with their defaults, plus CLI-only keys."""
+    defaults = {f.name: f.default for f in fields(config_cls) if f.default is not MISSING}
+    defaults.update(cli_only)
+    return defaults
+
+
+def _from_cfg(config_cls, cfg, **overrides):
+    """Build a config dataclass from the config keys named after its fields."""
+    values = {f.name: cfg[f.name] for f in fields(config_cls)}
+    values.update(overrides)
+    return config_cls(**values)
+
+
+# Keyword arguments are the CLI-only keys. workers None means all available cores
+# (train-predictor accepts it for symmetry but is single-process); split_seed None
+# means "use base_seed".
+MEASURE_DEFAULTS = _defaults(measurer.EpisodeConfig, machine={"kind": "small_cnn"}, set_a=None, workers=None)
+TRAIN_DEFAULTS = _defaults(
+    predictor.RegressionConfig, split_seed=None, base_seed=MEASURE_DEFAULTS["base_seed"], machine=None, workers=None
+)
 
 ANALYZE_DEFAULTS = {"top_k": 5, "min_count": 5}
 
@@ -129,53 +121,19 @@ def _machine_spec(machine_cfg, dataset) -> MachineSpec:
             f"machine input {cfg['in_channels']}x{cfg['height']}x{cfg['width']} "
             f"does not match dataset images {c}x{h}x{w}"
         )
-    cfg["hidden"] = tuple(cfg.get("hidden", ()))
-    cfg["conv_channels"] = tuple(cfg.get("conv_channels", (16, 32)))
     return MachineSpec(**cfg)
 
 
-def _master_order(dataset, base_seed):
-    ids = dataset.ids
-    perm = make_rng(derive_seed(base_seed, "set_a")).permutation(len(ids))
-    return [ids[i] for i in perm]
-
-
-def _resolve_set_a(cfg, dataset):
+def _resolve_set_a(cfg, dataset, seed):
+    """The explicit set_a, or the first n ids of a shuffle seeded by `seed`."""
     if cfg["set_a"] is not None:
         set_a = [str(i) for i in cfg["set_a"]]
         if len(set_a) != cfg["n"]:
             raise ConfigError(f"set_a holds {len(set_a)} ids but n={cfg['n']}")
         return set_a
-    return _master_order(dataset, cfg["base_seed"])[: cfg["n"]]
-
-
-def _episode_config(cfg, dataset) -> measurer.EpisodeConfig:
-    spec = _machine_spec(cfg["machine"], dataset)
-    return measurer.EpisodeConfig(
-        machine=spec,
-        n=cfg["n"],
-        m=cfg["m"],
-        epochs_a=cfg["epochs_a"],
-        epochs_b=cfg["epochs_b"],
-        lr_a=cfg["lr_a"],
-        lr_b=cfg["lr_b"],
-        momentum=cfg["momentum"],
-        weight_decay=cfg["weight_decay"],
-        accuracy_gate=cfg["accuracy_gate"],
-        pretext_mode=cfg["pretext_mode"],
-        calibration_mode=cfg["calibration_mode"],
-        base_seed=cfg["base_seed"],
-        init_checkpoint=cfg["init_checkpoint"],
-    )
-
-
-def _check_dataset_size(dataset, config):
-    required = 3 * config.n + 2 * config.calibration_reserve
-    if len(dataset) < required:
-        raise DataFormatError(
-            f"dataset holds {len(dataset)} images but n={config.n} needs {required}",
-            path=dataset.source,
-        )
+    ids = dataset.ids
+    perm = make_rng(derive_seed(seed, "set_a")).permutation(len(ids))
+    return [ids[i] for i in perm[: cfg["n"]]]
 
 
 def _write_manifest(out_dir, command, cfg, config_hash, dataset, elapsed):
@@ -194,10 +152,10 @@ def _write_manifest(out_dir, command, cfg, config_hash, dataset, elapsed):
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _out_dir(args):
-    if args.out is None:
+def _out_dir(path):
+    if path is None:
         raise ConfigError("--out is required for this command")
-    out = Path(args.out)
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -216,27 +174,40 @@ def _apply_common_overrides(cfg, args):
 
 # --- commands ------------------------------------------------------------------
 
+def _measure_and_write(cfg, dataset, out, set_a_seed):
+    """Measure one config into `out`/scores.csv and episodes.jsonl; set A is drawn with set_a_seed.
+
+    The config and the dataset size are checked before the output directory is made.
+    """
+    config = _from_cfg(measurer.EpisodeConfig, cfg, machine=_machine_spec(cfg["machine"], dataset))
+    if len(dataset) < config.required_images:
+        raise DataFormatError(
+            f"dataset holds {len(dataset)} images but n={config.n} needs {config.required_images}",
+            path=dataset.source,
+        )
+    set_a = _resolve_set_a(cfg, dataset, set_a_seed)
+    out = _out_dir(out)
+    table, episodes = measurer.measure(dataset, set_a, config, workers=cfg["workers"])
+    measurer.write_score_csv(table, out / "scores.csv")
+    measurer.write_episode_jsonl(episodes, out / "episodes.jsonl")
+    return config, table, out
+
+
 def cmd_measure(args):
     started = time.monotonic()
     cfg = _apply_common_overrides(_load_config(args.config, MEASURE_DEFAULTS), args)
     dataset = _load_dataset(args.data)
-    config = _episode_config(cfg, dataset)
-    _check_dataset_size(dataset, config)
-    set_a = _resolve_set_a(cfg, dataset)
-    out = _out_dir(args)
-    table, episodes = measurer.measure(dataset, set_a, config, workers=cfg["workers"])
-    measurer.write_score_csv(table, out / "scores.csv")
-    measurer.write_episode_jsonl(episodes, out / "episodes.jsonl")
+    config, table, out = _measure_and_write(cfg, dataset, args.out, cfg["base_seed"])
     cfg["machine"] = asdict(config.machine)
     _write_manifest(out, "measure", cfg, table.config_hash, dataset, time.monotonic() - started)
-    print(f"measured {len(set_a)} images over {table.m_effective}/{config.m} episodes -> {out / 'scores.csv'}")
+    print(f"measured {len(table.scores)} images over {table.m_effective}/{config.m} episodes -> {out / 'scores.csv'}")
     return 0
 
 
 def cmd_attributes(args):
     started = time.monotonic()
     dataset = _load_dataset(args.data)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     rows = {img.id: attributes.compute_attributes(img) for img in dataset}
     attributes.write_attribute_csv(rows, out / "attributes.csv")
     _write_manifest(out, "attributes", {}, "", dataset, time.monotonic() - started)
@@ -259,7 +230,7 @@ def cmd_analyze(args):
         if overlap:
             raise ConfigError(f"merged columns collide with existing ones: {sorted(overlap)}")
         columns.update(merged)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     report = analysis.correlate(table, columns)
     analysis.write_correlation_json(report, out / "correlations.json")
     outputs = [out / "correlations.json"]
@@ -297,17 +268,10 @@ def cmd_train_predictor(args):
     table = measurer.read_score_csv(args.scores)
     dataset = _load_dataset(args.data)
     split_seed = cfg["split_seed"] if cfg["split_seed"] is not None else cfg["base_seed"]
-    reg_config = predictor.RegressionConfig(
-        epochs=cfg["epochs"],
-        lr=cfg["lr"],
-        batch_size=cfg["batch_size"],
-        split_seed=split_seed,
-        test_fraction=cfg["test_fraction"],
-        augment=cfg["augment"],
-    )
+    reg_config = _from_cfg(predictor.RegressionConfig, cfg, split_seed=split_seed)
     spec = _machine_spec(cfg["machine"], dataset) if cfg["machine"] else None
     result = predictor.train_predictor(table, dataset, reg_config, spec=spec, seed=cfg["base_seed"])
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     predictor.save_predictor(result.model, out / "predictor.mmt1")
     with (out / "history.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -338,7 +302,7 @@ def cmd_predict(args):
         raise ConfigError("--model is required for predict")
     model = predictor.load_predictor(args.model)
     dataset = _load_dataset(args.data)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     predictions = predictor.predict(model, dataset)
     with (out / "predictions.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -362,9 +326,7 @@ def cmd_sweep(args):
     if len(set(map(str, values))) != len(values):
         raise ConfigError("sweep knob values must be distinct")
     dataset = _load_dataset(args.data)
-    out = _out_dir(args)
-    # Set A comes from the base config so every sub-run scores the same images.
-    master = _master_order(dataset, cfg["base_seed"])
+    out = _out_dir(args.out)
     tables = []
     run_payload = []
     for value in values:
@@ -373,17 +335,9 @@ def cmd_sweep(args):
             sub_cfg["machine"] = dict(sub_cfg["machine"], kind=value)
         else:
             sub_cfg[knob] = value
-        config = _episode_config(sub_cfg, dataset)
-        _check_dataset_size(dataset, config)
-        set_a = [str(i) for i in cfg["set_a"]] if cfg["set_a"] is not None else master[: config.n]
-        if len(set_a) != config.n:
-            raise ConfigError(f"set_a holds {len(set_a)} ids but n={config.n}")
+        # Set A comes from the base config's seed so every sub-run scores the same images.
+        _, table, _ = _measure_and_write(sub_cfg, dataset, out / f"run_{knob}_{value}", cfg["base_seed"])
         run_id = f"{knob}={value}"
-        table, episodes = measurer.measure(dataset, set_a, config, workers=cfg["workers"])
-        run_dir = out / f"run_{knob}_{value}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        measurer.write_score_csv(table, run_dir / "scores.csv")
-        measurer.write_episode_jsonl(episodes, run_dir / "episodes.jsonl")
         tables.append((run_id, table.scores))
         run_payload.append({"run_id": run_id, "config_hash": table.config_hash, "m_effective": table.m_effective})
     matrix = analysis.consistency_matrix(tables)
@@ -417,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--data", help="dataset path (.bin file/dir or PPM directory)")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="override base_seed")
-        p.add_argument("--workers", type=int, help="episode parallelism (default 1)")
+        p.add_argument("--workers", type=int, help="episode parallelism (default: all cores)")
 
     p = sub.add_parser("measure", help="run the measurement episodes and write a score table")
     common(p)

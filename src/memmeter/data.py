@@ -142,7 +142,8 @@ def sample_episode_sets(dataset, set_a, n, episode_seed, reserve=0) -> EpisodeSe
         raise ConfigError(f"set A must hold {n} distinct ids, got {len(set_a)}")
     for image_id in set_a:
         dataset.image(image_id)
-    pool = [i for i in dataset.ids if i not in set(set_a)]
+    taken = set(set_a)
+    pool = [i for i in dataset.ids if i not in taken]
     needed = 2 * n + 2 * reserve
     if len(pool) < needed:
         raise ConfigError(

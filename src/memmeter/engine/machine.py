@@ -145,9 +145,6 @@ class Machine:
             params.append((f"head.{pname}", tensor))
         return params
 
-    def backbone_parameters(self):
-        return [(n, t) for n, t in self.parameters() if not n.startswith("head.")]
-
     def replace_head(self, width: int, seed: int):
         """Install a freshly initialized head; backbone stays untouched."""
         self.head = Linear(self.spec.feature_width(), width, make_rng(seed))

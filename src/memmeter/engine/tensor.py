@@ -31,7 +31,12 @@ class Tensor:
         return self.data.size
 
     def backward(self):
-        """Populate grad on every tracked ancestor of a scalar output."""
+        """Populate grad on every tracked ancestor of a scalar output.
+
+        Consumes the graph: every node drops its parents and its backward
+        closure, which references the node itself, so no reference cycle
+        is left for the cyclic GC and a second backward() reaches nothing.
+        """
         if self.data.size != 1:
             raise ValueError(
                 f"backward() requires a scalar output, got shape {self.data.shape}"
@@ -41,6 +46,9 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+        for node in order:
+            node._parents = ()
+            node._backward = None
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""

@@ -77,6 +77,11 @@ class EpisodeConfig:
     def calibration_reserve(self) -> int:
         return self.n // 5 if self.calibration_mode == "held_out" else 0
 
+    @property
+    def required_images(self) -> int:
+        """Dataset size the protocol needs: sets A, B, C plus both calibration reserves."""
+        return 3 * self.n + 2 * self.calibration_reserve
+
 
 @dataclass
 class EpisodeResult:
@@ -275,10 +280,9 @@ def measure(dataset, set_a, config: EpisodeConfig, workers: int = 1, sampler=Non
     count. Gate-failing episodes are excluded and m_effective reduced.
     """
     set_a = list(set_a)
-    required = 3 * config.n + 2 * config.calibration_reserve
-    if len(dataset) < required:
+    if len(dataset) < config.required_images:
         raise ConfigError(
-            f"dataset holds {len(dataset)} images but the protocol needs {required} "
+            f"dataset holds {len(dataset)} images but the protocol needs {config.required_images} "
             f"(n={config.n}, calibration reserve {config.calibration_reserve})"
         )
     work = partial(run_episode, dataset, set_a, config, sampler=sampler)

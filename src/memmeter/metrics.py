@@ -1,4 +1,4 @@
-"""Calibration error, accuracy, and rank correlation primitives.
+"""Calibration error and rank correlation primitives.
 
 All functions are pure over immutable inputs. Spearman returns None (the
 undefined marker, rendered as "n/a" in reports) when either side has no
@@ -77,16 +77,6 @@ def rms_calibration_error(records, bin_count=None) -> CalibrationReport:
         total += (size / n) * (mean_conf - mean_acc) ** 2
         start = stop
     return CalibrationReport(rms_error=float(math.sqrt(total)), bin_count=b, bins=bins)
-
-
-def top1_accuracy(records) -> float:
-    records = list(records)
-    if not records:
-        raise ValueError("top1_accuracy needs at least one record")
-    for rec in records:
-        if rec.true_class is None:
-            raise ValueError(f"record {rec.image_id!r} has no true_class")
-    return float(np.mean([rec.predicted_class == rec.true_class for rec in records]))
 
 
 def midranks(values) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Pixel-based score regressor: a small CNN with a sigmoid output head.
 
-Trains against measured scores with mean squared error. Default training
-settings (50 epochs, lr 0.01, batch 16, momentum 0.9, cosine schedule)
-are exposed configuration, chosen for reliable desk-scale convergence.
+Trains against measured scores with mean squared error. The training
+settings of RegressionConfig (50 epochs, lr 0.01, batch 16 by default)
+are exposed configuration, chosen for reliable desk-scale convergence;
+momentum is fixed at the optimizer's 0.9 and the schedule is cosine.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ class RegressionConfig:
     split_seed: int = 0
     test_fraction: float = 0.2
     augment: bool = True
-    momentum: float = 0.9
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -96,7 +96,8 @@ class PredictorTrainResult:
 
 def train_predictor(score_table, dataset, config: RegressionConfig, spec=None, seed=0) -> PredictorTrainResult:
     """Fit the regressor to measured scores; seed-deterministic end to end."""
-    missing = [i for i in score_table.scores if i not in set(dataset.ids)]
+    known = set(dataset.ids)
+    missing = [i for i in score_table.scores if i not in known]
     if missing:
         raise ConfigError(f"{len(missing)} scored images absent from dataset, e.g. {missing[0]!r}")
     if spec is None:
@@ -109,7 +110,6 @@ def train_predictor(score_table, dataset, config: RegressionConfig, spec=None, s
     optimizer = SGD(
         model.parameters(),
         lr=config.lr,
-        momentum=config.momentum,
         weight_decay=0.0,
         total_steps=config.epochs * batches_per_epoch,
     )
@@ -165,10 +165,8 @@ def save_predictor(model: PredictorModel, path):
     """Write the parameter checkpoint plus an architecture sidecar JSON."""
     path = Path(path)
     save_params(model.parameters(), path)
-    meta = asdict(model.spec)
-    meta["hidden"] = list(meta["hidden"])
-    meta["conv_channels"] = list(meta["conv_channels"])
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(meta, sort_keys=True, indent=2))
+    meta = json.dumps(asdict(model.spec), sort_keys=True, indent=2)
+    path.with_suffix(path.suffix + ".json").write_text(meta)
 
 
 def load_predictor(path) -> PredictorModel:

@@ -38,6 +38,43 @@ def measure_config(tmp_path, **overrides):
     return path
 
 
+# --- config keys ------------------------------------------------------------------
+
+def test_measure_config_keys_and_defaults_are_pinned():
+    assert cli.MEASURE_DEFAULTS == {
+        "n": 500,
+        "m": 100,
+        "epochs_a": 60,
+        "epochs_b": 10,
+        "lr_a": 0.01,
+        "lr_b": 0.01,
+        "momentum": 0.9,
+        "weight_decay": 1e-4,
+        "accuracy_gate": 0.80,
+        "pretext_mode": "four_way",
+        "calibration_mode": "seen_only",
+        "base_seed": 0,
+        "machine": {"kind": "small_cnn"},
+        "set_a": None,
+        "workers": None,
+        "init_checkpoint": None,
+    }
+
+
+def test_train_predictor_config_keys_and_defaults_are_pinned():
+    assert cli.TRAIN_DEFAULTS == {
+        "epochs": 50,
+        "lr": 0.01,
+        "batch_size": 16,
+        "split_seed": None,
+        "test_fraction": 0.2,
+        "augment": True,
+        "base_seed": 0,
+        "machine": None,
+        "workers": None,
+    }
+
+
 # --- measure ----------------------------------------------------------------------
 
 def test_measure_writes_expected_outputs(tmp_path, ppm_dataset_dir):
@@ -317,6 +354,17 @@ def test_sweep_epochs_b_knob(tmp_path, ppm_dataset_dir):
     for row in payload["matrix"]:
         for cell in row:
             assert cell == "n/a" or -1.0 <= cell <= 1.0
+
+
+def test_sweep_run_equals_plain_measure(tmp_path, ppm_dataset_dir):
+    # measure_config has epochs_b 2; both commands draw set A from its base_seed.
+    sweep_out, measure_out = tmp_path / "sweep-out", tmp_path / "measure-out"
+    config = measure_config(tmp_path, knob="epochs_b", values=[1, 2])
+    assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(sweep_out)) == 0
+    config = measure_config(tmp_path)
+    assert run_cli("measure", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(measure_out)) == 0
+    for name in ("scores.csv", "episodes.jsonl"):
+        assert (sweep_out / "run_epochs_b_2" / name).read_bytes() == (measure_out / name).read_bytes()
 
 
 def test_sweep_single_value_is_usage_error(tmp_path, ppm_dataset_dir, capsys):

@@ -48,10 +48,13 @@ def test_forward_rejects_shape_mismatch(cnn_spec, rng):
 
 def test_head_swap_preserves_backbone_exactly(cnn_spec):
     machine = build_machine(cnn_spec, 4, seed=11)
-    before = {name: tensor.data.copy() for name, tensor in machine.backbone_parameters()}
+    def backbone():
+        return {name: tensor for name, tensor in machine.parameters() if not name.startswith("head.")}
+
+    before = {name: tensor.data.copy() for name, tensor in backbone().items()}
     old_head_shape = machine.head.weight.data.shape
     machine.replace_head(2, seed=77)
-    after = dict(machine.backbone_parameters())
+    after = backbone()
     for name, original in before.items():
         assert np.linalg.norm(after[name].data - original) == 0.0
     assert machine.head.weight.data.shape == (old_head_shape[0], 2)

@@ -1,4 +1,4 @@
-"""Calibration error, accuracy, and Spearman against brute-force oracles."""
+"""Calibration error and Spearman against brute-force oracles."""
 
 import itertools
 import math
@@ -11,7 +11,6 @@ from memmeter.metrics import (
     midranks,
     rms_calibration_error,
     spearman,
-    top1_accuracy,
 )
 from memmeter.rng import make_rng
 
@@ -107,17 +106,6 @@ def test_prediction_record_validation_and_tie_break():
         PredictionRecord("x", np.array([0.5, 0.4]))
     tied = PredictionRecord("x", np.array([0.5, 0.5]))
     assert tied.predicted_class == 0  # lowest index wins
-
-
-# --- accuracy ---------------------------------------------------------------------
-
-def test_top1_accuracy_values():
-    assert top1_accuracy([record(f"i{k}", 0.9, True) for k in range(5)]) == 1.0
-    assert top1_accuracy([record(f"i{k}", 0.9, False) for k in range(5)]) == 0.0
-    mixed = [record(f"i{k}", 0.9, k != 0) for k in range(5)]
-    assert top1_accuracy(mixed) == pytest.approx(0.8)
-    with pytest.raises(ValueError):
-        top1_accuracy([])
 
 
 # --- spearman ----------------------------------------------------------------------

@@ -50,6 +50,28 @@ def test_backward_rejects_non_scalar():
         T.add(p, p).backward()
 
 
+def test_backward_frees_the_graph_without_the_cyclic_gc():
+    import gc
+    import weakref
+
+    p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    hidden = T.relu(T.mul(p, p))
+    # Tensor has no __weakref__ slot; its data array lives exactly as long as it.
+    interior = weakref.ref(hidden.data)
+    loss = T.tensor_sum(hidden)
+    del hidden
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        loss.backward()
+        del loss
+        assert interior() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert np.allclose(p.grad, [2.0, -4.0, 6.0])
+
+
 def test_gradient_accumulates_over_reuse():
     p = Tensor(np.array([2.0]), requires_grad=True)
     T.tensor_sum(T.add(p, p)).backward()
