@@ -7,7 +7,7 @@ All attributes are computed on native-resolution pixels.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,17 +33,10 @@ class AttributeVector:
     entropy: float
 
     def as_row(self):
-        return {
-            "hue": self.hue,
-            "saturation": self.saturation,
-            "value": self.value,
-            "contrast": self.contrast,
-            "colorfulness": self.colorfulness,
-            "entropy": self.entropy,
-        }
+        return asdict(self)
 
 
-ATTRIBUTE_NAMES = ("hue", "saturation", "value", "contrast", "colorfulness", "entropy")
+ATTRIBUTE_NAMES = tuple(f.name for f in fields(AttributeVector))
 
 
 def grayscale(pixels: np.ndarray) -> np.ndarray:

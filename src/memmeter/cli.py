@@ -111,6 +111,9 @@ def _load_dataset(path) -> Dataset:
 def _machine_spec(machine_cfg, dataset) -> MachineSpec:
     if not isinstance(machine_cfg, dict) or "kind" not in machine_cfg:
         raise ConfigError('machine config must be an object with a "kind" field')
+    unknown = sorted(set(machine_cfg) - {f.name for f in fields(MachineSpec)})
+    if unknown:
+        raise ConfigError(f"unknown machine config keys: {unknown}")
     cfg = dict(machine_cfg)
     c, h, w = dataset.dims
     cfg.setdefault("in_channels", c)

@@ -33,18 +33,15 @@ class Linear:
 
 
 class Conv2d:
-    def __init__(self, in_channels, out_channels, rng, kernel_size=3, padding=1):
+    def __init__(self, in_channels, out_channels, rng):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.padding = padding
-        fan_in = in_channels * kernel_size * kernel_size
-        shape = (out_channels, in_channels, kernel_size, kernel_size)
-        self.weight = Tensor(he_uniform(shape, fan_in, rng), requires_grad=True)
+        shape = (out_channels, in_channels, 3, 3)
+        self.weight = Tensor(he_uniform(shape, in_channels * 9, rng), requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
 
     def forward(self, x):
-        return T.conv2d(x, self.weight, self.bias, padding=self.padding)
+        return T.conv2d(x, self.weight, self.bias)
 
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]

@@ -53,12 +53,11 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     log_probs = shifted - np.log(sumexp)
     loss = -(targets * log_probs).sum(axis=1).mean()
 
-    def backward():
+    def backward(g):
         softmax = expz / sumexp
-        T._accumulate(logits, out.grad * (softmax - targets) / n)
+        T._accumulate(logits, g * (softmax - targets) / n)
 
-    out = T._node(np.asarray(loss), (logits,), backward)
-    return out
+    return T._node(np.asarray(loss), (logits,), backward)
 
 
 def rotation_targets(mode: str) -> tuple:

@@ -3,6 +3,10 @@
 Covers exactly the operations the toolkit's machines need: dense and
 convolutional layers, 2x2 max pooling, pointwise activations, and scalar
 reductions. Single-threaded, deterministic, no graph optimization.
+
+Backward closures take their output's gradient as an argument and never
+reference their own output node, so graphs are acyclic and a forward
+dropped without backward() is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ class Tensor:
         """Populate grad on every tracked ancestor of a scalar output.
 
         Consumes the graph: every node drops its parents and its backward
-        closure, which references the node itself, so no reference cycle
-        is left for the cyclic GC and a second backward() reaches nothing.
+        closure, so a second backward() reaches nothing, and a caller that
+        keeps the loss while it builds the next graph (a training loop's
+        last loss) keeps that one node alive rather than the whole graph.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -45,7 +50,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
         for node in order:
             node._parents = ()
             node._backward = None
@@ -111,36 +116,33 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data + b.data
 
-    def backward():
-        _accumulate(a, _unbroadcast(out.grad, a.data.shape))
-        _accumulate(b, _unbroadcast(out.grad, b.data.shape))
+    def backward(g):
+        _accumulate(a, _unbroadcast(g, a.data.shape))
+        _accumulate(b, _unbroadcast(g, b.data.shape))
 
-    out = _node(out_data, (a, b), backward)
-    return out
+    return _node(out_data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data - b.data
 
-    def backward():
-        _accumulate(a, _unbroadcast(out.grad, a.data.shape))
-        _accumulate(b, _unbroadcast(-out.grad, b.data.shape))
+    def backward(g):
+        _accumulate(a, _unbroadcast(g, a.data.shape))
+        _accumulate(b, _unbroadcast(-g, b.data.shape))
 
-    out = _node(out_data, (a, b), backward)
-    return out
+    return _node(out_data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data * b.data
 
-    def backward():
-        _accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape))
+    def backward(g):
+        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
-    out = _node(out_data, (a, b), backward)
-    return out
+    return _node(out_data, (a, b), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -149,69 +151,64 @@ def matmul(a, b) -> Tensor:
         raise ValueError("matmul expects 2-d operands")
     out_data = a.data @ b.data
 
-    def backward():
-        _accumulate(a, out.grad @ b.data.T)
-        _accumulate(b, a.data.T @ out.grad)
+    def backward(g):
+        _accumulate(a, g @ b.data.T)
+        _accumulate(b, a.data.T @ g)
 
-    out = _node(out_data, (a, b), backward)
-    return out
+    return _node(out_data, (a, b), backward)
 
 
 def relu(x) -> Tensor:
     x = as_tensor(x)
     out_data = np.maximum(x.data, 0.0)
 
-    def backward():
-        _accumulate(x, out.grad * (x.data > 0.0))
+    def backward(g):
+        _accumulate(x, g * (x.data > 0.0))
 
-    out = _node(out_data, (x,), backward)
-    return out
+    return _node(out_data, (x,), backward)
 
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
     # Stable in both tails.
     z = x.data
-    out_data = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    e = np.exp(-np.abs(z))
+    out_data = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    def backward():
-        _accumulate(x, out.grad * out_data * (1.0 - out_data))
+    def backward(g):
+        _accumulate(x, g * out_data * (1.0 - out_data))
 
-    out = _node(out_data, (x,), backward)
-    return out
+    return _node(out_data, (x,), backward)
 
 
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
     out_data = x.data.reshape(shape)
 
-    def backward():
-        _accumulate(x, out.grad.reshape(x.data.shape))
+    def backward(g):
+        _accumulate(x, g.reshape(x.data.shape))
 
-    out = _node(out_data, (x,), backward)
-    return out
+    return _node(out_data, (x,), backward)
 
 
 def mean(x) -> Tensor:
     x = as_tensor(x)
     out_data = np.asarray(x.data.mean())
 
-    def backward():
-        _accumulate(x, np.full_like(x.data, out.grad / x.data.size))
+    def backward(g):
+        _accumulate(x, np.full_like(x.data, g / x.data.size))
 
-    out = _node(out_data, (x,), backward)
-    return out
+    return _node(out_data, (x,), backward)
 
 
 def tensor_sum(x) -> Tensor:
     x = as_tensor(x)
     out_data = np.asarray(x.data.sum())
 
-    def backward():
-        _accumulate(x, np.full_like(x.data, out.grad))
+    def backward(g):
+        _accumulate(x, np.full_like(x.data, g))
 
-    out = _node(out_data, (x,), backward)
-    return out
+    return _node(out_data, (x,), backward)
 
 
 def _im2col(padded, kh, kw, out_h, out_w):
@@ -226,24 +223,23 @@ def _im2col(padded, kh, kw, out_h, out_w):
     return windows.reshape(n, c * kh * kw, out_h * out_w)
 
 
-def conv2d(x, w, b, padding=1) -> Tensor:
-    """Stride-1 cross-correlation of NCHW inputs with OIHW filters."""
+def conv2d(x, w, b) -> Tensor:
+    """Stride-1 cross-correlation of NCHW inputs, zero-padded by one pixel, with OIHW filters."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     n, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
     if c2 != c:
         raise ValueError(f"conv2d channel mismatch: input {c}, filters {c2}")
-    out_h = h + 2 * padding - kh + 1
-    out_w = wd + 2 * padding - kw + 1
+    out_h, out_w = h - kh + 3, wd - kw + 3
     if out_h < 1 or out_w < 1:
         raise ValueError("conv2d output would be empty")
-    padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    padded = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
     cols = np.ascontiguousarray(_im2col(padded, kh, kw, out_h, out_w))
     w_mat = w.data.reshape(f, c * kh * kw)
     out_data = (np.matmul(w_mat, cols) + b.data[:, None]).reshape(n, f, out_h, out_w)
 
-    def backward():
-        g = out.grad.reshape(n, f, out_h * out_w)
+    def backward(g):
+        g = g.reshape(n, f, out_h * out_w)
         _accumulate(b, g.sum(axis=(0, 2)))
         _accumulate(w, np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
         if x.requires_grad:
@@ -252,38 +248,33 @@ def conv2d(x, w, b, padding=1) -> Tensor:
             for i in range(kh):
                 for j in range(kw):
                     dpad[:, :, i : i + out_h, j : j + out_w] += dcols[:, :, i, j]
-            if padding:
-                _accumulate(x, dpad[:, :, padding:-padding, padding:-padding])
-            else:
-                _accumulate(x, dpad)
+            _accumulate(x, dpad[:, :, 1:-1, 1:-1])
 
-    out = _node(out_data, (x, w, b), backward)
-    return out
+    return _node(out_data, (x, w, b), backward)
 
 
 def maxpool2(x) -> Tensor:
-    """2x2 max pooling, stride 2; trailing odd rows/columns are dropped."""
+    """2x2 max pooling, stride 2, as the maximum of the four window corners.
+
+    Trailing odd rows/columns are dropped and get zero gradient; each output's
+    gradient goes to the first corner, in row-major order, equal to the maximum.
+    """
     x = as_tensor(x)
-    n, c, h, w = x.data.shape
+    _, _, h, w = x.data.shape
     h2, w2 = h // 2, w // 2
     if h2 < 1 or w2 < 1:
         raise ValueError("maxpool2 needs at least a 2x2 input")
-    trimmed = x.data[:, :, : 2 * h2, : 2 * w2]
-    blocks = trimmed.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
-    # argmax -> first maximum wins, which keeps gradients single-routed on ties
-    idx = blocks.argmax(axis=-1)
-    out_data = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+    corners = [(..., slice(i, 2 * h2, 2), slice(j, 2 * w2, 2)) for i in (0, 1) for j in (0, 1)]
+    out_data = x.data[corners[0]]
+    for corner in corners[1:]:
+        out_data = np.maximum(out_data, x.data[corner])
 
-    def backward():
-        dblocks = np.zeros((n, c, h2, w2, 4))
-        np.put_along_axis(dblocks, idx[..., None], out.grad[..., None], axis=-1)
-        dtrim = dblocks.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * h2, 2 * w2)
-        if dtrim.shape == x.data.shape:
-            _accumulate(x, dtrim)
-        else:
-            dx = np.zeros_like(x.data)
-            dx[:, :, : 2 * h2, : 2 * w2] = dtrim
-            _accumulate(x, dx)
+    def backward(g):
+        dx = np.zeros_like(x.data)
+        for corner in corners:
+            hit = x.data[corner] == out_data
+            dx[corner] = np.where(hit, g, 0.0)
+            g = np.where(hit, 0.0, g)
+        _accumulate(x, dx)
 
-    out = _node(out_data, (x,), backward)
-    return out
+    return _node(out_data, (x,), backward)

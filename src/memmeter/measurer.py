@@ -68,6 +68,8 @@ class EpisodeConfig:
             raise ConfigError(
                 f"unknown calibration mode {self.calibration_mode!r}, expected one of {CALIBRATION_MODES}"
             )
+        if self.calibration_mode == "held_out" and self.calibration_reserve == 0:
+            raise ConfigError("held_out calibration reserves n // 5 images, so n must be at least 5")
 
     @property
     def head_width_a(self) -> int:

@@ -127,6 +127,13 @@ def test_measure_unknown_config_key_exits_2(tmp_path, ppm_dataset_dir, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_measure_unknown_machine_key_exits_2(tmp_path, ppm_dataset_dir, capsys):
+    config = measure_config(tmp_path, machine={"kind": "mlp", "hiden": [8]})
+    code = run_cli("measure", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "hiden" in capsys.readouterr().err
+
+
 def test_measure_missing_data_exits_2(tmp_path):
     config = measure_config(tmp_path)
     code = run_cli("measure", "--config", str(config), "--data", str(tmp_path / "void"), "--out", str(tmp_path / "o"))

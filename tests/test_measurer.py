@@ -58,6 +58,8 @@ def test_config_validation(small_spec):
         quick_config(small_spec, pretext_mode="five_way")
     with pytest.raises(ConfigError):
         quick_config(small_spec, calibration_mode="nope")
+    with pytest.raises(ConfigError, match="at least 5"):
+        quick_config(small_spec, calibration_mode="held_out", n=4)
     assert quick_config(small_spec, pretext_mode="binary").head_width_a == 2
 
 

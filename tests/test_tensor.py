@@ -72,6 +72,27 @@ def test_backward_frees_the_graph_without_the_cyclic_gc():
     assert np.allclose(p.grad, [2.0, -4.0, 6.0])
 
 
+def test_dropped_forward_is_freed_without_the_cyclic_gc(cnn_spec, rng):
+    import gc
+
+    # Parameters require grad, so an inference forward still builds a graph;
+    # dropping its result without backward() must free all of it.
+    machine = build_machine(cnn_spec, 4, seed=5)
+    batch = Tensor(rng.random((4, 3, 12, 12)))
+    machine.forward(batch)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for _ in range(5):
+            machine.forward(batch)
+        left = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert left == 0
+
+
 def test_gradient_accumulates_over_reuse():
     p = Tensor(np.array([2.0]), requires_grad=True)
     T.tensor_sum(T.add(p, p)).backward()
@@ -123,11 +144,28 @@ def test_maxpool_drops_odd_edges():
     assert out.data[0, 0, 0, 0] == 6.0  # max of the top-left 2x2 block
 
 
+def test_maxpool_ties_route_to_first_corner_and_odd_edges_get_no_gradient():
+    x = np.zeros((1, 1, 5, 5))
+    x[0, 0, :2, :2] = 1.0  # four-way tie: (0, 0) wins
+    x[0, 0, :2, 2:4] = [[0.0, 2.0], [1.0, 2.0]]  # right column tie: (0, 3) wins
+    x[0, 0, 2:4, :2] = [[0.0, 0.0], [3.0, 3.0]]  # bottom row tie: (3, 0) wins
+    x[0, 0, 2:4, 2:4] = [[4.0, 5.0], [5.0, 5.0]]  # three-way tie: (2, 3) wins
+    x[0, 0, 4, :] = x[0, 0, :, 4] = 9.0  # dropped trailing row and column
+    t = Tensor(x, requires_grad=True)
+    out = T.maxpool2(t)
+    assert np.array_equal(out.data[0, 0], [[1.0, 2.0], [3.0, 5.0]])
+    T.tensor_sum(out).backward()
+    expected = np.zeros((5, 5))
+    for i, j in [(0, 0), (0, 3), (3, 0), (2, 3)]:
+        expected[i, j] = 1.0
+    assert np.array_equal(t.grad[0, 0], expected)
+
+
 def test_conv2d_matches_direct_convolution(rng):
     x = rng.normal(size=(1, 2, 5, 5))
     w = rng.normal(size=(3, 2, 3, 3))
     b = rng.normal(size=3)
-    out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data
+    out = T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
     padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     expected = np.empty_like(out)
     for f in range(3):
