@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
 from .metrics import spearman
 
 log = logging.getLogger(__name__)
@@ -124,7 +125,7 @@ def correlate(score_table, columns) -> CorrelationReport:
         )
         results[name] = {"rho": rho, "n": len(shared)}
     if columns and not any_overlap:
-        raise ValueError("no attribute column shares any ids with the score table")
+        raise ConfigError("no attribute column shares any ids with the score table")
     return CorrelationReport(n=len(score_table.scores), columns=results)
 
 
@@ -135,7 +136,7 @@ def rank_labels(score_table, labels, k=5, min_count=5) -> LabelRanking:
         if image_id in score_table.scores:
             by_label.setdefault(label, []).append(score_table.scores[image_id])
     if not by_label:
-        raise ValueError("labels cover no scored images")
+        raise ConfigError("labels cover no scored images")
     entries = [
         (label, float(np.mean(values)), len(values))
         for label, values in by_label.items()
@@ -159,7 +160,7 @@ def consistency_matrix(tables) -> ConsistencyMatrix:
         for j in range(i + 1, size):
             shared = sorted(set(tables[i][1]) & set(tables[j][1]))
             if len(shared) < 3:
-                raise ValueError(
+                raise ConfigError(
                     f"runs {run_ids[i]!r} and {run_ids[j]!r} share only {len(shared)} ids"
                 )
             rho = spearman(

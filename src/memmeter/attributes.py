@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
+
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
 # Per-resolution weights of the global contrast factor, i = 1..9.
@@ -175,7 +177,7 @@ def read_attribute_csv(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "image_id":
-            raise ValueError(f"{path}: expected an attribute CSV with an image_id column")
+            raise ConfigError(f"{path}: expected an attribute CSV with an image_id column")
         columns = {name: {} for name in header[1:]}
         for row in reader:
             for name, cell in zip(header[1:], row[1:]):

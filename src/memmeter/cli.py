@@ -4,7 +4,9 @@ Subcommands: measure | attributes | analyze | train-predictor | predict |
 sweep. Options come from a JSON config file (--config) with CLI flags
 taking precedence over file fields, which take precedence over defaults.
 Exit codes: 0 ok, 2 config error, 3 data format error, 4 measurement
-failure. MEMMETER_LOG sets the log level.
+failure; any other exception (an internal error, or an episode whose
+training diverged) ends the run with a traceback and exit 1.
+MEMMETER_LOG sets the log level.
 """
 
 from __future__ import annotations
@@ -423,9 +425,6 @@ def main(argv=None) -> int:
     except MeasurementError as exc:
         print(f"measurement failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -1,16 +1,16 @@
 """Image ingestion, rotation transforms, episode sampling, augmentations.
 
-Images are channel-major float64 arrays with values in [0, 1]. Rotations
-are exact counterclockwise pixel permutations. Supported on-disk formats:
-CIFAR-10 binary batches (1 label byte + 3072 pixel bytes per record) and
-binary PPM (P6, maxval <= 255), optionally with a manifest CSV
+Images are channel-major float64 arrays with values in [0, 1]; a Dataset
+holds all of its images as the rows of one read-only (N, C, H, W) array.
+Rotations are exact counterclockwise pixel permutations. Supported on-disk
+formats: CIFAR-10 binary batches (1 label byte + 3072 pixel bytes per
+record) and binary PPM (P6, maxval <= 255), optionally with a manifest CSV
 "id,filename[,label]" attaching labels.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,10 +19,17 @@ import numpy as np
 from .errors import ConfigError, DataFormatError
 from .rng import make_rng
 
-log = logging.getLogger(__name__)
-
 CIFAR_RECORD_BYTES = 3073
 CIFAR_SHAPE = (3, 32, 32)
+
+
+def check_pixels(pixels: np.ndarray, owner: str):
+    """Raise ConfigError unless every value is finite and in [0, 1]."""
+    lo, hi = pixels.min(), pixels.max()
+    if not 0.0 <= lo <= hi <= 1.0:  # also false when either is NaN
+        if not np.isfinite(pixels).all():
+            raise ConfigError(f"{owner}: non-finite pixel values")
+        raise ConfigError(f"{owner}: pixel range [{lo}, {hi}] outside [0, 1]")
 
 
 @dataclass
@@ -34,11 +41,7 @@ class ImageTensor:
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
         if self.pixels.ndim != 3:
             raise ConfigError(f"image {self.id!r}: pixels must be (C, H, W), got ndim {self.pixels.ndim}")
-        if not np.isfinite(self.pixels).all():
-            raise ConfigError(f"image {self.id!r}: non-finite pixel values")
-        lo, hi = self.pixels.min(), self.pixels.max()
-        if lo < 0.0 or hi > 1.0:
-            raise ConfigError(f"image {self.id!r}: pixel range [{lo}, {hi}] outside [0, 1]")
+        check_pixels(self.pixels, f"image {self.id!r}")
 
     @property
     def channels(self) -> int:
@@ -54,42 +57,45 @@ class ImageTensor:
 
 
 class Dataset:
-    """Immutable ordered collection of uniformly shaped images."""
+    """Immutable ordered collection of uniformly shaped images.
 
-    def __init__(self, images, labels=None, source=""):
-        images = list(images)
-        if not images:
+    Row k of `pixels` is image `ids[k]`; `image()` and iteration give
+    ImageTensor views of the rows. The array is taken over as it is, memory
+    order included, and made read-only.
+    """
+
+    def __init__(self, ids, pixels, labels=None, source=""):
+        self.ids = list(ids)
+        if not self.ids:
             raise ConfigError("dataset is empty")
-        dims = images[0].pixels.shape
-        for img in images:
-            if img.pixels.shape != dims:
-                raise ConfigError(
-                    f"image {img.id!r} has shape {img.pixels.shape}, dataset uses {dims}"
-                )
-        self.images = images
-        self._by_id = {img.id: img for img in images}
-        if len(self._by_id) != len(images):
+        pixels = np.asarray(pixels, dtype=np.float64)
+        if pixels.ndim != 4 or len(pixels) != len(self.ids):
+            raise ConfigError(f"{len(self.ids)} ids need pixels of shape ({len(self.ids)}, C, H, W), got {pixels.shape}")
+        check_pixels(pixels, "dataset")
+        pixels.flags.writeable = False
+        self.pixels = pixels
+        self._rows = {image_id: row for row, image_id in enumerate(self.ids)}
+        if len(self._rows) != len(self.ids):
             raise ConfigError("duplicate image ids in dataset")
         self.labels = dict(labels) if labels else {}
         self.source = source
 
     def __len__(self):
-        return len(self.images)
+        return len(self.ids)
+
+    def __contains__(self, image_id):
+        return image_id in self._rows
 
     def __iter__(self):
-        return iter(self.images)
-
-    @property
-    def ids(self):
-        return [img.id for img in self.images]
+        return map(ImageTensor, self.ids, self.pixels)
 
     @property
     def dims(self):
-        return self.images[0].pixels.shape
+        return self.pixels.shape[1:]
 
     def image(self, image_id: str) -> ImageTensor:
         try:
-            return self._by_id[image_id]
+            return ImageTensor(image_id, self.pixels[self._rows[image_id]])
         except KeyError:
             raise ConfigError(f"unknown image id {image_id!r}") from None
 
@@ -98,24 +104,13 @@ class Dataset:
 
 def rotate_pixels(pixels: np.ndarray, quarter_turns: int) -> np.ndarray:
     """Rotate (C, H, W) pixels counterclockwise by 90deg * quarter_turns."""
-    k = quarter_turns % 4
-    if k == 0:
-        return pixels.copy()
-    if k in (1, 3) and pixels.shape[1] != pixels.shape[2]:
-        raise ConfigError(
-            f"90/270 degree rotation needs square images, got {pixels.shape[1]}x{pixels.shape[2]}"
-        )
-    return np.ascontiguousarray(np.rot90(pixels, k, axes=(1, 2)))
-
-
-def rotate(image: ImageTensor, degrees: int) -> ImageTensor:
-    if degrees % 90 != 0:
-        raise ConfigError(f"rotation must be a multiple of 90 degrees, got {degrees}")
-    return ImageTensor(image.id, rotate_pixels(image.pixels, degrees // 90))
+    if quarter_turns % 2 and pixels.shape[1] != pixels.shape[2]:
+        raise ConfigError(f"90/270 degree rotation needs square images, got {pixels.shape[1]}x{pixels.shape[2]}")
+    return np.rot90(pixels, quarter_turns % 4, axes=(1, 2)).copy()
 
 
 def hflip_pixels(pixels: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(pixels[:, :, ::-1])
+    return pixels[:, :, ::-1].copy()
 
 
 # --- episode sampling ------------------------------------------------------
@@ -140,8 +135,9 @@ def sample_episode_sets(dataset, set_a, n, episode_seed, reserve=0) -> EpisodeSe
         raise ConfigError("set size n must be >= 1")
     if len(set_a) != n or len(set(set_a)) != n:
         raise ConfigError(f"set A must hold {n} distinct ids, got {len(set_a)}")
-    for image_id in set_a:
-        dataset.image(image_id)
+    unknown = [i for i in set_a if i not in dataset]
+    if unknown:
+        raise ConfigError(f"unknown image id {unknown[0]!r}")
     taken = set(set_a)
     pool = [i for i in dataset.ids if i not in taken]
     needed = 2 * n + 2 * reserve
@@ -150,13 +146,10 @@ def sample_episode_sets(dataset, set_a, n, episode_seed, reserve=0) -> EpisodeSe
             f"dataset too small: need {needed} images outside set A, have {len(pool)}"
         )
     rng = make_rng(episode_seed)
-    picks = rng.choice(len(pool), size=needed, replace=False)
-    chosen = [pool[i] for i in picks]
-    set_b = tuple(chosen[:n])
-    set_c = tuple(chosen[n : 2 * n])
-    calib_seen = tuple(chosen[2 * n : 2 * n + reserve])
-    calib_unseen = tuple(chosen[2 * n + reserve :])
-    return EpisodeSets(set_a, set_b, set_c, calib_seen, calib_unseen)
+    chosen = tuple(pool[i] for i in rng.choice(len(pool), size=needed, replace=False))
+    return EpisodeSets(
+        set_a, chosen[:n], chosen[n : 2 * n], chosen[2 * n : 2 * n + reserve], chosen[2 * n + reserve :]
+    )
 
 
 # --- loaders ---------------------------------------------------------------
@@ -170,7 +163,7 @@ def load_cifar_binary(path) -> Dataset:
             raise DataFormatError("no .bin files in directory", path=str(path))
     else:
         files = [path]
-    images, labels = [], {}
+    ids, batches = [], []
     for file in files:
         blob = file.read_bytes()
         if len(blob) % CIFAR_RECORD_BYTES != 0:
@@ -179,13 +172,13 @@ def load_cifar_binary(path) -> Dataset:
                 path=str(file),
                 offset=(len(blob) // CIFAR_RECORD_BYTES) * CIFAR_RECORD_BYTES,
             )
-        records = np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        for index, record in enumerate(records):
-            image_id = f"{file.name}#{index}"
-            pixels = record[1:].astype(np.float64).reshape(CIFAR_SHAPE) / 255.0
-            images.append(ImageTensor(image_id, pixels))
-            labels[image_id] = str(int(record[0]))
-    return Dataset(images, labels=labels, source=str(path))
+        batches.append(np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES))
+        ids += [f"{file.name}#{index}" for index in range(len(batches[-1]))]
+    records = np.concatenate(batches)
+    pixels = records[:, 1:].astype(np.float64).reshape(-1, *CIFAR_SHAPE)
+    pixels /= 255.0
+    labels = dict(zip(ids, map(str, records[:, 0].tolist())))
+    return Dataset(ids, pixels, labels=labels, source=str(path))
 
 
 def read_ppm(path) -> np.ndarray:
@@ -257,39 +250,36 @@ def write_ppm(image: ImageTensor, path):
 
 
 def _read_manifest(path):
-    rows = list(csv.reader(Path(path).open(newline="")))
+    with Path(path).open(newline="") as fh:
+        rows = list(csv.reader(fh))
     if not rows or rows[0] not in (["id", "filename"], ["id", "filename", "label"]):
-        raise DataFormatError(
-            'manifest must start with header "id,filename" or "id,filename,label"',
-            path=str(path),
-        )
-    has_label = len(rows[0]) == 3
-    entries = []
+        raise DataFormatError('manifest must start with header "id,filename" or "id,filename,label"', path=str(path))
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != len(rows[0]):
             raise DataFormatError(f"manifest row {line_no} has {len(row)} fields", path=str(path))
-        entries.append((row[0], row[1], row[2] if has_label else None))
-    return entries
+    return [(row[0], row[1], row[2] if len(row) == 3 else None) for row in rows[1:]]
 
 
-def load_ppm_dir(path, manifest=None) -> Dataset:
-    """Load a directory of P6 PPM files, optionally driven by a manifest."""
+def load_ppm_dir(path) -> Dataset:
+    """Load a directory of P6 PPM files, driven by its manifest.csv if it has one."""
     path = Path(path)
-    images, labels = [], {}
-    if manifest is None and (path / "manifest.csv").exists():
-        manifest = path / "manifest.csv"
-    if manifest is not None:
-        for image_id, filename, label in _read_manifest(manifest):
-            images.append(ImageTensor(image_id, read_ppm(path / filename)))
-            if label is not None:
-                labels[image_id] = label
+    manifest = path / "manifest.csv"
+    if manifest.exists():
+        entries = [(image_id, path / name, label) for image_id, name, label in _read_manifest(manifest)]
     else:
-        files = sorted(path.glob("*.ppm"))
-        if not files:
+        entries = [(file.stem, file, None) for file in sorted(path.glob("*.ppm"))]
+        if not entries:
             raise DataFormatError("no .ppm files in directory", path=str(path))
-        for file in files:
-            images.append(ImageTensor(file.stem, read_ppm(file)))
-    return Dataset(images, labels=labels, source=str(path))
+    if not entries:
+        raise ConfigError("dataset is empty")
+    rasters = [read_ppm(file) for _, file, _ in entries]
+    for (image_id, _, _), raster in zip(entries, rasters):
+        if raster.shape != rasters[0].shape:
+            raise ConfigError(f"image {image_id!r} has shape {raster.shape}, dataset uses {rasters[0].shape}")
+    labels = {image_id: label for image_id, _, label in entries if label is not None}
+    # np.stack keeps read_ppm's channel-last memory order. attributes.grayscale's
+    # tensordot rounds differently on a channel-first copy, so that would change attributes.
+    return Dataset([entry[0] for entry in entries], np.stack(rasters), labels=labels, source=str(path))
 
 
 # --- regression augmentations ----------------------------------------------
@@ -316,11 +306,8 @@ def augment_for_regression(image: ImageTensor, seed: int) -> ImageTensor:
     Draw order is fixed: flip coin, erase coin, then erase parameters.
     """
     rng = make_rng(seed)
-    pixels = image.pixels
+    pixels = hflip_pixels(image.pixels) if rng.random() < 0.5 else image.pixels.copy()
     if rng.random() < 0.5:
-        pixels = hflip_pixels(pixels)
-    if rng.random() < 0.5:
-        pixels = pixels.copy() if pixels is image.pixels else pixels
         y0, y1, x0, x1 = _sample_erase_rect(rng, image.height, image.width)
         pixels[:, y0:y1, x0:x1] = rng.random((image.channels, y1 - y0, x1 - x0))
-    return ImageTensor(image.id, pixels.copy() if pixels is image.pixels else pixels)
+    return ImageTensor(image.id, pixels)

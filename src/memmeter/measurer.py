@@ -17,7 +17,6 @@ import json
 import logging
 import multiprocessing
 from dataclasses import asdict, dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -204,13 +203,8 @@ def select_epoch(calibration_trace) -> int:
 # --- episodes ----------------------------------------------------------------
 
 def default_sampler(dataset, set_a, config: EpisodeConfig, episode_index: int) -> EpisodeSets:
-    return sample_episode_sets(
-        dataset,
-        set_a,
-        config.n,
-        derive_seed(config.base_seed, "episode", episode_index),
-        reserve=config.calibration_reserve,
-    )
+    seed = derive_seed(config.base_seed, "episode", episode_index)
+    return sample_episode_sets(dataset, set_a, config.n, seed, reserve=config.calibration_reserve)
 
 
 def run_episode(dataset, set_a, config: EpisodeConfig, episode_index: int, sampler=None) -> EpisodeResult:
@@ -274,12 +268,27 @@ def _check_sets(sets: EpisodeSets, config: EpisodeConfig):
         raise ConfigError("episode sets must be pairwise disjoint")
 
 
+_worker_args = ()  # (dataset, set_a, config, sampler), set once in each pool worker
+
+
+def _init_worker(*args):
+    global _worker_args
+    _worker_args = args
+
+
+def _worker_episode(episode_index):
+    # run_episode is looked up per call: a forked worker runs a replacement set before the fork.
+    dataset, set_a, config, sampler = _worker_args
+    return run_episode(dataset, set_a, config, episode_index, sampler=sampler)
+
+
 def measure(dataset, set_a, config: EpisodeConfig, workers: int = 1, sampler=None):
     """Run m independent episodes and aggregate the score table.
 
     Episodes are embarrassingly parallel; each derives its own seeds from
     (base_seed, episode_index), so the result is identical for any worker
-    count. Gate-failing episodes are excluded and m_effective reduced.
+    count. At most m workers start, and each receives the dataset once, when
+    it starts. Gate-failing episodes are excluded and m_effective reduced.
     """
     set_a = list(set_a)
     if len(dataset) < config.required_images:
@@ -287,12 +296,12 @@ def measure(dataset, set_a, config: EpisodeConfig, workers: int = 1, sampler=Non
             f"dataset holds {len(dataset)} images but the protocol needs {config.required_images} "
             f"(n={config.n}, calibration reserve {config.calibration_reserve})"
         )
-    work = partial(run_episode, dataset, set_a, config, sampler=sampler)
+    workers = min(workers, config.m)
     if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(work, range(config.m), chunksize=1)
+        with multiprocessing.Pool(workers, _init_worker, (dataset, set_a, config, sampler)) as pool:
+            results = pool.map(_worker_episode, range(config.m), chunksize=1)
     else:
-        results = [work(index) for index in range(config.m)]
+        results = [run_episode(dataset, set_a, config, index, sampler=sampler) for index in range(config.m)]
 
     passing = [r for r in results if r.passed_gate]
     m_effective = len(passing)

@@ -96,8 +96,7 @@ class PredictorTrainResult:
 
 def train_predictor(score_table, dataset, config: RegressionConfig, spec=None, seed=0) -> PredictorTrainResult:
     """Fit the regressor to measured scores; seed-deterministic end to end."""
-    known = set(dataset.ids)
-    missing = [i for i in score_table.scores if i not in known]
+    missing = [i for i in score_table.scores if i not in dataset]
     if missing:
         raise ConfigError(f"{len(missing)} scored images absent from dataset, e.g. {missing[0]!r}")
     if spec is None:

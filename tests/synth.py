@@ -35,9 +35,14 @@ def random_image(name, rng, size=8, channels=3):
     return ImageTensor(name, rng.random((channels, size, size)))
 
 
+def stack_dataset(images, source=""):
+    """A Dataset holding the given same-shaped ImageTensors, in order."""
+    return Dataset([img.id for img in images], np.stack([img.pixels for img in images]), source=source)
+
+
 def ramp_dataset(count=96, seed=0, size=SIZE):
     rng = make_rng("ramp-dataset", seed)
-    return Dataset(
+    return stack_dataset(
         [ramp_image(f"ramp{i:03d}", rng, size=size) for i in range(count)],
         source="synthetic-ramps",
     )
@@ -47,7 +52,7 @@ def separable_dataset(ramps=64, stripes=32, seed=1, size=SIZE):
     rng = make_rng("separable-dataset", seed)
     images = [ramp_image(f"ramp{i:03d}", rng, size=size) for i in range(ramps)]
     images += [stripe_image(f"stripe{i:03d}", rng, size=size) for i in range(stripes)]
-    return Dataset(images, source="synthetic-separable")
+    return stack_dataset(images, source="synthetic-separable")
 
 
 def stratified_sampler(dataset, set_a, config, episode_index):
@@ -91,4 +96,4 @@ def brightness_scored_images(count=200, seed=3, size=8):
         image = ImageTensor(f"br{i:03d}", pixels)
         images.append(image)
         scores[image.id] = float(np.clip(level + rng.normal(0.0, 0.02), 0.05, 0.95))
-    return Dataset(images, source="synthetic-brightness"), scores
+    return stack_dataset(images, source="synthetic-brightness"), scores

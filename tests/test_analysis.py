@@ -12,6 +12,7 @@ from memmeter.analysis import (
     write_group_csv,
     write_matrix_csv,
 )
+from memmeter.errors import ConfigError
 from memmeter.measurer import ScoreTable
 from memmeter.metrics import spearman
 from memmeter.rng import make_rng
@@ -100,7 +101,7 @@ def test_correlate_drops_missing_ids_and_matches_direct_call():
 
 def test_correlate_disjoint_ids_is_usage_error():
     scores = {f"i{k}": 0.5 for k in range(5)}
-    with pytest.raises(ValueError, match="shares"):
+    with pytest.raises(ConfigError, match="shares"):
         correlate(table_for(scores), {"col": {"other": 1.0}})
 
 
@@ -151,7 +152,7 @@ def test_rank_labels_matches_group_mean_oracle():
 
 
 def test_rank_labels_without_coverage_is_usage_error():
-    with pytest.raises(ValueError, match="cover"):
+    with pytest.raises(ConfigError, match="cover"):
         rank_labels(table_for({"a": 0.5}), {"other": "X"})
 
 
@@ -194,7 +195,7 @@ def test_three_tables_match_pairwise_calls():
 def test_consistency_requires_overlap_and_two_tables():
     with pytest.raises(ValueError, match="at least two"):
         consistency_matrix([("solo", {"a": 1.0})])
-    with pytest.raises(ValueError, match="share"):
+    with pytest.raises(ConfigError, match="share"):
         consistency_matrix([("one", {"a": 1.0, "b": 0.5, "c": 0.2}), ("two", {"x": 1.0, "y": 0.5, "z": 0.2})])
 
 

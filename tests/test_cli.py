@@ -140,6 +140,14 @@ def test_measure_missing_data_exits_2(tmp_path):
     assert code == 2
 
 
+def test_diverging_measure_is_not_reported_as_config_error(tmp_path, ppm_dataset_dir, capsys):
+    # lr_b 1e8 drives stage (b)'s logits to infinity: an internal failure, not a bad config.
+    config = measure_config(tmp_path, lr_b=1e8, machine={"kind": "small_cnn"})
+    with pytest.raises(ValueError, match="non-finite logits"):
+        run_cli("measure", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(tmp_path / "o"), "--workers", "1")
+    assert "config error" not in capsys.readouterr().err
+
+
 def test_seed_flag_overrides_config(tmp_path, ppm_dataset_dir):
     config = measure_config(tmp_path)
     one, two = tmp_path / "a", tmp_path / "b"
@@ -153,7 +161,7 @@ def test_seed_flag_overrides_config(tmp_path, ppm_dataset_dir):
 
 def test_attributes_single_image_dataset(tmp_path):
     rng = make_rng("one-image")
-    dataset = synth.Dataset([synth.random_image("only", rng, size=4)])
+    dataset = synth.stack_dataset([synth.random_image("only", rng, size=4)])
     data_dir = synth.write_ppm_dataset(dataset, tmp_path / "data")
     out = tmp_path / "out"
     assert run_cli("attributes", "--data", str(data_dir), "--out", str(out)) == 0
@@ -250,6 +258,16 @@ def test_analyze_attributes_pipeline_and_labels(tmp_path, ppm_dataset_dir, measu
     assert (out / "correlations.json").exists()
     ranking = json.loads((out / "label_ranking.json").read_text())
     assert {entry["label"] for entry in ranking["all"]} <= {"even", "odd"}
+
+
+def test_analyze_merge_csv_without_image_id_column_exits_2(tmp_path, measured_run, capsys):
+    merge_csv = tmp_path / "extra.csv"
+    merge_csv.write_text("id,human\nramp000,0.5\n")
+    code = run_cli(
+        "analyze", "--scores", str(measured_run / "scores.csv"), "--merge-csv", str(merge_csv), "--out", str(tmp_path / "a")
+    )
+    assert code == 2
+    assert "image_id column" in capsys.readouterr().err
 
 
 def test_analyze_requires_scores(tmp_path, capsys):

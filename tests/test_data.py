@@ -1,8 +1,11 @@
 """Rotations, episode sampling, loaders, and regression augmentations."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from memmeter.attributes import grayscale
 from memmeter.data import (
     Dataset,
     ImageTensor,
@@ -12,62 +15,59 @@ from memmeter.data import (
     load_cifar_binary,
     load_ppm_dir,
     read_ppm,
-    rotate,
+    rotate_pixels,
     sample_episode_sets,
     write_ppm,
 )
 from memmeter.errors import ConfigError, DataFormatError
 from memmeter.rng import make_rng
 
-from synth import random_image
+from synth import random_image, stack_dataset
 
 
 # --- rotations ---------------------------------------------------------------
 
 def test_rotate_90_counterclockwise_hand_permutation():
-    image = ImageTensor("t", np.array([[[0.1, 0.2], [0.3, 0.4]]]))
-    rotated = rotate(image, 90)
+    pixels = np.array([[[0.1, 0.2], [0.3, 0.4]]])
     # [[1,2],[3,4]] -> [[2,4],[1,3]] counterclockwise
-    assert np.array_equal(rotated.pixels, np.array([[[0.2, 0.4], [0.1, 0.3]]]))
+    assert np.array_equal(rotate_pixels(pixels, 1), np.array([[[0.2, 0.4], [0.1, 0.3]]]))
 
 
 def test_rotate_0_is_identity(rng):
-    image = random_image("t", rng)
-    assert np.array_equal(rotate(image, 0).pixels, image.pixels)
+    pixels = random_image("t", rng).pixels
+    assert np.array_equal(rotate_pixels(pixels, 0), pixels)
 
 
 def test_rotate_180_twice_is_identity(rng):
-    image = random_image("t", rng)
-    assert np.array_equal(rotate(rotate(image, 180), 180).pixels, image.pixels)
+    pixels = random_image("t", rng).pixels
+    assert np.array_equal(rotate_pixels(rotate_pixels(pixels, 2), 2), pixels)
 
 
 def test_rotate_90_four_times_is_identity_bitwise(rng):
-    image = random_image("t", rng, size=8)
-    out = image
+    pixels = random_image("t", rng, size=8).pixels
+    out = pixels
     for _ in range(4):
-        out = rotate(out, 90)
-    assert np.array_equal(out.pixels, image.pixels)
+        out = rotate_pixels(out, 1)
+    assert np.array_equal(out, pixels)
 
 
 def test_rotation_preserves_pixel_multiset(rng):
-    image = random_image("t", rng)
-    for degrees in (0, 90, 180, 270):
-        assert np.array_equal(
-            np.sort(rotate(image, degrees).pixels.ravel()), np.sort(image.pixels.ravel())
-        )
+    pixels = random_image("t", rng).pixels
+    for quarter_turns in range(4):
+        assert np.array_equal(np.sort(rotate_pixels(pixels, quarter_turns).ravel()), np.sort(pixels.ravel()))
 
 
 def test_rotate_rejects_non_square_quarter_turns(rng):
-    image = ImageTensor("t", rng.random((3, 4, 6)))
+    pixels = rng.random((3, 4, 6))
     with pytest.raises(ConfigError, match="square"):
-        rotate(image, 90)
-    assert rotate(image, 180).pixels.shape == (3, 4, 6)
+        rotate_pixels(pixels, 1)
+    assert rotate_pixels(pixels, 2).shape == (3, 4, 6)
 
 
 # --- episode sampling ----------------------------------------------------------
 
 def make_dataset(count, rng, size=4):
-    return Dataset([random_image(f"img{i:03d}", rng, size=size) for i in range(count)])
+    return stack_dataset([random_image(f"img{i:03d}", rng, size=size) for i in range(count)])
 
 
 def test_forced_partition_when_dataset_is_exactly_3n(rng):
@@ -144,6 +144,33 @@ def test_cifar_record_arithmetic(tmp_path):
     assert dataset.labels["batch.bin#1"] == "7"
     assert np.all(dataset.image("batch.bin#1").pixels == 1.0)
     assert np.all(dataset.image("batch.bin#0").pixels == 0.0)
+
+
+def test_loaded_pixels_match_pinned_digests(tmp_path):
+    # Digests of the pixel bytes that the per-image loaders produced: two CIFAR
+    # batches of random records, and PPMs with maxval 255 and maxval 100.
+    rng = make_rng("cifar-digest")
+    for name, records in (("a.bin", 5), ("b.bin", 3)):
+        (tmp_path / name).write_bytes(rng.integers(0, 256, (records, 3073), dtype=np.uint8).tobytes())
+    cifar = load_cifar_binary(tmp_path)
+    assert cifar.ids == [f"a.bin#{i}" for i in range(5)] + [f"b.bin#{i}" for i in range(3)]
+    assert hashlib.sha256(cifar.pixels.tobytes()).hexdigest() == (
+        "8d572d348c24cc2ea77bb785f1b50bad12ef466492045b93ded792053b6e591e"
+    )
+    rng = make_rng("ppm-digest")
+    ppm_dir = tmp_path / "ppm"
+    ppm_dir.mkdir()
+    for name, maxval in (("full", 255), ("low", 100)):
+        raster = rng.integers(0, maxval + 1, (12, 12, 3), dtype=np.uint8)
+        (ppm_dir / f"{name}.ppm").write_bytes(f"P6\n12 12\n{maxval}\n".encode() + raster.tobytes())
+    ppm = load_ppm_dir(ppm_dir)
+    assert ppm.ids == ["full", "low"] and ppm.dims == (3, 12, 12)
+    assert hashlib.sha256(ppm.pixels.tobytes()).hexdigest() == (
+        "786163e92ab17a90ab11170b683007a1e5e5afeb09ae2ccc69606b9c5ea75672"
+    )
+    # Rows keep read_ppm's memory order, which the BLAS-backed grayscale rounds by.
+    for image in ppm:
+        assert np.array_equal(grayscale(image.pixels), grayscale(read_ppm(ppm_dir / f"{image.id}.ppm")))
 
 
 def test_cifar_truncated_record_reports_offset(tmp_path):
@@ -249,14 +276,34 @@ def test_inconsistent_dimensions_rejected(tmp_path, rng):
 def test_dataset_rejects_duplicates_and_empty(rng):
     image = random_image("dup", rng)
     with pytest.raises(ConfigError, match="duplicate"):
-        Dataset([image, ImageTensor("dup", image.pixels)])
+        stack_dataset([image, ImageTensor("dup", image.pixels)])
+    with pytest.raises(ConfigError, match="duplicate"):
+        Dataset(["dup", "dup"], rng.random((2, 3, 2, 2)))
     with pytest.raises(ConfigError, match="empty"):
-        Dataset([])
+        Dataset([], np.empty((0, 3, 2, 2)))
 
 
 def test_image_pixels_must_be_in_unit_range():
     with pytest.raises(ConfigError, match="outside"):
         ImageTensor("bad", np.full((1, 2, 2), 1.5))
+    pixels = np.full((2, 1, 2, 2), 0.5)
+    pixels[1, 0, 1, 0] = 1.5
+    with pytest.raises(ConfigError, match="outside"):
+        Dataset(["a", "b"], pixels)
+    pixels[1, 0, 1, 0] = np.nan
+    with pytest.raises(ConfigError, match="non-finite"):
+        Dataset(["a", "b"], pixels)
+
+
+def test_dataset_images_are_read_only_views(rng):
+    dataset = make_dataset(3, rng)
+    image = dataset.image("img001")
+    assert np.shares_memory(image.pixels, dataset.pixels)
+    with pytest.raises(ValueError, match="read-only"):
+        image.pixels[0, 0, 0] = 0.5
+    augmented = augment_for_regression(image, 0)
+    augmented.pixels[0, 0, 0] = 0.5
+    assert not np.shares_memory(augmented.pixels, dataset.pixels)
 
 
 # --- augmentation ------------------------------------------------------------------

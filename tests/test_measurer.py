@@ -1,5 +1,7 @@
 """Episode orchestration: stages, gating, epoch selection, aggregation."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ def quick_config(machine, **overrides):
 def small_dataset():
     rng = make_rng("measurer-tests")
     images = [synth.ramp_image(f"ramp{i:02d}", rng, size=6) for i in range(16)]
-    return Dataset(images, source="test")
+    return synth.stack_dataset(images, source="test")
 
 
 @pytest.fixture
@@ -311,6 +313,34 @@ def test_measure_serial_equals_concurrent(small_dataset, small_spec):
     assert serial == concurrent
 
 
+def test_measure_ships_the_dataset_to_each_worker_at_most_once(small_dataset, small_spec, monkeypatch):
+    pickled = []
+
+    def counting_reduce_ex(self, protocol):
+        pickled.append(protocol)
+        return object.__reduce_ex__(self, protocol)
+
+    monkeypatch.setattr(Dataset, "__reduce_ex__", counting_reduce_ex)
+    config = quick_config(small_spec, m=4, accuracy_gate=0.01)
+    measure(small_dataset, small_dataset.ids[:4], config, workers=2)
+    # Forked workers inherit the dataset; other start methods pickle it once per worker.
+    assert len(pickled) <= (0 if multiprocessing.get_start_method() == "fork" else 2)
+
+
+def test_measure_starts_no_more_workers_than_episodes(small_dataset, small_spec, monkeypatch):
+    started = []
+    real_pool = multiprocessing.Pool
+
+    def recording_pool(processes, *args):
+        started.append(processes)
+        return real_pool(processes, *args)
+
+    monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+    for m in (2, 1):
+        measure(small_dataset, small_dataset.ids[:4], quick_config(small_spec, m=m, accuracy_gate=0.01), workers=8)
+    assert started == [2]
+
+
 def test_measure_rejects_small_dataset(small_dataset, small_spec):
     config = quick_config(small_spec, n=6)
     with pytest.raises(ConfigError, match="needs 18"):
@@ -327,7 +357,7 @@ def test_measure_all_gates_failing_is_measurement_error(small_dataset, small_spe
 def test_held_out_mode_reserves_extra_images(small_spec):
     rng = make_rng("held-out")
     images = [synth.ramp_image(f"r{i:02d}", rng, size=6) for i in range(18)]
-    dataset = Dataset(images)
+    dataset = synth.stack_dataset(images)
     config = quick_config(small_spec, n=5, m=1, epochs_a=1, accuracy_gate=0.01, calibration_mode="held_out")
     assert config.calibration_reserve == 1
     table, episodes = measure(dataset, dataset.ids[:5], config)
@@ -350,7 +380,7 @@ def test_binary_pretext_head_width_enforced(small_dataset, small_spec):
     config = quick_config(small_spec, pretext_mode="binary")
     machine = build_machine(small_spec, 4, seed=1)  # wrong width for binary
     with pytest.raises(ConfigError, match="2-way head"):
-        rotation_loss(machine, small_dataset.images[0], config.pretext_mode)
+        rotation_loss(machine, small_dataset.image(small_dataset.ids[0]), config.pretext_mode)
 
 
 def test_init_checkpoint_replaces_fresh_init(tmp_path, small_dataset, small_spec):
