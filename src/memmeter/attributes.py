@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataFormatError
 
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
@@ -182,5 +182,10 @@ def read_attribute_csv(path):
         for row in reader:
             for name, cell in zip(header[1:], row[1:]):
                 if cell != "n/a":
-                    columns[name][row[0]] = float(cell)
+                    try:
+                        columns[name][row[0]] = float(cell)
+                    except ValueError:
+                        raise DataFormatError(
+                            f"{name} of {row[0]} is not a number: {cell!r}", path=str(path)
+                        ) from None
     return columns

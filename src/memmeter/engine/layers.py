@@ -39,9 +39,10 @@ class Conv2d:
         shape = (out_channels, in_channels, 3, 3)
         self.weight = Tensor(he_uniform(shape, in_channels * 9, rng), requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
+        self.workspace = {}
 
     def forward(self, x):
-        return T.conv2d(x, self.weight, self.bias)
+        return T.conv2d(x, self.weight, self.bias, self.workspace)
 
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]

@@ -36,19 +36,21 @@ class SGD:
         self.total_steps = total_steps
         self.step_index = 0
         self.velocity = [np.zeros_like(t.data) for _, t in self.params]
+        # Holds weight_decay*param, then lr*v: the same products, without a new array per step.
+        self._scratch = [np.empty_like(t.data) for _, t in self.params]
 
     def current_lr(self) -> float:
         return cosine_lr(self.lr_base, self.step_index, self.total_steps)
 
     def step(self):
         lr = self.current_lr()
-        for (name, tensor), vel in zip(self.params, self.velocity):
+        for (name, tensor), vel, scratch in zip(self.params, self.velocity, self._scratch):
             if tensor.grad is None:
                 raise ValueError(f"parameter {name} has no gradient; run backward() first")
             vel *= self.momentum
             vel += tensor.grad
             if self.weight_decay:
-                vel += self.weight_decay * tensor.data
-            tensor.data -= lr * vel
+                vel += np.multiply(self.weight_decay, tensor.data, out=scratch)
+            tensor.data -= np.multiply(lr, vel, out=scratch)
             tensor.grad = None
         self.step_index += 1

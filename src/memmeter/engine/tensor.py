@@ -211,20 +211,27 @@ def tensor_sum(x) -> Tensor:
     return _node(out_data, (x,), backward)
 
 
-def _im2col(padded, kh, kw, out_h, out_w):
+def _windows(padded, kh, kw, out_h, out_w):
+    # Read-only (n, c, kh, kw, out_h, out_w) view of every filter window.
     n, c, _, _ = padded.shape
     s = padded.strides
-    windows = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         padded,
         shape=(n, c, kh, kw, out_h, out_w),
         strides=(s[0], s[1], s[2], s[3], s[2], s[3]),
         writeable=False,
     )
-    return windows.reshape(n, c * kh * kw, out_h * out_w)
 
 
-def conv2d(x, w, b) -> Tensor:
-    """Stride-1 cross-correlation of NCHW inputs, zero-padded by one pixel, with OIHW filters."""
+def conv2d(x, w, b, workspace=None) -> Tensor:
+    """Stride-1 cross-correlation of NCHW inputs, zero-padded by one pixel, with OIHW filters.
+
+    `workspace` is an optional dict, owned by the calling layer, that keeps
+    the pad, im2col and input-gradient buffers between steps, keyed by input
+    shape. The forward takes the buffers out and the backward puts them back
+    when it is done, so a second forward while this graph is pending, or
+    after it was dropped without backward(), gets buffers of its own.
+    """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     n, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
@@ -233,22 +240,33 @@ def conv2d(x, w, b) -> Tensor:
     out_h, out_w = h - kh + 3, wd - kw + 3
     if out_h < 1 or out_w < 1:
         raise ValueError("conv2d output would be empty")
-    padded = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = np.ascontiguousarray(_im2col(padded, kh, kw, out_h, out_w))
+    if workspace is None:
+        workspace = {}
+    buffers = workspace.pop(x.data.shape, None)
+    if buffers is None:  # (pad, cols, dpad); the pad's zero border is never written
+        padded = np.zeros((n, c, h + 2, wd + 2))
+        buffers = (padded, np.empty((n, c * kh * kw, out_h * out_w)), np.empty_like(padded))
+    padded, cols, dpad = buffers
+    padded[:, :, 1:-1, 1:-1] = x.data
+    np.copyto(cols.reshape(n, c, kh, kw, out_h, out_w), _windows(padded, kh, kw, out_h, out_w))
     w_mat = w.data.reshape(f, c * kh * kw)
-    out_data = (np.matmul(w_mat, cols) + b.data[:, None]).reshape(n, f, out_h, out_w)
+    out_data = np.matmul(w_mat, cols)
+    out_data += b.data[:, None]
+    out_data = out_data.reshape(n, f, out_h, out_w)
 
     def backward(g):
         g = g.reshape(n, f, out_h * out_w)
         _accumulate(b, g.sum(axis=(0, 2)))
         _accumulate(w, np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
         if x.requires_grad:
-            dcols = np.matmul(w_mat.T, g).reshape(n, c, kh, kw, out_h, out_w)
-            dpad = np.zeros_like(padded)
+            # The weight gradient was the last use of cols; its buffer takes their gradient.
+            dcols = np.matmul(w_mat.T, g, out=cols).reshape(n, c, kh, kw, out_h, out_w)
+            dpad.fill(0.0)
             for i in range(kh):
                 for j in range(kw):
                     dpad[:, :, i : i + out_h, j : j + out_w] += dcols[:, :, i, j]
             _accumulate(x, dpad[:, :, 1:-1, 1:-1])
+        workspace[x.data.shape] = buffers
 
     return _node(out_data, (x, w, b), backward)
 

@@ -25,7 +25,7 @@ from .data import EpisodeSets, sample_episode_sets
 from .engine import SGD, Tensor, build_machine, load_into_machine, rotation_loss, seen_loss
 from .engine.losses import SEEN_CLASS, UNSEEN_CLASS, rotated_batch, rotation_targets
 from .engine.machine import MachineSpec
-from .errors import ConfigError, MeasurementError
+from .errors import ConfigError, DataFormatError, MeasurementError
 from .metrics import PredictionRecord, rms_calibration_error
 from .rng import derive_seed, make_rng
 
@@ -114,14 +114,14 @@ def config_digest(config: EpisodeConfig, set_a) -> str:
 
 # --- stages ------------------------------------------------------------------
 
-def rotation_accuracy(machine, images, mode) -> float:
-    """Top-1 accuracy over all four rotations of every image, no updates."""
+def rotation_accuracy(machine, rotations, mode) -> float:
+    """Top-1 accuracy over every `rotated_batch` in `rotations`, no updates."""
     targets = np.asarray(rotation_targets(mode))
     correct = 0
-    for image in images:
-        logits = machine.forward(Tensor(rotated_batch(image))).data
+    for batch in rotations:
+        logits = machine.forward(Tensor(batch)).data
         correct += int((logits.argmax(axis=1) == targets).sum())
-    return correct / (4 * len(images))
+    return correct / (4 * len(rotations))
 
 
 def stage_a(machine, images, config: EpisodeConfig, shuffle_seed: int) -> float:
@@ -129,7 +129,9 @@ def stage_a(machine, images, config: EpisodeConfig, shuffle_seed: int) -> float:
 
     Batch size is one image (its four rotated copies form one step); the
     cosine schedule spans all epochs_a * len(images) steps. Returns the
-    final rotation accuracy over the same pool.
+    final rotation accuracy over the same pool. Each image's rotations are
+    built once and held for the whole stage: 4 * len(images) * C*H*W
+    float64 values.
     """
     optimizer = SGD(
         machine.parameters(),
@@ -138,13 +140,14 @@ def stage_a(machine, images, config: EpisodeConfig, shuffle_seed: int) -> float:
         weight_decay=config.weight_decay,
         total_steps=config.epochs_a * len(images),
     )
+    rotations = [rotated_batch(image) for image in images]
     rng = make_rng(shuffle_seed)
     for _ in range(config.epochs_a):
         for index in rng.permutation(len(images)):
-            loss = rotation_loss(machine, images[index], config.pretext_mode)
+            loss = rotation_loss(machine, images[index], config.pretext_mode, rotations[index])
             loss.backward()
             optimizer.step()
-    return rotation_accuracy(machine, images, config.pretext_mode)
+    return rotation_accuracy(machine, rotations, config.pretext_mode)
 
 
 def stage_b_epoch(machine, seen_images, unseen_images, config: EpisodeConfig, optimizer, rng):
@@ -356,14 +359,18 @@ def read_score_csv(path) -> ScoreTable:
         rows = list(reader)
     if not rows:
         raise ConfigError(f"{path} holds no scores")
-    scores = {row[0]: float(row[1]) for row in rows}
     first = rows[0]
+    try:
+        scores = {row[0]: float(row[1]) for row in rows}
+        m_effective, base_seed = int(first[2]), int(first[5])
+    except (ValueError, IndexError) as exc:
+        raise DataFormatError(f"malformed score table row: {exc}", path=str(path)) from None
     return ScoreTable(
         scores=scores,
-        m_effective=int(first[2]),
+        m_effective=m_effective,
         machine=first[3],
         config_hash=first[4],
-        base_seed=int(first[5]),
+        base_seed=base_seed,
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -175,7 +175,15 @@ def load_predictor(path) -> PredictorModel:
         raise ConfigError(f"model checkpoint not found: {path}")
     if not meta_path.exists():
         raise DataFormatError("missing architecture sidecar", path=str(meta_path))
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:
+        raise DataFormatError(f"architecture sidecar is not JSON: {exc}", path=str(meta_path)) from None
+    if not isinstance(meta, dict) or "kind" not in meta:
+        raise DataFormatError('architecture sidecar must be a JSON object with a "kind" field', path=str(meta_path))
+    unknown = sorted(set(meta) - {f.name for f in fields(MachineSpec)})
+    if unknown:
+        raise DataFormatError(f"architecture sidecar has unknown keys {unknown}", path=str(meta_path))
     spec = MachineSpec(**meta)
     model = build_predictor(spec, seed=0)
     load_into_machine(model.machine, path)

@@ -7,7 +7,7 @@ import pytest
 
 import synth
 from memmeter import cli
-from memmeter.measurer import read_score_csv
+from memmeter.measurer import SCORE_HEADER, read_score_csv
 from memmeter.metrics import spearman
 from memmeter.rng import make_rng
 
@@ -270,6 +270,30 @@ def test_analyze_merge_csv_without_image_id_column_exits_2(tmp_path, measured_ru
     assert "image_id column" in capsys.readouterr().err
 
 
+def write_score_rows(path, **cells):
+    row = {"image_id": "ramp000", "score": "0.5", "m_effective": "2", "machine": "m", "config_hash": "h", "base_seed": "0"}
+    row.update(cells)
+    path.write_text(",".join(SCORE_HEADER) + "\n" + ",".join(row[name] for name in SCORE_HEADER) + "\n")
+    return path
+
+
+def test_analyze_merge_csv_with_non_numeric_cell_exits_3(tmp_path, capsys):
+    scores = write_score_rows(tmp_path / "scores.csv")
+    merge_csv = tmp_path / "extra.csv"
+    merge_csv.write_text("image_id,human\nramp000,high\n")
+    code = run_cli("analyze", "--scores", str(scores), "--merge-csv", str(merge_csv), "--out", str(tmp_path / "a"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(merge_csv) in err and "'high'" in err
+
+
+@pytest.mark.parametrize("cells", [{"score": "high"}, {"m_effective": "two"}, {"base_seed": "1.5"}])
+def test_analyze_malformed_score_table_exits_3(tmp_path, cells, capsys):
+    scores = write_score_rows(tmp_path / "scores.csv", **cells)
+    assert run_cli("analyze", "--scores", str(scores), "--out", str(tmp_path / "a")) == 3
+    assert str(scores) in capsys.readouterr().err
+
+
 def test_analyze_requires_scores(tmp_path, capsys):
     assert run_cli("analyze", "--out", str(tmp_path / "o")) == 2
     assert "--scores" in capsys.readouterr().err
@@ -325,6 +349,16 @@ def test_predict_before_train_is_explicit_error(tmp_path, ppm_dataset_dir, capsy
     )
     assert code == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]", '{"kind": "small_cnn", "widht": 8}'])
+def test_predict_with_malformed_sidecar_exits_3(tmp_path, ppm_dataset_dir, sidecar, capsys):
+    model = tmp_path / "predictor.mmt1"
+    model.write_bytes(b"")
+    (tmp_path / "predictor.mmt1.json").write_text(sidecar)
+    code = run_cli("predict", "--model", str(model), "--data", str(ppm_dataset_dir), "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert "predictor.mmt1.json" in capsys.readouterr().err
 
 
 # --- sweep ------------------------------------------------------------------------------

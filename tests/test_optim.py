@@ -81,3 +81,23 @@ def test_cosine_rejects_out_of_range_step():
         cosine_lr(0.01, 11, 10)
     with pytest.raises(ValueError):
         cosine_lr(0.01, 0, 0)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+def test_step_is_bitwise_equal_to_the_temporaries_formula(weight_decay):
+    rng = np.random.default_rng(7)
+    start = rng.normal(size=(3, 5))
+    grads = rng.normal(size=(20, 3, 5))
+    p = Tensor(start.copy(), requires_grad=True)
+    opt = SGD([("p", p)], lr=0.05, momentum=0.9, weight_decay=weight_decay, total_steps=20)
+    data, vel = start.copy(), np.zeros_like(start)
+    for step, grad in enumerate(grads):
+        p.grad = grad.copy()
+        opt.step()
+        lr = cosine_lr(0.05, step, 20)
+        vel *= 0.9
+        vel += grad
+        if weight_decay:
+            vel += weight_decay * data
+        data -= lr * vel
+        assert np.array_equal(p.data, data)

@@ -205,3 +205,55 @@ def test_all_values_finite_after_training_step(cnn_spec, rng):
     assert np.isfinite(loss.data)
     for _, tensor in machine.parameters():
         assert np.isfinite(tensor.data).all()
+
+
+def _rotation_step_loss(machine, batch):
+    from memmeter.engine.losses import one_hot, softmax_cross_entropy
+
+    return softmax_cross_entropy(machine.forward(Tensor(batch)), one_hot([0, 1, 2, 3], 4))
+
+
+def _take_grads(machine):
+    grads = []
+    for _, tensor in machine.parameters():
+        grads.append(tensor.grad)
+        tensor.grad = None
+    return grads
+
+
+def test_pending_forwards_do_not_share_conv_buffers(cnn_spec, rng):
+    first, second = rng.random((4, 3, 12, 12)), rng.random((4, 3, 12, 12))
+    shared = build_machine(cnn_spec, 4, seed=8)
+    _rotation_step_loss(shared, first).backward()  # fills the conv workspaces
+    _take_grads(shared)
+    loss_first = _rotation_step_loss(shared, first)
+    loss_second = _rotation_step_loss(shared, second)
+    loss_first.backward()
+    grads_first = _take_grads(shared)
+    loss_second.backward()
+    grads_second = _take_grads(shared)
+    for batch, grads in ((first, grads_first), (second, grads_second)):
+        fresh = build_machine(cnn_spec, 4, seed=8)
+        _rotation_step_loss(fresh, batch).backward()
+        for got, expected in zip(grads, _take_grads(fresh)):
+            assert np.array_equal(got, expected)
+
+
+def test_forward_only_pass_between_steps_leaves_training_unchanged(cnn_spec, rng):
+    from memmeter.engine import SGD
+
+    batches = [rng.random((4, 3, 12, 12)) for _ in range(4)]
+    probes = [rng.random((1, 3, 12, 12)), rng.random((4, 3, 12, 12))]
+    finals = []
+    for probing in (False, True):
+        machine = build_machine(cnn_spec, 4, seed=6)
+        optimizer = SGD(machine.parameters(), lr=0.05, total_steps=len(batches))
+        for batch in batches:
+            _rotation_step_loss(machine, batch).backward()
+            optimizer.step()
+            if probing:
+                for probe in probes:
+                    machine.forward(Tensor(probe))  # dropped without backward()
+        finals.append([t.data.copy() for _, t in machine.parameters()])
+    for plain, probed in zip(*finals):
+        assert np.array_equal(plain, probed)
