@@ -223,14 +223,16 @@ def _windows(padded, kh, kw, out_h, out_w):
     )
 
 
-def conv2d(x, w, b, workspace=None) -> Tensor:
+def conv2d(x, w, b, workspace) -> Tensor:
     """Stride-1 cross-correlation of NCHW inputs, zero-padded by one pixel, with OIHW filters.
 
-    `workspace` is an optional dict, owned by the calling layer, that keeps
-    the pad, im2col and input-gradient buffers between steps, keyed by input
-    shape. The forward takes the buffers out and the backward puts them back
-    when it is done, so a second forward while this graph is pending, or
-    after it was dropped without backward(), gets buffers of its own.
+    `workspace` is a dict, owned by the calling layer, that keeps the pad,
+    im2col and input-gradient buffers between steps, keyed by input shape.
+    The forward takes the buffers out and the backward puts them back when
+    it is done, so a second forward while this graph is pending gets
+    buffers of its own. A forward dropped without backward() (an evaluation
+    pass) takes its shape's buffers with it, and the next forward of that
+    shape allocates them again.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     n, c, h, wd = x.data.shape
@@ -240,12 +242,9 @@ def conv2d(x, w, b, workspace=None) -> Tensor:
     out_h, out_w = h - kh + 3, wd - kw + 3
     if out_h < 1 or out_w < 1:
         raise ValueError("conv2d output would be empty")
-    if workspace is None:
-        workspace = {}
     buffers = workspace.pop(x.data.shape, None)
     if buffers is None:  # (pad, cols, dpad); the pad's zero border is never written
-        padded = np.zeros((n, c, h + 2, wd + 2))
-        buffers = (padded, np.empty((n, c * kh * kw, out_h * out_w)), np.empty_like(padded))
+        buffers = (np.zeros((n, c, h + 2, wd + 2)), np.empty((n, c * kh * kw, out_h * out_w)), None)
     padded, cols, dpad = buffers
     padded[:, :, 1:-1, 1:-1] = x.data
     np.copyto(cols.reshape(n, c, kh, kw, out_h, out_w), _windows(padded, kh, kw, out_h, out_w))
@@ -255,18 +254,22 @@ def conv2d(x, w, b, workspace=None) -> Tensor:
     out_data = out_data.reshape(n, f, out_h, out_w)
 
     def backward(g):
+        nonlocal dpad
         g = g.reshape(n, f, out_h * out_w)
         _accumulate(b, g.sum(axis=(0, 2)))
         _accumulate(w, np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
         if x.requires_grad:
             # The weight gradient was the last use of cols; its buffer takes their gradient.
             dcols = np.matmul(w_mat.T, g, out=cols).reshape(n, c, kh, kw, out_h, out_w)
-            dpad.fill(0.0)
+            if dpad is None:  # first backward for this shape
+                dpad = np.zeros_like(padded)
+            else:
+                dpad.fill(0.0)
             for i in range(kh):
                 for j in range(kw):
                     dpad[:, :, i : i + out_h, j : j + out_w] += dcols[:, :, i, j]
             _accumulate(x, dpad[:, :, 1:-1, 1:-1])
-        workspace[x.data.shape] = buffers
+        workspace[x.data.shape] = (padded, cols, dpad)
 
     return _node(out_data, (x, w, b), backward)
 

@@ -20,7 +20,7 @@ from memmeter.attributes import colorfulness, compute_attributes, entropy, globa
 from memmeter.data import ImageTensor, rotate_pixels
 from memmeter.engine import Tensor, build_machine
 from memmeter.engine import tensor as T
-from memmeter.engine.losses import mse_loss, one_hot, rotation_loss, seen_loss, softmax_cross_entropy
+from memmeter.engine.losses import mse_loss, one_hot, rotated_batch, rotation_loss, seen_loss, softmax_cross_entropy
 from memmeter.engine.machine import MachineSpec
 from memmeter.measurer import EpisodeConfig, measure, read_score_csv, select_epoch
 from memmeter.metrics import midranks, rms_calibration_error, spearman
@@ -131,7 +131,8 @@ def test_gradient_correctness():
         # rotation and seen/unseen losses over a machine
         image = synth.random_image("fd", np.random.default_rng(3), size=8)
         rot_machine = build_machine(spec, 4, seed=4)
-        check(lambda: rotation_loss(rot_machine, image), [t for _, t in rot_machine.parameters()], 60)
+        rotations = rotated_batch(image)
+        check(lambda: rotation_loss(rot_machine, rotations), [t for _, t in rot_machine.parameters()], 60)
         seen_machine = build_machine(spec, 2, seed=5)
         check(lambda: seen_loss(seen_machine, image, "seen"), [t for _, t in seen_machine.parameters()], 60)
 

@@ -60,8 +60,11 @@ def test_cross_entropy_rejects_non_finite():
 
 
 def test_cross_entropy_rejects_bad_target_rows():
-    with pytest.raises(ValueError, match="sum to 1"):
-        softmax_cross_entropy(Tensor(np.zeros((1, 2))), np.array([[0.5, 0.4]]))
+    for targets in ([[0.5, 0.4]], [[1.0, 0.0], [0.6, 0.6]], [[np.nan, 1.0]], [[np.inf, 0.0]]):
+        with pytest.raises(ValueError, match="sum to 1"):
+            softmax_cross_entropy(Tensor(np.zeros((len(targets), 2))), np.array(targets))
+    # np.allclose's tolerance against 1.0 still passes.
+    softmax_cross_entropy(Tensor(np.zeros((1, 2))), np.array([[0.5, 0.5 + 9e-6]]))
 
 
 def test_cross_entropy_gradient_matches_finite_difference(rng):
@@ -93,13 +96,13 @@ class UniformMachine:
 
 def test_rotation_loss_uniform_logits_is_ln4(rng):
     image = random_image("img", rng)
-    loss = rotation_loss(UniformMachine(4), image, "four_way")
+    loss = rotation_loss(UniformMachine(4), rotated_batch(image), "four_way")
     assert float(loss.data) == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 def test_rotation_loss_binary_uniform_is_ln2(rng):
     image = random_image("img", rng)
-    loss = rotation_loss(UniformMachine(2), image, "binary")
+    loss = rotation_loss(UniformMachine(2), rotated_batch(image), "binary")
     assert float(loss.data) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
@@ -120,16 +123,16 @@ class BiasedMachine:
 
 def test_rotation_loss_drops_below_ln4_with_correct_margin(rng):
     image = random_image("img", rng)
-    loss = rotation_loss(BiasedMachine(4, margin=2.0), image, "four_way")
+    loss = rotation_loss(BiasedMachine(4, margin=2.0), rotated_batch(image), "four_way")
     assert float(loss.data) < math.log(4.0)
 
 
 def test_rotation_loss_matches_four_separate_passes(cnn_spec, rng):
     machine = build_machine(cnn_spec, 4, seed=21)
     image = random_image("img", rng, size=12)
-    combined = float(rotation_loss(machine, image, "four_way").data)
-    separate = []
     batch = rotated_batch(image)
+    combined = float(rotation_loss(machine, batch, "four_way").data)
+    separate = []
     for k in range(4):
         logits = machine.forward(Tensor(batch[k][None]))
         separate.append(float(softmax_cross_entropy(logits, one_hot([k], 4)).data))
@@ -138,7 +141,7 @@ def test_rotation_loss_matches_four_separate_passes(cnn_spec, rng):
 
 def test_rotation_loss_checks_head_width(rng):
     with pytest.raises(ConfigError, match="4-way head"):
-        rotation_loss(UniformMachine(2), random_image("img", rng), "four_way")
+        rotation_loss(UniformMachine(2), rotated_batch(random_image("img", rng)), "four_way")
 
 
 def test_seen_loss_uniform_is_ln2(rng):

@@ -8,7 +8,7 @@ import pytest
 import synth
 from memmeter import measurer
 from memmeter.data import Dataset
-from memmeter.engine import SGD, build_machine, losses
+from memmeter.engine import SGD, build_machine
 from memmeter.engine.losses import rotated_batch
 from memmeter.engine.machine import MachineSpec
 from memmeter.errors import ConfigError, MeasurementError
@@ -96,7 +96,7 @@ def test_stage_a_same_seed_is_bitwise_identical(small_dataset, small_spec):
         assert np.array_equal(left, right)
 
 
-def test_stage_a_rotates_each_image_once_per_episode(monkeypatch, small_dataset, small_spec):
+def test_stage_a_rotates_each_image_per_step(monkeypatch, small_dataset, small_spec):
     rotated = []
 
     def counting_rotated_batch(image):
@@ -104,20 +104,17 @@ def test_stage_a_rotates_each_image_once_per_episode(monkeypatch, small_dataset,
         return rotated_batch(image)
 
     monkeypatch.setattr(measurer, "rotated_batch", counting_rotated_batch)
-    monkeypatch.setattr(losses, "rotated_batch", counting_rotated_batch)
     config = quick_config(small_spec, n=3, m=1, epochs_a=3, accuracy_gate=0.01)
     images = [small_dataset.image(i) for i in small_dataset.ids[:6]]
     stage_a(build_machine(small_spec, 4, seed=1), images, config, shuffle_seed=2)
-    assert sorted(rotated) == sorted(image.id for image in images)
-    rotated.clear()
-    run_episode(small_dataset, small_dataset.ids[:3], config, 0)
-    assert len(rotated) == 2 * config.n  # sets A and B, once each
+    # once per training step, then once more for the final accuracy
+    assert sorted(rotated) == sorted([image.id for image in images] * (config.epochs_a + 1))
 
 
 def test_rotation_accuracy_counts_all_four_rotations(small_dataset, small_spec):
     machine = build_machine(small_spec, 4, seed=1)
     images = [small_dataset.image(i) for i in small_dataset.ids[:3]]
-    accuracy = rotation_accuracy(machine, [rotated_batch(image) for image in images], "four_way")
+    accuracy = rotation_accuracy(machine, images, "four_way")
     assert 0.0 <= accuracy <= 1.0
     assert (accuracy * 12) == int(accuracy * 12)  # 3 images x 4 rotations
 
@@ -399,7 +396,7 @@ def test_binary_pretext_head_width_enforced(small_dataset, small_spec):
     config = quick_config(small_spec, pretext_mode="binary")
     machine = build_machine(small_spec, 4, seed=1)  # wrong width for binary
     with pytest.raises(ConfigError, match="2-way head"):
-        rotation_loss(machine, small_dataset.image(small_dataset.ids[0]), config.pretext_mode)
+        rotation_loss(machine, rotated_batch(small_dataset.image(small_dataset.ids[0])), config.pretext_mode)
 
 
 def test_init_checkpoint_replaces_fresh_init(tmp_path, small_dataset, small_spec):

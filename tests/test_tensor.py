@@ -129,7 +129,7 @@ def test_conv2d_gradients(rng):
     x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.1, requires_grad=True)
     b = Tensor(rng.normal(size=4) * 0.1, requires_grad=True)
-    check_gradients(lambda: T.mean(T.mul(T.conv2d(x, w, b), T.conv2d(x, w, b))), [x, w, b], rng)
+    check_gradients(lambda: T.mean(T.mul(T.conv2d(x, w, b, {}), T.conv2d(x, w, b, {}))), [x, w, b], rng)
 
 
 def test_maxpool_gradients(rng):
@@ -165,7 +165,7 @@ def test_conv2d_matches_direct_convolution(rng):
     x = rng.normal(size=(1, 2, 5, 5))
     w = rng.normal(size=(3, 2, 3, 3))
     b = rng.normal(size=3)
-    out = T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+    out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), {}).data
     padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     expected = np.empty_like(out)
     for f in range(3):
