@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, analysis, attributes, measurer, predictor
 from .data import Dataset, load_cifar_binary, load_ppm_dir
-from .engine.machine import MachineSpec
+from .engine.machine import MachineSpec, parse_machine_spec
 from .errors import ConfigError, DataFormatError, MeasurementError
 from .rng import derive_seed, make_rng
 
@@ -46,12 +46,11 @@ def _from_cfg(config_cls, cfg, **overrides):
     return config_cls(**values)
 
 
-# Keyword arguments are the CLI-only keys. workers None means all available cores
-# (train-predictor accepts it for symmetry but is single-process); split_seed None
-# means "use base_seed".
+# Keyword arguments are the CLI-only keys. workers None means all available cores;
+# split_seed None means "use base_seed".
 MEASURE_DEFAULTS = _defaults(measurer.EpisodeConfig, machine={"kind": "small_cnn"}, set_a=None, workers=None)
 TRAIN_DEFAULTS = _defaults(
-    predictor.RegressionConfig, split_seed=None, base_seed=MEASURE_DEFAULTS["base_seed"], machine=None, workers=None
+    predictor.RegressionConfig, split_seed=None, base_seed=MEASURE_DEFAULTS["base_seed"], machine=None
 )
 
 ANALYZE_DEFAULTS = {"top_k": 5, "min_count": 5}
@@ -111,22 +110,14 @@ def _load_dataset(path) -> Dataset:
 
 
 def _machine_spec(machine_cfg, dataset) -> MachineSpec:
-    if not isinstance(machine_cfg, dict) or "kind" not in machine_cfg:
-        raise ConfigError('machine config must be an object with a "kind" field')
-    unknown = sorted(set(machine_cfg) - {f.name for f in fields(MachineSpec)})
-    if unknown:
-        raise ConfigError(f"unknown machine config keys: {unknown}")
-    cfg = dict(machine_cfg)
     c, h, w = dataset.dims
-    cfg.setdefault("in_channels", c)
-    cfg.setdefault("height", h)
-    cfg.setdefault("width", w)
-    if (cfg["in_channels"], cfg["height"], cfg["width"]) != (c, h, w):
+    spec = parse_machine_spec(machine_cfg, in_channels=c, height=h, width=w)
+    if (spec.in_channels, spec.height, spec.width) != (c, h, w):
         raise ConfigError(
-            f"machine input {cfg['in_channels']}x{cfg['height']}x{cfg['width']} "
+            f"machine input {spec.in_channels}x{spec.height}x{spec.width} "
             f"does not match dataset images {c}x{h}x{w}"
         )
-    return MachineSpec(**cfg)
+    return spec
 
 
 def _resolve_set_a(cfg, dataset, seed):
@@ -166,14 +157,15 @@ def _out_dir(path):
 
 
 def _apply_common_overrides(cfg, args):
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg["base_seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        cfg["workers"] = args.workers
-    if cfg.get("workers") is None:
-        cfg["workers"] = os.cpu_count() or 1
-    if cfg["workers"] < 1:
-        raise ConfigError("workers must be >= 1")
+    if "workers" in cfg:
+        if args.workers is not None:
+            cfg["workers"] = args.workers
+        if cfg["workers"] is None:
+            cfg["workers"] = os.cpu_count() or 1
+        if cfg["workers"] < 1:
+            raise ConfigError("workers must be >= 1")
     return cfg
 
 
@@ -362,6 +354,35 @@ def cmd_sweep(args):
 
 # --- entry point -----------------------------------------------------------------
 
+# Every flag of the CLI; each subcommand takes the ones it reads.
+FLAGS = {
+    "--config": {"help": "JSON config file; flags override file fields"},
+    "--data": {"help": "dataset path (.bin file/dir or PPM directory)"},
+    "--out": {"help": "output directory"},
+    "--seed": {"type": int, "help": "override base_seed"},
+    "--workers": {"type": int, "help": "episode parallelism (default: all cores)"},
+    "--scores": {"help": "score table CSV from measure"},
+    "--attributes": {"help": "attribute CSV from the attributes command"},
+    "--merge-csv": {"help": "extra per-image columns to correlate (CSV with image_id)"},
+    "--labels": {"help": 'label CSV with header "image_id,label"'},
+    "--model": {"help": "predictor checkpoint (.mmt1)"},
+}
+
+# name: (handler, help, the flags it reads)
+COMMANDS = {
+    "measure": (cmd_measure, "run the measurement episodes and write a score table",
+                "--config --data --out --seed --workers"),
+    "attributes": (cmd_attributes, "extract per-image attributes to CSV", "--data --out"),
+    "analyze": (cmd_analyze, "correlations, decile groups, and label rankings",
+                "--config --out --scores --attributes --merge-csv --labels"),
+    "train-predictor": (cmd_train_predictor, "fit the score regressor on a score table",
+                        "--config --data --out --seed --scores"),
+    "predict": (cmd_predict, "score images with a trained regressor", "--data --out --model"),
+    "sweep": (cmd_sweep, "measure across one varying knob and correlate runs",
+              "--config --data --out --seed --workers"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memmeter",
@@ -369,44 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"memmeter {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, data=True):
-        p.add_argument("--config", help="JSON config file; flags override file fields")
-        if data:
-            p.add_argument("--data", help="dataset path (.bin file/dir or PPM directory)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="override base_seed")
-        p.add_argument("--workers", type=int, help="episode parallelism (default: all cores)")
-
-    p = sub.add_parser("measure", help="run the measurement episodes and write a score table")
-    common(p)
-    p.set_defaults(func=cmd_measure)
-
-    p = sub.add_parser("attributes", help="extract per-image attributes to CSV")
-    common(p)
-    p.set_defaults(func=cmd_attributes)
-
-    p = sub.add_parser("analyze", help="correlations, decile groups, and label rankings")
-    common(p, data=False)
-    p.add_argument("--scores", help="score table CSV from measure")
-    p.add_argument("--attributes", help="attribute CSV from the attributes command")
-    p.add_argument("--merge-csv", help="extra per-image columns to correlate (CSV with image_id)")
-    p.add_argument("--labels", help='label CSV with header "image_id,label"')
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("train-predictor", help="fit the score regressor on a score table")
-    common(p)
-    p.add_argument("--scores", help="score table CSV from measure")
-    p.set_defaults(func=cmd_train_predictor)
-
-    p = sub.add_parser("predict", help="score images with a trained regressor")
-    common(p)
-    p.add_argument("--model", help="predictor checkpoint (.mmt1)")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("sweep", help="measure across one varying knob and correlate runs")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -16,26 +16,19 @@ from .tensor import Tensor
 SEEN_CLASS = 0
 UNSEEN_CLASS = 1
 
-# Four-way rotation targets by quarter turn; in binary mode {0, 90} form
-# one class and {180, 270} the other.
-FOUR_WAY_TARGETS = (0, 1, 2, 3)
-BINARY_TARGETS = (0, 0, 1, 1)
-
-PRETEXT_MODES = ("four_way", "binary")
-
 
 def one_hot(indices, num_classes) -> np.ndarray:
     eye = np.eye(num_classes)
     return eye[np.asarray(indices, dtype=int)]
 
 
-# one_hot of the losses' fixed target rows, built once instead of on every step.
-_ONE_HOT = {
-    FOUR_WAY_TARGETS: one_hot(FOUR_WAY_TARGETS, 4),
-    BINARY_TARGETS: one_hot(BINARY_TARGETS, 2),
-    (SEEN_CLASS,): one_hot([SEEN_CLASS], 2),
-    (UNSEEN_CLASS,): one_hot([UNSEEN_CLASS], 2),
-}
+# Target rows of the rotation loss per pretext mode, one per quarter turn; in
+# binary mode {0, 90} form one class and {180, 270} the other. The column
+# count is the head width the mode needs.
+ROTATION_TARGETS = {"four_way": one_hot((0, 1, 2, 3), 4), "binary": one_hot((0, 0, 1, 1), 2)}
+
+# Target row of the seen/unseen loss per label.
+SEEN_TARGETS = {"seen": one_hot([SEEN_CLASS], 2), "unseen": one_hot([UNSEEN_CLASS], 2)}
 
 
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -70,12 +63,6 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     return T._node(np.asarray(loss), (logits,), backward)
 
 
-def rotation_targets(mode: str) -> tuple:
-    if mode not in PRETEXT_MODES:
-        raise ConfigError(f"unknown pretext mode {mode!r}, expected one of {PRETEXT_MODES}")
-    return FOUR_WAY_TARGETS if mode == "four_way" else BINARY_TARGETS
-
-
 def rotated_batch(image) -> np.ndarray:
     """Stack of the four quarter-turn rotations of one image, NCHW."""
     from ..data import rotate_pixels
@@ -85,28 +72,23 @@ def rotated_batch(image) -> np.ndarray:
 
 def rotation_loss(machine, rotations, mode="four_way") -> Tensor:
     """Mean cross-entropy over an image's four rotated copies, `rotated_batch(image)`."""
-    targets = rotation_targets(mode)
-    classes = 4 if mode == "four_way" else 2
-    if machine.head_width != classes:
+    targets = ROTATION_TARGETS[mode]
+    if machine.head_width != targets.shape[1]:
         raise ConfigError(
-            f"{mode} rotation loss needs a {classes}-way head, machine has {machine.head_width}"
+            f"{mode} rotation loss needs a {targets.shape[1]}-way head, machine has {machine.head_width}"
         )
     logits = machine.forward(Tensor(rotations))
-    return softmax_cross_entropy(logits, _ONE_HOT[targets])
+    return softmax_cross_entropy(logits, targets)
 
 
 def seen_loss(machine, image, label: str) -> Tensor:
     """2-way cross-entropy of one image against its seen/unseen label."""
     if machine.head_width != 2:
         raise ConfigError(f"seen/unseen loss needs a 2-way head, machine has {machine.head_width}")
-    if label == "seen":
-        cls = SEEN_CLASS
-    elif label == "unseen":
-        cls = UNSEEN_CLASS
-    else:
+    if label not in SEEN_TARGETS:
         raise ValueError(f"label must be 'seen' or 'unseen', got {label!r}")
     logits = machine.forward(Tensor(image.pixels[None]))
-    return softmax_cross_entropy(logits, _ONE_HOT[(cls,)])
+    return softmax_cross_entropy(logits, SEEN_TARGETS[label])
 
 
 def mse_loss(predictions: Tensor, targets: np.ndarray) -> Tensor:

@@ -8,7 +8,7 @@ Three desk-scale machine kinds are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..errors import ConfigError
 from ..rng import make_rng
@@ -79,6 +79,16 @@ class MachineSpec:
         return f"small_cnn[{chans}|fc{self.fc_width}|{dims}]"
 
 
+def parse_machine_spec(machine_cfg, **defaults) -> MachineSpec:
+    """The MachineSpec of a JSON machine object; `defaults` fill the keys it omits."""
+    if not isinstance(machine_cfg, dict) or "kind" not in machine_cfg:
+        raise ConfigError('machine config must be an object with a "kind" field')
+    unknown = sorted(set(machine_cfg) - {f.name for f in fields(MachineSpec)})
+    if unknown:
+        raise ConfigError(f"unknown machine config keys: {unknown}")
+    return MachineSpec(**{**defaults, **machine_cfg})
+
+
 def _build_backbone(spec, rng):
     layers = []
     if spec.kind == "linear":
@@ -119,10 +129,6 @@ class Machine:
     @property
     def head_width(self) -> int:
         return self.head.out_features
-
-    @property
-    def parameter_count(self) -> int:
-        return sum(t.size for _, t in self.parameters())
 
     def forward(self, x):
         expected = (self.spec.in_channels, self.spec.height, self.spec.width)

@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EpisodeSets, sample_episode_sets
+from .data import sample_episode_sets
 from .engine import SGD, Tensor, build_machine, load_into_machine, rotation_loss, seen_loss
-from .engine.losses import SEEN_CLASS, UNSEEN_CLASS, rotated_batch, rotation_targets
+from .engine.losses import ROTATION_TARGETS, SEEN_CLASS, UNSEEN_CLASS, rotated_batch
 from .engine.machine import MachineSpec
 from .errors import ConfigError, DataFormatError, MeasurementError
 from .metrics import PredictionRecord, rms_calibration_error
@@ -62,7 +62,10 @@ class EpisodeConfig:
             raise ConfigError("learning rates must be nonnegative")
         if not 0.0 <= self.momentum < 1.0 or self.weight_decay < 0:
             raise ConfigError("momentum must be in [0, 1) and weight_decay nonnegative")
-        rotation_targets(self.pretext_mode)  # validates the mode name
+        if self.pretext_mode not in ROTATION_TARGETS:
+            raise ConfigError(
+                f"unknown pretext mode {self.pretext_mode!r}, expected one of {tuple(ROTATION_TARGETS)}"
+            )
         if self.calibration_mode not in CALIBRATION_MODES:
             raise ConfigError(
                 f"unknown calibration mode {self.calibration_mode!r}, expected one of {CALIBRATION_MODES}"
@@ -72,7 +75,7 @@ class EpisodeConfig:
 
     @property
     def head_width_a(self) -> int:
-        return 4 if self.pretext_mode == "four_way" else 2
+        return ROTATION_TARGETS[self.pretext_mode].shape[1]
 
     @property
     def calibration_reserve(self) -> int:
@@ -116,7 +119,7 @@ def config_digest(config: EpisodeConfig, set_a) -> str:
 
 def rotation_accuracy(machine, images, mode) -> float:
     """Top-1 accuracy over all four rotations of every image, no updates."""
-    targets = np.asarray(rotation_targets(mode))
+    targets = ROTATION_TARGETS[mode].argmax(axis=1)
     correct = 0
     for image in images:
         logits = machine.forward(Tensor(rotated_batch(image))).data
@@ -204,14 +207,9 @@ def select_epoch(calibration_trace) -> int:
 
 # --- episodes ----------------------------------------------------------------
 
-def default_sampler(dataset, set_a, config: EpisodeConfig, episode_index: int) -> EpisodeSets:
-    seed = derive_seed(config.base_seed, "episode", episode_index)
-    return sample_episode_sets(dataset, set_a, config.n, seed, reserve=config.calibration_reserve)
-
-
-def run_episode(dataset, set_a, config: EpisodeConfig, episode_index: int, sampler=None) -> EpisodeResult:
-    sets = (sampler or default_sampler)(dataset, set_a, config, episode_index)
-    _check_sets(sets, config)
+def run_episode(dataset, set_a, config: EpisodeConfig, episode_index: int) -> EpisodeResult:
+    episode_seed = derive_seed(config.base_seed, "episode", episode_index)
+    sets = sample_episode_sets(dataset, set_a, config.n, episode_seed, reserve=config.calibration_reserve)
     a_images = [dataset.image(i) for i in sets.set_a]
     b_images = [dataset.image(i) for i in sets.set_b]
     c_images = [dataset.image(i) for i in sets.set_c]
@@ -261,16 +259,7 @@ def run_episode(dataset, set_a, config: EpisodeConfig, episode_index: int, sampl
     return EpisodeResult(episode_index, verdicts_by_epoch[chosen - 1], chosen, trace, accuracy, True)
 
 
-def _check_sets(sets: EpisodeSets, config: EpisodeConfig):
-    groups = [sets.set_a, sets.set_b, sets.set_c, sets.calib_seen, sets.calib_unseen]
-    if len(sets.set_a) != config.n or len(sets.set_b) != config.n or len(sets.set_c) != config.n:
-        raise ConfigError("episode sets A, B, C must each hold n ids")
-    flat = [i for group in groups for i in group]
-    if len(set(flat)) != len(flat):
-        raise ConfigError("episode sets must be pairwise disjoint")
-
-
-_worker_args = ()  # (dataset, set_a, config, sampler), set once in each pool worker
+_worker_args = ()  # (dataset, set_a, config), set once in each pool worker
 
 
 def _init_worker(*args):
@@ -280,11 +269,10 @@ def _init_worker(*args):
 
 def _worker_episode(episode_index):
     # run_episode is looked up per call: a forked worker runs a replacement set before the fork.
-    dataset, set_a, config, sampler = _worker_args
-    return run_episode(dataset, set_a, config, episode_index, sampler=sampler)
+    return run_episode(*_worker_args, episode_index)
 
 
-def measure(dataset, set_a, config: EpisodeConfig, workers: int = 1, sampler=None):
+def measure(dataset, set_a, config: EpisodeConfig, workers: int = 1):
     """Run m independent episodes and aggregate the score table.
 
     Episodes are embarrassingly parallel; each derives its own seeds from
@@ -300,10 +288,10 @@ def measure(dataset, set_a, config: EpisodeConfig, workers: int = 1, sampler=Non
         )
     workers = min(workers, config.m)
     if workers > 1:
-        with multiprocessing.Pool(workers, _init_worker, (dataset, set_a, config, sampler)) as pool:
+        with multiprocessing.Pool(workers, _init_worker, (dataset, set_a, config)) as pool:
             results = pool.map(_worker_episode, range(config.m), chunksize=1)
     else:
-        results = [run_episode(dataset, set_a, config, index, sampler=sampler) for index in range(config.m)]
+        results = [run_episode(dataset, set_a, config, index) for index in range(config.m)]
 
     passing = [r for r in results if r.passed_gate]
     m_effective = len(passing)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from . import metrics
 from .engine import SGD, Tensor, build_machine, load_into_machine, mse_loss, save_params
 from .engine import tensor as T
-from .engine.machine import MachineSpec
+from .engine.machine import MachineSpec, parse_machine_spec
 from .data import augment_for_regression
 from .errors import ConfigError, DataFormatError
 from .rng import derive_seed, make_rng
@@ -179,12 +179,10 @@ def load_predictor(path) -> PredictorModel:
         meta = json.loads(meta_path.read_text())
     except ValueError as exc:
         raise DataFormatError(f"architecture sidecar is not JSON: {exc}", path=str(meta_path)) from None
-    if not isinstance(meta, dict) or "kind" not in meta:
-        raise DataFormatError('architecture sidecar must be a JSON object with a "kind" field', path=str(meta_path))
-    unknown = sorted(set(meta) - {f.name for f in fields(MachineSpec)})
-    if unknown:
-        raise DataFormatError(f"architecture sidecar has unknown keys {unknown}", path=str(meta_path))
-    spec = MachineSpec(**meta)
+    try:
+        spec = parse_machine_spec(meta)
+    except ConfigError as exc:
+        raise DataFormatError(f"bad architecture sidecar: {exc}", path=str(meta_path)) from None
     model = build_predictor(spec, seed=0)
     load_into_machine(model.machine, path)
     return model

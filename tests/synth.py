@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from memmeter.data import Dataset, EpisodeSets, ImageTensor
-from memmeter.rng import derive_seed, make_rng
+from memmeter.rng import make_rng
 
 SIZE = 12
 
@@ -55,15 +55,15 @@ def separable_dataset(ramps=64, stripes=32, seed=1, size=SIZE):
     return stack_dataset(images, source="synthetic-separable")
 
 
-def stratified_sampler(dataset, set_a, config, episode_index):
-    """Draw B from the ramp pool and C from the stripe pool (module-level
-    so multiprocessing can pickle it)."""
-    rng = make_rng(derive_seed(config.base_seed, "episode", episode_index))
+def stratified_sampler(dataset, set_a, n, episode_seed, reserve=0):
+    """A stand-in for `sample_episode_sets` that draws B from the ramp pool
+    and C from the stripe pool; it reserves no calibration images."""
+    rng = make_rng(episode_seed)
     taken = set(set_a)
     ramp_pool = [i for i in dataset.ids if i.startswith("ramp") and i not in taken]
     stripe_pool = [i for i in dataset.ids if i.startswith("stripe")]
-    set_b = tuple(ramp_pool[k] for k in rng.choice(len(ramp_pool), size=config.n, replace=False))
-    set_c = tuple(stripe_pool[k] for k in rng.choice(len(stripe_pool), size=config.n, replace=False))
+    set_b = tuple(ramp_pool[k] for k in rng.choice(len(ramp_pool), size=n, replace=False))
+    set_c = tuple(stripe_pool[k] for k in rng.choice(len(stripe_pool), size=n, replace=False))
     return EpisodeSets(tuple(set_a), set_b, set_c)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import synth
-from memmeter import cli
+from memmeter import cli, measurer
 from memmeter.analysis import consistency_matrix
 from memmeter.attributes import colorfulness, compute_attributes, entropy, global_contrast
 from memmeter.data import ImageTensor, rotate_pixels
@@ -145,14 +145,16 @@ def test_gradient_correctness():
         assert elapsed < 30.0, f"finite-difference sweep took {elapsed:.1f}s"
 
 
-def test_separable_fixture_sanity():
+def test_separable_fixture_sanity(monkeypatch):
+    # Forked pool workers inherit the stand-in sampler.
+    monkeypatch.setattr(measurer, "sample_episode_sets", synth.stratified_sampler)
     with criterion("separable-fixture"):
         started = time.monotonic()
         dataset = synth.separable_dataset(ramps=64, stripes=32, seed=1, size=12)
         set_a = [i for i in dataset.ids if i.startswith("ramp")][:32]
         spec = MachineSpec(kind="small_cnn", in_channels=3, height=12, width=12)
         config = EpisodeConfig(machine=spec, n=32, m=10, epochs_a=10, epochs_b=3, base_seed=11)
-        table, episodes = measure(dataset, set_a, config, workers=4, sampler=synth.stratified_sampler)
+        table, episodes = measure(dataset, set_a, config, workers=4)
         passed = sum(e.passed_gate for e in episodes)
         assert passed >= 9, f"only {passed}/10 episodes passed the 80% rotation gate"
         mean_score = float(np.mean(list(table.scores.values())))

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import argparse
 import json
 
 import numpy as np
@@ -71,8 +72,43 @@ def test_train_predictor_config_keys_and_defaults_are_pinned():
         "augment": True,
         "base_seed": 0,
         "machine": None,
-        "workers": None,
     }
+
+
+# --- flags ------------------------------------------------------------------------
+
+def test_subcommand_flags_are_pinned():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: [s for action in p._actions for s in action.option_strings if s not in ("-h", "--help")]
+        for name, p in sub.choices.items()
+    }
+    assert options == {
+        "measure": ["--config", "--data", "--out", "--seed", "--workers"],
+        "attributes": ["--data", "--out"],
+        "analyze": ["--config", "--out", "--scores", "--attributes", "--merge-csv", "--labels"],
+        "train-predictor": ["--config", "--data", "--out", "--seed", "--scores"],
+        "predict": ["--data", "--out", "--model"],
+        "sweep": ["--config", "--data", "--out", "--seed", "--workers"],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("attributes", "--seed", "3"),
+        ("attributes", "--config", "c.json"),
+        ("predict", "--workers", "7"),
+        ("analyze", "--seed", "3"),
+        ("train-predictor", "--workers", "7"),
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_flag_a_subcommand_does_not_read_is_usage_error(tmp_path, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(*argv, "--out", str(tmp_path / "o"))
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 # --- measure ----------------------------------------------------------------------
@@ -351,7 +387,10 @@ def test_predict_before_train_is_explicit_error(tmp_path, ppm_dataset_dir, capsy
     assert "not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]", '{"kind": "small_cnn", "widht": 8}'])
+@pytest.mark.parametrize(
+    "sidecar",
+    ["{not json", "[1, 2]", '{"kind": "small_cnn", "widht": 8}', '{"kind": "bogus"}', '{"kind": "mlp", "hidden": []}'],
+)
 def test_predict_with_malformed_sidecar_exits_3(tmp_path, ppm_dataset_dir, sidecar, capsys):
     model = tmp_path / "predictor.mmt1"
     model.write_bytes(b"")

@@ -99,11 +99,6 @@ def test_bias_starts_at_zero_and_init_is_seeded(cnn_spec):
     )
 
 
-def test_parameter_count(cnn_spec):
-    machine = build_machine(cnn_spec, 4, seed=1)
-    assert machine.parameter_count == sum(t.data.size for _, t in machine.parameters())
-
-
 def test_descriptor_has_no_commas(cnn_spec, mlp_spec):
     for spec in (cnn_spec, mlp_spec, MachineSpec(kind="linear", height=4, width=4)):
         assert "," not in spec.descriptor()
