@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import synth
-from memmeter import cli
-from memmeter.measurer import SCORE_HEADER, read_score_csv
+from memmeter import cli, measurer
+from memmeter.measurer import SCORE_HEADER, ScoreTable, read_score_csv
 from memmeter.metrics import spearman
 from memmeter.rng import make_rng
 
@@ -333,6 +333,432 @@ def test_analyze_malformed_score_table_exits_3(tmp_path, cells, capsys):
 def test_analyze_requires_scores(tmp_path, capsys):
     assert run_cli("analyze", "--out", str(tmp_path / "o")) == 2
     assert "--scores" in capsys.readouterr().err
+
+
+# Hand-written inputs of the pinned-output tests; no training is involved, so the
+# bytes below depend on no BLAS. img00, img04 and img09 have no hue, so decile 1
+# has no hue mean; "flat" is constant, so its rank correlation is undefined.
+PINNED_SCORES = """\
+image_id,score,m_effective,machine,config_hash,base_seed
+img00,0.25,4,mlp[8|in3x6x6],c0ffee123456,7
+img01,0.75,4,mlp[8|in3x6x6],c0ffee123456,7
+img02,0.5,4,mlp[8|in3x6x6],c0ffee123456,7
+img03,1.0,4,mlp[8|in3x6x6],c0ffee123456,7
+img04,0.0,4,mlp[8|in3x6x6],c0ffee123456,7
+img05,0.5,4,mlp[8|in3x6x6],c0ffee123456,7
+img06,0.25,4,mlp[8|in3x6x6],c0ffee123456,7
+img07,0.75,4,mlp[8|in3x6x6],c0ffee123456,7
+img08,1.0,4,mlp[8|in3x6x6],c0ffee123456,7
+img09,0.0,4,mlp[8|in3x6x6],c0ffee123456,7
+img10,0.5,4,mlp[8|in3x6x6],c0ffee123456,7
+img11,0.25,4,mlp[8|in3x6x6],c0ffee123456,7
+"""
+PINNED_ATTRIBUTES = """\
+image_id,hue,value
+img00,n/a,0.25
+img01,120.5,0.5
+img02,30.0,0.125
+img03,300.25,0.75
+img04,n/a,0.1
+img05,45.0,0.2
+img06,200.0,0.3
+img07,10.0,0.9
+img08,350.0,0.6
+img09,n/a,0.05
+img10,90.0,0.4
+img11,180.0,0.35
+"""
+PINNED_MERGE = """\
+image_id,flat,human
+img00,1.0,2
+img01,1.0,5
+img02,1.0,3
+img03,1.0,6
+img04,1.0,1
+img05,1.0,3.5
+img06,1.0,2.5
+img07,1.0,n/a
+img08,1.0,7
+img09,1.0,0.5
+img10,1.0,4
+img11,1.0,2
+"""
+PINNED_LABELS = """\
+image_id,label
+img00,cat
+img01,dog
+img02,bird
+img03,cat
+img04,dog
+img05,bird
+img06,cat
+img07,dog
+img08,dog
+img09,cat
+img10,cat
+img99,cat
+"""
+
+
+PINNED_ANALYZE_OUTPUTS = {
+    "correlations.json": """\
+{
+  "columns": {
+    "flat": {
+      "n": 12,
+      "rho": "n/a"
+    },
+    "hue": {
+      "n": 9,
+      "rho": 0.2404518853004542
+    },
+    "human": {
+      "n": 11,
+      "rho": 0.9792364931869324
+    },
+    "value": {
+      "n": 12,
+      "rho": 0.8236877675803729
+    }
+  },
+  "full_scale_reference": {
+    "colorfulness": 0.04,
+    "contrast": -0.33,
+    "entropy": 0.1,
+    "hue": -0.15,
+    "saturation": 0.16,
+    "value": -0.4
+  },
+  "n": 12,
+  "strength_bands": {
+    "moderate": 0.3,
+    "very_weak": 0.08,
+    "weak": 0.15
+  }
+}
+""",
+    "deciles.csv": """\
+group_index,mean_score,attribute,mean_value
+1,0.0,flat,1.0
+1,0.0,hue,n/a
+1,0.0,human,0.75
+1,0.0,value,0.07500000000000001
+2,0.25,flat,1.0
+2,0.25,hue,200.0
+2,0.25,human,2.25
+2,0.25,value,0.275
+3,0.25,flat,1.0
+3,0.25,hue,180.0
+3,0.25,human,2.0
+3,0.25,value,0.35
+4,0.5,flat,1.0
+4,0.5,hue,30.0
+4,0.5,human,3.0
+4,0.5,value,0.125
+5,0.5,flat,1.0
+5,0.5,hue,45.0
+5,0.5,human,3.5
+5,0.5,value,0.2
+6,0.5,flat,1.0
+6,0.5,hue,90.0
+6,0.5,human,4.0
+6,0.5,value,0.4
+7,0.75,flat,1.0
+7,0.75,hue,120.5
+7,0.75,human,5.0
+7,0.75,value,0.5
+8,0.75,flat,1.0
+8,0.75,hue,10.0
+8,0.75,human,n/a
+8,0.75,value,0.9
+9,1.0,flat,1.0
+9,1.0,hue,300.25
+9,1.0,human,6.0
+9,1.0,value,0.75
+10,1.0,flat,1.0
+10,1.0,hue,350.0
+10,1.0,human,7.0
+10,1.0,value,0.6
+""",
+    "groups.json": """\
+[
+  {
+    "attribute_means": {
+      "flat": 1.0,
+      "hue": "n/a",
+      "human": 0.75,
+      "value": 0.07500000000000001
+    },
+    "index": 1,
+    "mean_score": 0.0,
+    "size": 2
+  },
+  {
+    "attribute_means": {
+      "flat": 1.0,
+      "hue": 200.0,
+      "human": 2.25,
+      "value": 0.275
+    },
+    "index": 2,
+    "mean_score": 0.25,
+    "size": 2
+  },
+  {
+    "attribute_means": {
+      "flat": 1.0,
+      "hue": 180.0,
+      "human": 2.0,
+      "value": 0.35
+    },
+    "index": 3,
+    "mean_score": 0.25,
+    "size": 1
+  },
+  {
+    "attribute_means": {
+      "flat": 1.0,
+      "hue": 30.0,
+      "human": 3.0,
+      "value": 0.125
+    },
+    "index": 4,
+    "mean_score": 0.5,
+    "size": 1
+  },
+  {
+    "attribute_means": {
+      "flat": 1.0,
+      "hue": 45.0,
+      "human": 3.5,
+      "value": 0.2
+    },
+    "index": 5,
+    "mean_score": 0.5,
+    "size": 1
+  },
+  {
+    "attribute_means": {
+      "flat": 1.0,
+      "hue": 90.0,
+      "human": 4.0,
+      "value": 0.4
+    },
+    "index": 6,
+    "mean_score": 0.5,
+    "size": 1
+  },
+  {
+    "attribute_means": {
+      "flat": 1.0,
+      "hue": 120.5,
+      "human": 5.0,
+      "value": 0.5
+    },
+    "index": 7,
+    "mean_score": 0.75,
+    "size": 1
+  },
+  {
+    "attribute_means": {
+      "flat": 1.0,
+      "hue": 10.0,
+      "human": "n/a",
+      "value": 0.9
+    },
+    "index": 8,
+    "mean_score": 0.75,
+    "size": 1
+  },
+  {
+    "attribute_means": {
+      "flat": 1.0,
+      "hue": 300.25,
+      "human": 6.0,
+      "value": 0.75
+    },
+    "index": 9,
+    "mean_score": 1.0,
+    "size": 1
+  },
+  {
+    "attribute_means": {
+      "flat": 1.0,
+      "hue": 350.0,
+      "human": 7.0,
+      "value": 0.6
+    },
+    "index": 10,
+    "mean_score": 1.0,
+    "size": 1
+  }
+]
+""",
+    "label_ranking.json": """\
+{
+  "all": [
+    {
+      "count": 4,
+      "label": "dog",
+      "mean_score": 0.625
+    },
+    {
+      "count": 5,
+      "label": "cat",
+      "mean_score": 0.4
+    }
+  ],
+  "bottom": [
+    {
+      "count": 5,
+      "label": "cat",
+      "mean_score": 0.4
+    },
+    {
+      "count": 4,
+      "label": "dog",
+      "mean_score": 0.625
+    }
+  ],
+  "min_count": 3,
+  "top": [
+    {
+      "count": 4,
+      "label": "dog",
+      "mean_score": 0.625
+    },
+    {
+      "count": 5,
+      "label": "cat",
+      "mean_score": 0.4
+    }
+  ]
+}
+""",
+    "manifest.json": """\
+{
+  "command": "analyze",
+  "config": {
+    "min_count": 3,
+    "top_k": 2
+  },
+  "config_hash": "c0ffee123456",
+  "dataset": {
+    "dims": null,
+    "images": null,
+    "source": null
+  },
+  "version": "VERSION",
+}
+""".replace("VERSION", cli.__version__),
+}
+PINNED_SWEEP_OUTPUTS = {
+    "consistency.csv": """\
+run_id,base_seed=1,base_seed=2,base_seed=3
+base_seed=1,1.0,n/a,-0.5
+base_seed=2,n/a,1.0,n/a
+base_seed=3,-0.5,n/a,1.0
+""",
+    "consistency.json": """\
+{
+  "matrix": [
+    [
+      1.0,
+      "n/a",
+      -0.5
+    ],
+    [
+      "n/a",
+      1.0,
+      "n/a"
+    ],
+    [
+      -0.5,
+      "n/a",
+      1.0
+    ]
+  ],
+  "run_ids": [
+    "base_seed=1",
+    "base_seed=2",
+    "base_seed=3"
+  ],
+  "runs": [
+    {
+      "config_hash": "hash1",
+      "m_effective": 2,
+      "run_id": "base_seed=1"
+    },
+    {
+      "config_hash": "hash2",
+      "m_effective": 2,
+      "run_id": "base_seed=2"
+    },
+    {
+      "config_hash": "hash3",
+      "m_effective": 2,
+      "run_id": "base_seed=3"
+    }
+  ]
+}
+""",
+    "run_base_seed_1/scores.csv": """\
+image_id,score,m_effective,machine,config_hash,base_seed
+a,0.0,2,mlp[8|in3x6x6],hash1,1
+b,0.5,2,mlp[8|in3x6x6],hash1,1
+c,0.5,2,mlp[8|in3x6x6],hash1,1
+d,1.0,2,mlp[8|in3x6x6],hash1,1
+""",
+}
+
+
+def written_text(path):
+    """A written file's text; the csv module ends each CSV row in \\r\\n, shown here as \\n."""
+    text = path.read_bytes().decode()
+    if path.suffix == ".csv":
+        assert text.count("\n") == text.count("\r\n")
+        text = text.replace("\r\n", "\n")
+    return text
+
+
+def test_analyze_report_files_are_pinned(tmp_path):
+    for name, text in (("scores.csv", PINNED_SCORES), ("attributes.csv", PINNED_ATTRIBUTES),
+                       ("extra.csv", PINNED_MERGE), ("labels.csv", PINNED_LABELS),
+                       ("an.json", '{"top_k": 2, "min_count": 3}')):
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "analysis"
+    code = run_cli(
+        "analyze", "--config", str(tmp_path / "an.json"), "--scores", str(tmp_path / "scores.csv"),
+        "--attributes", str(tmp_path / "attributes.csv"), "--merge-csv", str(tmp_path / "extra.csv"),
+        "--labels", str(tmp_path / "labels.csv"), "--out", str(out),
+    )
+    assert code == 0
+    for name, expected in PINNED_ANALYZE_OUTPUTS.items():
+        text = written_text(out / name)
+        if name == "manifest.json":
+            text = "".join(line for line in text.splitlines(keepends=True) if '"wall_time_s"' not in line)
+        assert text == expected, name
+
+
+def test_sweep_consistency_files_are_pinned(tmp_path, ppm_dataset_dir, monkeypatch):
+    # Each sub-run's score table is hand-written; base_seed=2 scores every image
+    # alike, so its correlation with either other run is undefined.
+    tables = {
+        1: {"a": 0.0, "b": 0.5, "c": 0.5, "d": 1.0},
+        2: {"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5},
+        3: {"a": 1.0, "b": 0.5, "c": 0.0, "d": 0.5},
+    }
+
+    def fake_measure(dataset, set_a, config, workers=1):
+        table = ScoreTable(tables[config.base_seed], 2, config.machine.descriptor(), f"hash{config.base_seed}", config.base_seed)
+        return table, []
+
+    monkeypatch.setattr(measurer, "measure", fake_measure)
+    config = measure_config(tmp_path, knob="base_seed", values=[1, 2, 3])
+    out = tmp_path / "sweep-out"
+    assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(out)) == 0
+    for name, expected in PINNED_SWEEP_OUTPUTS.items():
+        assert written_text(out / name) == expected, name
 
 
 # --- train-predictor / predict ------------------------------------------------------
