@@ -7,11 +7,14 @@ All attributes are computed on native-resolution pixels.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
+from . import report
 from .errors import ConfigError, DataFormatError
 
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
@@ -158,21 +161,13 @@ def compute_attributes(image) -> AttributeVector:
 # --- attribute table I/O -----------------------------------------------------
 
 def write_attribute_csv(rows, path):
-    """Write {image_id: AttributeVector} sorted by id; undefined hue -> n/a."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("image_id",) + ATTRIBUTE_NAMES)
-        for image_id in sorted(rows):
-            vec = rows[image_id].as_row()
-            writer.writerow(
-                [image_id]
-                + ["n/a" if vec[name] is None else repr(vec[name]) for name in ATTRIBUTE_NAMES]
-            )
+    """Write {image_id: AttributeVector} sorted by id."""
+    values = attrgetter(*ATTRIBUTE_NAMES)
+    report.write_csv(path, ("image_id",) + ATTRIBUTE_NAMES, ((i, *values(rows[i])) for i in sorted(rows)))
 
 
 def read_attribute_csv(path):
-    """Read an attribute CSV back as {column: {image_id: float}}."""
+    """Read an attribute CSV back as {column: {image_id: float}}; n/a cells are skipped."""
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -181,11 +176,14 @@ def read_attribute_csv(path):
         columns = {name: {} for name in header[1:]}
         for row in reader:
             for name, cell in zip(header[1:], row[1:]):
-                if cell != "n/a":
+                if cell != report.NA:
                     try:
-                        columns[name][row[0]] = float(cell)
+                        value = float(cell)
+                        if not math.isfinite(value):
+                            raise ValueError
                     except ValueError:
                         raise DataFormatError(
-                            f"{name} of {row[0]} is not a number: {cell!r}", path=str(path)
+                            f"{name} of {row[0]} is not a finite number: {cell!r}", path=str(path)
                         ) from None
+                    columns[name][row[0]] = value
     return columns

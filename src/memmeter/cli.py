@@ -20,13 +20,12 @@ import sys
 import time
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
-import numpy as np
-
-from . import __version__, analysis, attributes, measurer, predictor
+from . import __version__, analysis, attributes, measurer, predictor, report
 from .data import Dataset, load_cifar_binary, load_ppm_dir
 from .engine.machine import MachineSpec, parse_machine_spec
-from .errors import ConfigError, DataFormatError, MeasurementError
+from .errors import ConfigError, DataFormatError, MeasurementError, check_types
 from .rng import derive_seed, make_rng
 
 log = logging.getLogger(__name__)
@@ -43,6 +42,7 @@ def _from_cfg(config_cls, cfg, **overrides):
     """Build a config dataclass from the config keys named after its fields."""
     values = {f.name: cfg[f.name] for f in fields(config_cls)}
     values.update(overrides)
+    check_types(values, get_type_hints(config_cls), "config key")
     return config_cls(**values)
 
 
@@ -54,6 +54,17 @@ TRAIN_DEFAULTS = _defaults(
 )
 
 ANALYZE_DEFAULTS = {"top_k": 5, "min_count": 5}
+
+# Types of the config keys that no config dataclass declares (_from_cfg checks those);
+# machine, knob and values are checked where they are read.
+CLI_KEY_TYPES = {
+    "set_a": list | None,
+    "workers": int | None,
+    "split_seed": int | None,
+    "base_seed": int,
+    "top_k": int,
+    "min_count": int,
+}
 
 SWEEP_KNOBS = (
     "n",
@@ -88,6 +99,7 @@ def _load_config(path, defaults):
         unknown = sorted(set(loaded) - set(defaults))
         if unknown:
             raise ConfigError(f"unknown config keys in {path}: {unknown}")
+        check_types(loaded, CLI_KEY_TYPES, "config key")
         merged.update(loaded)
     return merged
 
@@ -145,7 +157,7 @@ def _write_manifest(out_dir, command, cfg, config_hash, dataset, elapsed):
             "dims": list(dataset.dims) if dataset else None,
         },
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    report.write_json(out_dir / "manifest.json", manifest, keep_null=True)
 
 
 def _out_dir(path):
@@ -228,20 +240,29 @@ def cmd_analyze(args):
             raise ConfigError(f"merged columns collide with existing ones: {sorted(overlap)}")
         columns.update(merged)
     out = _out_dir(args.out)
-    report = analysis.correlate(table, columns)
-    analysis.write_correlation_json(report, out / "correlations.json")
+    correlations = {
+        "n": len(table.scores),
+        "columns": analysis.correlate(table, columns),
+        "strength_bands": analysis.STRENGTH_BANDS,
+        "full_scale_reference": analysis.FULL_SCALE_REFERENCE,
+    }
+    report.write_json(out / "correlations.json", correlations)
     outputs = [out / "correlations.json"]
     if len(table.scores) >= analysis.GROUP_COUNT:
-        summary = analysis.group_by_decile(table, columns)
-        analysis.write_group_csv(summary, out / "deciles.csv")
-        analysis.write_group_json(summary, out / "groups.json")
+        groups = analysis.group_by_decile(table, columns)
+        rows = [(g["index"], g["mean_score"], name, mean)
+                for g in groups for name, mean in sorted(g["attribute_means"].items())]
+        report.write_csv(out / "deciles.csv", ("group_index", "mean_score", "attribute", "mean_value"), rows)
+        report.write_json(out / "groups.json", groups)
         outputs += [out / "deciles.csv", out / "groups.json"]
     else:
         log.warning("skipping decile grouping: only %d scored images", len(table.scores))
     if args.labels:
-        labels = _read_labels(args.labels)
-        ranking = analysis.rank_labels(table, labels, k=cfg["top_k"], min_count=cfg["min_count"])
-        analysis.write_label_json(ranking, cfg["top_k"], out / "label_ranking.json")
+        entries = analysis.rank_labels(table, _read_labels(args.labels), min_count=cfg["min_count"])
+        ranked = [{"label": label, "mean_score": mean, "count": count} for label, mean, count in entries]
+        k = cfg["top_k"]
+        ranking = {"min_count": cfg["min_count"], "top": ranked[:k], "bottom": ranked[-k:][::-1], "all": ranked}
+        report.write_json(out / "label_ranking.json", ranking)
         outputs.append(out / "label_ranking.json")
     _write_manifest(out, "analyze", cfg, table.config_hash, None, time.monotonic() - started)
     print("wrote " + ", ".join(str(p) for p in outputs))
@@ -249,12 +270,19 @@ def cmd_analyze(args):
 
 
 def _read_labels(path):
+    """{image_id: label} from a CSV with header "image_id,label"; empty lines are skipped."""
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "image_id" or len(header) < 2:
             raise ConfigError(f'{path}: expected a CSV with header "image_id,label"')
-        return {row[0]: row[1] for row in reader}
+        labels = {}
+        for row in reader:
+            if len(row) == 1:
+                raise DataFormatError(f"line {reader.line_num} has one field, expected image_id,label", path=str(path))
+            if row:
+                labels[row[0]] = row[1]
+        return labels
 
 
 def cmd_train_predictor(args):
@@ -270,24 +298,13 @@ def cmd_train_predictor(args):
     result = predictor.train_predictor(table, dataset, reg_config, spec=spec, seed=cfg["base_seed"])
     out = _out_dir(args.out)
     predictor.save_predictor(result.model, out / "predictor.mmt1")
-    with (out / "history.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("epoch", "train_mse"))
-        for epoch, value in enumerate(result.history, start=1):
-            writer.writerow((epoch, repr(value)))
-    rho = predictor.evaluate_predictor(result.model, table, dataset, result.test_ids)
-    (out / "eval.json").write_text(
-        json.dumps(
-            {
-                "test_spearman": "n/a" if rho is None else rho,
-                "train_images": len(result.train_ids),
-                "test_images": len(result.test_ids),
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
-    )
+    report.write_csv(out / "history.csv", ("epoch", "train_mse"), enumerate(result.history, start=1))
+    evaluation = {
+        "test_spearman": predictor.evaluate_predictor(result.model, table, dataset, result.test_ids),
+        "train_images": len(result.train_ids),
+        "test_images": len(result.test_ids),
+    }
+    report.write_json(out / "eval.json", evaluation)
     _write_manifest(out, "train-predictor", cfg, table.config_hash, dataset, time.monotonic() - started)
     print(f"trained predictor ({len(result.train_ids)} train / {len(result.test_ids)} test) -> {out / 'predictor.mmt1'}")
     return 0
@@ -301,11 +318,7 @@ def cmd_predict(args):
     dataset = _load_dataset(args.data)
     out = _out_dir(args.out)
     predictions = predictor.predict(model, dataset)
-    with (out / "predictions.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("image_id", "predicted_score"))
-        for image_id in sorted(predictions):
-            writer.writerow((image_id, repr(predictions[image_id])))
+    report.write_csv(out / "predictions.csv", ("image_id", "predicted_score"), sorted(predictions.items()))
     _write_manifest(out, "predict", {}, "", dataset, time.monotonic() - started)
     print(f"wrote {len(predictions)} predictions -> {out / 'predictions.csv'}")
     return 0
@@ -337,16 +350,10 @@ def cmd_sweep(args):
         run_id = f"{knob}={value}"
         tables.append((run_id, table.scores))
         run_payload.append({"run_id": run_id, "config_hash": table.config_hash, "m_effective": table.m_effective})
-    matrix = analysis.consistency_matrix(tables)
-    analysis.write_matrix_csv(matrix, out / "consistency.csv")
-    payload = {
-        "runs": run_payload,
-        "run_ids": matrix.run_ids,
-        "matrix": [
-            ["n/a" if np.isnan(v) else float(v) for v in row] for row in matrix.matrix
-        ],
-    }
-    (out / "consistency.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    run_ids = [run_id for run_id, _ in tables]
+    matrix = analysis.consistency_matrix(tables).tolist()
+    report.write_csv(out / "consistency.csv", ["run_id"] + run_ids, ([r] + row for r, row in zip(run_ids, matrix)))
+    report.write_json(out / "consistency.json", {"runs": run_payload, "run_ids": run_ids, "matrix": matrix})
     _write_manifest(out, "sweep", dict(cfg, knob=knob, values=values), "", dataset, time.monotonic() - started)
     print(f"swept {knob} over {values} -> {out / 'consistency.csv'}")
     return 0

@@ -5,7 +5,9 @@ holds all of its images as the rows of one read-only (N, C, H, W) array.
 Rotations are exact counterclockwise pixel permutations. Supported on-disk
 formats: CIFAR-10 binary batches (1 label byte + 3072 pixel bytes per
 record) and binary PPM (P6, maxval <= 255), optionally with a manifest CSV
-"id,filename[,label]" attaching labels.
+"id,filename[,label]". Class labels are not kept: the CIFAR label byte and
+the manifest's label column are allowed and ignored (`analyze --labels`
+reads its own label table).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class Dataset:
     order included, and made read-only.
     """
 
-    def __init__(self, ids, pixels, labels=None, source=""):
+    def __init__(self, ids, pixels, source=""):
         self.ids = list(ids)
         if not self.ids:
             raise ConfigError("dataset is empty")
@@ -77,7 +79,6 @@ class Dataset:
         self._rows = {image_id: row for row, image_id in enumerate(self.ids)}
         if len(self._rows) != len(self.ids):
             raise ConfigError("duplicate image ids in dataset")
-        self.labels = dict(labels) if labels else {}
         self.source = source
 
     def __len__(self):
@@ -177,8 +178,7 @@ def load_cifar_binary(path) -> Dataset:
     records = np.concatenate(batches)
     pixels = records[:, 1:].astype(np.float64).reshape(-1, *CIFAR_SHAPE)
     pixels /= 255.0
-    labels = dict(zip(ids, map(str, records[:, 0].tolist())))
-    return Dataset(ids, pixels, labels=labels, source=str(path))
+    return Dataset(ids, pixels, source=str(path))
 
 
 def read_ppm(path) -> np.ndarray:
@@ -257,7 +257,7 @@ def _read_manifest(path):
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != len(rows[0]):
             raise DataFormatError(f"manifest row {line_no} has {len(row)} fields", path=str(path))
-    return [(row[0], row[1], row[2] if len(row) == 3 else None) for row in rows[1:]]
+    return [(row[0], row[1]) for row in rows[1:]]
 
 
 def load_ppm_dir(path) -> Dataset:
@@ -265,21 +265,20 @@ def load_ppm_dir(path) -> Dataset:
     path = Path(path)
     manifest = path / "manifest.csv"
     if manifest.exists():
-        entries = [(image_id, path / name, label) for image_id, name, label in _read_manifest(manifest)]
+        entries = [(image_id, path / name) for image_id, name in _read_manifest(manifest)]
     else:
-        entries = [(file.stem, file, None) for file in sorted(path.glob("*.ppm"))]
+        entries = [(file.stem, file) for file in sorted(path.glob("*.ppm"))]
         if not entries:
             raise DataFormatError("no .ppm files in directory", path=str(path))
     if not entries:
         raise ConfigError("dataset is empty")
-    rasters = [read_ppm(file) for _, file, _ in entries]
-    for (image_id, _, _), raster in zip(entries, rasters):
+    rasters = [read_ppm(file) for _, file in entries]
+    for (image_id, _), raster in zip(entries, rasters):
         if raster.shape != rasters[0].shape:
             raise ConfigError(f"image {image_id!r} has shape {raster.shape}, dataset uses {rasters[0].shape}")
-    labels = {image_id: label for image_id, _, label in entries if label is not None}
     # np.stack keeps read_ppm's channel-last memory order. attributes.grayscale's
     # tensordot rounds differently on a channel-first copy, so that would change attributes.
-    return Dataset([entry[0] for entry in entries], np.stack(rasters), labels=labels, source=str(path))
+    return Dataset([image_id for image_id, _ in entries], np.stack(rasters), source=str(path))
 
 
 # --- regression augmentations ----------------------------------------------

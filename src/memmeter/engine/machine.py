@@ -9,8 +9,9 @@ Three desk-scale machine kinds are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_types
 from ..rng import make_rng
 from .layers import Conv2d, Flatten, Linear, MaxPool2, ReLU
 
@@ -23,8 +24,8 @@ class MachineSpec:
     in_channels: int = 3
     height: int = 32
     width: int = 32
-    hidden: tuple = ()
-    conv_channels: tuple = (16, 32)
+    hidden: tuple[int, ...] = ()
+    conv_channels: tuple[int, ...] = (16, 32)
     fc_width: int = 64
     activation: str = "relu"
 
@@ -80,13 +81,18 @@ class MachineSpec:
 
 
 def parse_machine_spec(machine_cfg, **defaults) -> MachineSpec:
-    """The MachineSpec of a JSON machine object; `defaults` fill the keys it omits."""
+    """The MachineSpec of a JSON machine object; `defaults` fill the keys it omits.
+
+    Unknown keys and values of the wrong type raise ConfigError naming the key.
+    """
     if not isinstance(machine_cfg, dict) or "kind" not in machine_cfg:
         raise ConfigError('machine config must be an object with a "kind" field')
     unknown = sorted(set(machine_cfg) - {f.name for f in fields(MachineSpec)})
     if unknown:
         raise ConfigError(f"unknown machine config keys: {unknown}")
-    return MachineSpec(**{**defaults, **machine_cfg})
+    values = {**defaults, **machine_cfg}
+    check_types(values, get_type_hints(MachineSpec), "machine key")
+    return MachineSpec(**values)
 
 
 def _build_backbone(spec, rng):

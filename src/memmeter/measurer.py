@@ -15,12 +15,14 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import multiprocessing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import report
 from .data import sample_episode_sets
 from .engine import SGD, Tensor, build_machine, load_into_machine, rotation_loss, seen_loss
 from .engine.losses import ROTATION_TARGETS, SEEN_CLASS, UNSEEN_CLASS, rotated_batch
@@ -321,20 +323,11 @@ SCORE_HEADER = ("image_id", "score", "m_effective", "machine", "config_hash", "b
 
 
 def write_score_csv(table: ScoreTable, path):
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORE_HEADER)
-        for image_id in sorted(table.scores):
-            writer.writerow(
-                [
-                    image_id,
-                    repr(table.scores[image_id]),
-                    table.m_effective,
-                    table.machine,
-                    table.config_hash,
-                    table.base_seed,
-                ]
-            )
+    rows = (
+        (image_id, score, table.m_effective, table.machine, table.config_hash, table.base_seed)
+        for image_id, score in sorted(table.scores.items())
+    )
+    report.write_csv(path, SCORE_HEADER, rows)
 
 
 def read_score_csv(path) -> ScoreTable:
@@ -352,6 +345,9 @@ def read_score_csv(path) -> ScoreTable:
         m_effective, base_seed = int(first[2]), int(first[5])
     except (ValueError, IndexError) as exc:
         raise DataFormatError(f"malformed score table row: {exc}", path=str(path)) from None
+    for image_id, score in scores.items():
+        if not math.isfinite(score):
+            raise DataFormatError(f"score of {image_id} is not finite: {score}", path=str(path))
     return ScoreTable(
         scores=scores,
         m_effective=m_effective,

@@ -376,5 +376,5 @@ def test_sweep_consistency(tmp_path):
 
         scores = {f"i{k:02d}": k / 10 for k in range(10)}
         reversal = consistency_matrix([("fwd", scores), ("rev", {k: -v for k, v in scores.items()})])
-        assert reversal.matrix[0, 1] == -1.0
-        assert reversal.matrix[1, 0] == -1.0
+        assert reversal[0, 1] == -1.0
+        assert reversal[1, 0] == -1.0

@@ -1,5 +1,7 @@
 """Decile grouping, correlations, label rankings, consistency matrices."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,11 @@ from memmeter.analysis import (
     correlate,
     group_by_decile,
     rank_labels,
-    write_correlation_json,
-    write_group_csv,
-    write_matrix_csv,
 )
 from memmeter.errors import ConfigError
 from memmeter.measurer import ScoreTable
 from memmeter.metrics import spearman
+from memmeter.report import write_csv, write_json
 from memmeter.rng import make_rng
 
 
@@ -26,23 +26,22 @@ def table_for(scores):
 
 def test_twenty_distinct_scores_make_groups_of_two():
     scores = {f"i{k:02d}": k / 20 for k in range(20)}
-    summary = group_by_decile(table_for(scores), {})
-    assert [g.size for g in summary.groups] == [2] * 10
-    means = [g.mean_score for g in summary.groups]
+    groups = group_by_decile(table_for(scores), {})
+    assert [g["size"] for g in groups] == [2] * 10
+    means = [g["mean_score"] for g in groups]
     assert means == sorted(means)
 
 
 def test_equal_scores_group_by_id_tie_break():
     scores = {f"i{k:02d}": 0.5 for k in range(10)}
-    summary = group_by_decile(table_for(scores), {})
-    assert [g.size for g in summary.groups] == [1] * 10
-    assert all(g.mean_score == 0.5 for g in summary.groups)
+    groups = group_by_decile(table_for(scores), {})
+    assert [g["size"] for g in groups] == [1] * 10
+    assert all(g["mean_score"] == 0.5 for g in groups)
 
 
 def test_group_sizes_differ_by_at_most_one_and_partition():
     scores = {f"i{k:03d}": (k * 37 % 101) / 101 for k in range(47)}
-    summary = group_by_decile(table_for(scores), {})
-    sizes = [g.size for g in summary.groups]
+    sizes = [g["size"] for g in group_by_decile(table_for(scores), {})]
     assert sum(sizes) == 47
     assert max(sizes) - min(sizes) <= 1
 
@@ -51,14 +50,14 @@ def test_groups_match_brute_force_sort_split_oracle():
     rng = make_rng("decile-oracle")
     scores = {f"i{k:03d}": float(rng.random()) for k in range(100)}
     attributes = {"attr": {f"i{k:03d}": float(rng.random()) for k in range(100)}}
-    summary = group_by_decile(table_for(scores), attributes)
+    groups = group_by_decile(table_for(scores), attributes)
 
     ordered = sorted(scores, key=lambda i: (scores[i], i))
     expected_chunks = [list(chunk) for chunk in np.array_split(np.array(ordered, dtype=object), 10)]
-    for group, chunk in zip(summary.groups, expected_chunks):
-        assert group.size == len(chunk)
-        assert group.mean_score == pytest.approx(np.mean([scores[i] for i in chunk]), abs=1e-12)
-        assert group.attribute_means["attr"] == pytest.approx(
+    for group, chunk in zip(groups, expected_chunks):
+        assert group["size"] == len(chunk)
+        assert group["mean_score"] == pytest.approx(np.mean([scores[i] for i in chunk]), abs=1e-12)
+        assert group["attribute_means"]["attr"] == pytest.approx(
             np.mean([attributes["attr"][i] for i in chunk]), abs=1e-12
         )
 
@@ -69,7 +68,7 @@ def test_grouping_is_input_order_invariant():
     shuffled = dict(sorted(scores.items(), key=lambda kv: kv[1]))
     one = group_by_decile(table_for(scores), {})
     two = group_by_decile(table_for(shuffled), {})
-    assert [g.mean_score for g in one.groups] == [g.mean_score for g in two.groups]
+    assert [g["mean_score"] for g in one] == [g["mean_score"] for g in two]
 
 
 def test_fewer_than_ten_images_is_usage_error():
@@ -84,8 +83,8 @@ def test_scores_against_themselves_and_negation():
     scores = {f"i{k:02d}": float(rng.random()) for k in range(25)}
     table = table_for(scores)
     report = correlate(table, {"same": dict(scores), "neg": {k: -v for k, v in scores.items()}})
-    assert report.columns["same"]["rho"] == 1.0
-    assert report.columns["neg"]["rho"] == -1.0
+    assert report["same"]["rho"] == 1.0
+    assert report["neg"]["rho"] == -1.0
 
 
 def test_correlate_drops_missing_ids_and_matches_direct_call():
@@ -95,8 +94,7 @@ def test_correlate_drops_missing_ids_and_matches_direct_call():
     report = correlate(table_for(scores), {"col": column})
     shared = sorted(column)
     direct = spearman([scores[i] for i in shared], [column[i] for i in shared])
-    assert report.columns["col"]["rho"] == direct
-    assert report.columns["col"]["n"] == 20
+    assert report["col"] == {"rho": direct, "n": 20}
 
 
 def test_correlate_disjoint_ids_is_usage_error():
@@ -108,7 +106,7 @@ def test_correlate_disjoint_ids_is_usage_error():
 def test_correlate_constant_column_is_undefined():
     scores = {f"i{k:02d}": k / 10 for k in range(10)}
     report = correlate(table_for(scores), {"flat": {k: 1.0 for k in scores}})
-    assert report.columns["flat"]["rho"] is None
+    assert report["flat"]["rho"] is None
 
 
 # --- label rankings -------------------------------------------------------------------
@@ -117,21 +115,19 @@ def test_two_label_ranking():
     scores = {"a1": 1.0, "a2": 1.0, "b1": 0.0, "b2": 0.0}
     labels = {"a1": "A", "a2": "A", "b1": "B", "b2": "B"}
     ranking = rank_labels(table_for(scores), labels, min_count=2)
-    assert [entry[0] for entry in ranking.entries] == ["A", "B"]
-    assert ranking.top(1) == [("A", 1.0, 2)]
-    assert ranking.bottom(1) == [("B", 0.0, 2)]
+    assert ranking == [("A", 1.0, 2), ("B", 0.0, 2)]
 
 
 def test_rank_labels_ties_break_by_label_string():
     scores = {"x1": 0.5, "y1": 0.5}
     ranking = rank_labels(table_for(scores), {"x1": "zeta", "y1": "alpha"}, min_count=1)
-    assert [entry[0] for entry in ranking.entries] == ["alpha", "zeta"]
+    assert [entry[0] for entry in ranking] == ["alpha", "zeta"]
 
 
 def test_rank_labels_excludes_sparse_labels():
     scores = {"a1": 0.9, "b1": 0.1, "b2": 0.2}
     ranking = rank_labels(table_for(scores), {"a1": "A", "b1": "B", "b2": "B"}, min_count=2)
-    assert [entry[0] for entry in ranking.entries] == ["B"]
+    assert [entry[0] for entry in ranking] == ["B"]
 
 
 def test_rank_labels_matches_group_mean_oracle():
@@ -146,7 +142,7 @@ def test_rank_labels_matches_group_mean_oracle():
     expected = {}
     for image_id, label in labels.items():
         expected.setdefault(label, []).append(scores[image_id])
-    for label, mean, count in ranking.entries:
+    for label, mean, count in ranking:
         assert count == len(expected[label])
         assert mean == pytest.approx(np.mean(expected[label]), abs=1e-12)
 
@@ -162,17 +158,17 @@ def test_table_against_itself_is_one():
     rng = make_rng("consistency-self")
     scores = {f"i{k:02d}": float(rng.random()) for k in range(12)}
     result = consistency_matrix([("one", scores), ("two", dict(scores))])
-    assert result.matrix[0, 0] == 1.0
-    assert result.matrix[0, 1] == 1.0
+    assert result[0, 0] == 1.0
+    assert result[0, 1] == 1.0
 
 
 def test_rank_reversal_gives_minus_one():
     scores = {f"i{k:02d}": k / 10 for k in range(10)}
     reversed_scores = {k: -v for k, v in scores.items()}
     result = consistency_matrix([("fwd", scores), ("rev", reversed_scores)])
-    assert result.matrix[0, 1] == -1.0
-    assert result.matrix[1, 0] == -1.0
-    assert np.array_equal(result.matrix, result.matrix.T)
+    assert result[0, 1] == -1.0
+    assert result[1, 0] == -1.0
+    assert np.array_equal(result, result.T)
 
 
 def test_three_tables_match_pairwise_calls():
@@ -181,15 +177,15 @@ def test_three_tables_match_pairwise_calls():
     for name in ("a", "b", "c"):
         tables.append((name, {f"i{k:02d}": float(rng.random()) for k in range(15)}))
     result = consistency_matrix(tables)
-    assert np.array_equal(result.matrix, result.matrix.T)
-    assert np.all(np.diag(result.matrix) == 1.0)
+    assert np.array_equal(result, result.T)
+    assert np.all(np.diag(result) == 1.0)
     for i in range(3):
         for j in range(i + 1, 3):
             shared = sorted(set(tables[i][1]) & set(tables[j][1]))
             expected = spearman(
                 [tables[i][1][s] for s in shared], [tables[j][1][s] for s in shared]
             )
-            assert result.matrix[i, j] == expected
+            assert result[i, j] == expected
 
 
 def test_consistency_requires_overlap_and_two_tables():
@@ -205,26 +201,24 @@ def test_report_writers_produce_valid_outputs(tmp_path):
     rng = make_rng("writers")
     scores = {f"i{k:02d}": float(rng.random()) for k in range(20)}
     table = table_for(scores)
-    report = correlate(table, {"flat": {k: 1.0 for k in scores}, "same": dict(scores)})
     json_path = tmp_path / "correlations.json"
-    write_correlation_json(report, json_path)
-    import json
+    write_json(json_path, correlate(table, {"flat": {k: 1.0 for k in scores}, "same": dict(scores)}))
+    assert json.loads(json_path.read_text()) == {"flat": {"rho": "n/a", "n": 20}, "same": {"rho": 1.0, "n": 20}}
 
-    payload = json.loads(json_path.read_text())
-    assert payload["columns"]["flat"]["rho"] == "n/a"
-    assert payload["columns"]["same"]["rho"] == 1.0
-    assert "full_scale_reference" in payload
+    groups = group_by_decile(table, {"same": dict(scores), "empty": {}})
+    groups_path = tmp_path / "groups.json"
+    write_json(groups_path, groups)
+    assert all(g["attribute_means"]["empty"] == "n/a" for g in json.loads(groups_path.read_text()))
 
-    summary = group_by_decile(table, {"same": dict(scores)})
-    csv_path = tmp_path / "deciles.csv"
-    write_group_csv(summary, csv_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "group_index,mean_score,attribute,mean_value"
-    assert len(lines) == 11  # header + one attribute row per group
-
-    matrix = consistency_matrix([("one", scores), ("two", dict(scores))])
+    run_ids = ["one", "two", "flat"]
+    matrix = consistency_matrix(zip(run_ids, [scores, dict(scores), {k: 0.5 for k in scores}]))
     matrix_path = tmp_path / "consistency.csv"
-    write_matrix_csv(matrix, matrix_path)
+    write_csv(matrix_path, ["run_id"] + run_ids, ([r] + row for r, row in zip(run_ids, matrix.tolist())))
     rows = matrix_path.read_text().splitlines()
-    assert rows[0] == "run_id,one,two"
-    assert rows[1].startswith("one,1.0,")
+    assert rows == ["run_id,one,two,flat", "one,1.0,1.0,n/a", "two,1.0,1.0,n/a", "flat,n/a,n/a,1.0"]
+
+    # Floats read back bit for bit, NumPy's included; the manifest keeps null.
+    write_csv(tmp_path / "cells.csv", ["a", "b", "c"], [[np.float64(0.1) + 0.2, None, 7]])
+    assert (tmp_path / "cells.csv").read_bytes() == b"a,b,c\r\n0.30000000000000004,n/a,7\r\n"
+    write_json(tmp_path / "manifest.json", {"unset": None, "nan": float("nan")}, keep_null=True)
+    assert (tmp_path / "manifest.json").read_text() == '{\n  "nan": NaN,\n  "unset": null\n}\n'

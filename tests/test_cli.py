@@ -170,6 +170,27 @@ def test_measure_unknown_machine_key_exits_2(tmp_path, ppm_dataset_dir, capsys):
     assert "hiden" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"n": "5"},
+        {"n": 5.0},
+        {"lr_a": "0.1"},
+        {"machine": {"kind": "small_cnn", "height": "8"}},
+        {"machine": {"kind": "mlp", "hidden": 5}},
+        {"workers": "2"},
+    ],
+    ids=lambda overrides: json.dumps(overrides),
+)
+def test_mistyped_config_value_exits_2(tmp_path, ppm_dataset_dir, overrides, capsys):
+    config = measure_config(tmp_path, **overrides)
+    code = run_cli("measure", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    key = next(iter(overrides["machine"].keys() - {"kind"})) if "machine" in overrides else next(iter(overrides))
+    assert "config error: " in err and repr(key) in err
+
+
 def test_measure_missing_data_exits_2(tmp_path):
     config = measure_config(tmp_path)
     code = run_cli("measure", "--config", str(config), "--data", str(tmp_path / "void"), "--out", str(tmp_path / "o"))
@@ -296,6 +317,28 @@ def test_analyze_attributes_pipeline_and_labels(tmp_path, ppm_dataset_dir, measu
     assert {entry["label"] for entry in ranking["all"]} <= {"even", "odd"}
 
 
+def test_analyze_labels_row_with_one_field_exits_3(tmp_path, capsys):
+    scores = write_score_rows(tmp_path / "scores.csv")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("image_id,label\nramp000,cat\nimg02\n")
+    code = run_cli("analyze", "--scores", str(scores), "--labels", str(labels), "--out", str(tmp_path / "a"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(labels) in err and "line 3" in err
+
+
+def test_analyze_labels_skip_empty_lines(tmp_path):
+    scores = write_score_rows(tmp_path / "scores.csv")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("image_id,label\n\nramp000,cat\n\n")
+    config = tmp_path / "an.json"
+    config.write_text('{"min_count": 1}')
+    out = tmp_path / "a"
+    assert run_cli("analyze", "--config", str(config), "--scores", str(scores), "--labels", str(labels), "--out", str(out)) == 0
+    ranking = json.loads((out / "label_ranking.json").read_text())
+    assert ranking["all"] == [{"count": 1, "label": "cat", "mean_score": 0.5}]
+
+
 def test_analyze_merge_csv_without_image_id_column_exits_2(tmp_path, measured_run, capsys):
     merge_csv = tmp_path / "extra.csv"
     merge_csv.write_text("id,human\nramp000,0.5\n")
@@ -316,14 +359,17 @@ def write_score_rows(path, **cells):
 def test_analyze_merge_csv_with_non_numeric_cell_exits_3(tmp_path, capsys):
     scores = write_score_rows(tmp_path / "scores.csv")
     merge_csv = tmp_path / "extra.csv"
-    merge_csv.write_text("image_id,human\nramp000,high\n")
-    code = run_cli("analyze", "--scores", str(scores), "--merge-csv", str(merge_csv), "--out", str(tmp_path / "a"))
-    assert code == 3
-    err = capsys.readouterr().err
-    assert str(merge_csv) in err and "'high'" in err
+    for cell in ("high", "nan", "inf", "-inf"):
+        merge_csv.write_text(f"image_id,human\nramp000,{cell}\n")
+        code = run_cli("analyze", "--scores", str(scores), "--merge-csv", str(merge_csv), "--out", str(tmp_path / "a"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(merge_csv) in err and repr(cell) in err
 
 
-@pytest.mark.parametrize("cells", [{"score": "high"}, {"m_effective": "two"}, {"base_seed": "1.5"}])
+@pytest.mark.parametrize(
+    "cells", [{"score": "high"}, {"m_effective": "two"}, {"base_seed": "1.5"}, {"score": "nan"}, {"score": "inf"}]
+)
 def test_analyze_malformed_score_table_exits_3(tmp_path, cells, capsys):
     scores = write_score_rows(tmp_path / "scores.csv", **cells)
     assert run_cli("analyze", "--scores", str(scores), "--out", str(tmp_path / "a")) == 3
@@ -815,7 +861,14 @@ def test_predict_before_train_is_explicit_error(tmp_path, ppm_dataset_dir, capsy
 
 @pytest.mark.parametrize(
     "sidecar",
-    ["{not json", "[1, 2]", '{"kind": "small_cnn", "widht": 8}', '{"kind": "bogus"}', '{"kind": "mlp", "hidden": []}'],
+    [
+        "{not json",
+        "[1, 2]",
+        '{"kind": "small_cnn", "widht": 8}',
+        '{"kind": "bogus"}',
+        '{"kind": "mlp", "hidden": []}',
+        '{"kind": "mlp", "hidden": 5}',
+    ],
 )
 def test_predict_with_malformed_sidecar_exits_3(tmp_path, ppm_dataset_dir, sidecar, capsys):
     model = tmp_path / "predictor.mmt1"

@@ -141,7 +141,6 @@ def test_cifar_record_arithmetic(tmp_path):
     assert len(dataset) == 3
     assert dataset.ids == ["batch.bin#0", "batch.bin#1", "batch.bin#2"]
     assert dataset.dims == (3, 32, 32)
-    assert dataset.labels["batch.bin#1"] == "7"
     assert np.all(dataset.image("batch.bin#1").pixels == 1.0)
     assert np.all(dataset.image("batch.bin#0").pixels == 0.0)
 
@@ -246,7 +245,6 @@ def test_ppm_dir_with_manifest_and_labels(tmp_path, rng):
     )
     dataset = load_ppm_dir(tmp_path)
     assert dataset.ids == ["first", "second"]
-    assert dataset.labels == {"first": "cat", "second": "dog"}
 
 
 def test_ppm_dir_without_manifest_uses_stems(tmp_path, rng):
@@ -254,7 +252,6 @@ def test_ppm_dir_without_manifest_uses_stems(tmp_path, rng):
         write_ppm(random_image(name, rng, size=3), tmp_path / f"{name}.ppm")
     dataset = load_ppm_dir(tmp_path)
     assert dataset.ids == ["a", "b"]
-    assert dataset.labels == {}
 
 
 def test_manifest_requires_header(tmp_path, rng):
