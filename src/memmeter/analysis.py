@@ -2,7 +2,8 @@
 and cross-run consistency matrices.
 
 All cross-table operations work on id intersections; images missing a
-value are dropped and logged, never imputed.
+value are dropped and logged, never imputed. Results are plain data; the
+CLI writes them through memmeter.report.
 """
 
 from __future__ import annotations

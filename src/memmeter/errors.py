@@ -31,16 +31,16 @@ class MeasurementError(MemmeterError):
     """A measurement run produced no usable episodes."""
 
 
-def check_types(values, types, what):
-    """Raise ConfigError naming the first key whose value does not have its type in `types`.
+def check_types(values, annotations, what):
+    """Raise ConfigError naming the first key whose value does not match its annotation.
 
-    `types` maps keys to annotations (int, float, bool, str, list, dict,
+    `annotations` maps keys to types (int, float, bool, str, list, dict,
     tuple[int, ...], X | None, classes); keys it lacks are not checked. As in
     JSON, a float key takes an int; an int key takes neither a float nor a
     bool, and a tuple key takes a list.
     """
     for key, value in values.items():
-        expected = types.get(key)
+        expected = annotations.get(key)
         if expected is not None and not _has_type(value, expected):
             name = expected.__name__ if isinstance(expected, type) else str(expected)
             raise ConfigError(f"{what} {key!r} must be {name}, got {value!r}")

@@ -171,23 +171,22 @@ def test_measure_unknown_machine_key_exits_2(tmp_path, ppm_dataset_dir, capsys):
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, key",
     [
-        {"n": "5"},
-        {"n": 5.0},
-        {"lr_a": "0.1"},
-        {"machine": {"kind": "small_cnn", "height": "8"}},
-        {"machine": {"kind": "mlp", "hidden": 5}},
-        {"workers": "2"},
+        ({"n": "5"}, "n"),
+        ({"n": 5.0}, "n"),
+        ({"lr_a": "0.1"}, "lr_a"),
+        ({"machine": {"kind": "small_cnn", "height": "8"}}, "height"),
+        ({"machine": {"kind": "mlp", "hidden": 5}}, "hidden"),
+        ({"workers": "2"}, "workers"),
     ],
-    ids=lambda overrides: json.dumps(overrides),
+    ids=lambda param: json.dumps(param) if isinstance(param, dict) else None,
 )
-def test_mistyped_config_value_exits_2(tmp_path, ppm_dataset_dir, overrides, capsys):
+def test_mistyped_config_value_exits_2(tmp_path, ppm_dataset_dir, overrides, key, capsys):
     config = measure_config(tmp_path, **overrides)
     code = run_cli("measure", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(tmp_path / "o"))
     assert code == 2
     err = capsys.readouterr().err
-    key = next(iter(overrides["machine"].keys() - {"kind"})) if "machine" in overrides else next(iter(overrides))
     assert "config error: " in err and repr(key) in err
 
 
