@@ -9,6 +9,7 @@ CLI writes them through memmeter.report.
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +19,17 @@ from .metrics import spearman
 log = logging.getLogger(__name__)
 
 GROUP_COUNT = 10
+
+
+@dataclass(frozen=True)
+class AnalyzeConfig:
+    top_k: int = 5
+    min_count: int = 5
+
+    def __post_init__(self):
+        if self.top_k < 1 or self.min_count < 1:
+            raise ConfigError("top_k and min_count must be >= 1")
+
 
 # Correlation-strength bands used only as report annotations.
 STRENGTH_BANDS = {
@@ -94,7 +106,7 @@ def correlate(score_table, columns) -> dict:
     return results
 
 
-def rank_labels(score_table, labels, min_count=5) -> list:
+def rank_labels(score_table, labels, min_count) -> list:
     """(label, mean score, count) per label, best first; sparse labels are excluded."""
     by_label = {}
     for image_id, label in labels.items():

@@ -6,16 +6,12 @@ All attributes are computed on native-resolution pixels.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import asdict, dataclass, fields
 from operator import attrgetter
-from pathlib import Path
 
 import numpy as np
 
 from . import report
-from .errors import ConfigError, DataFormatError
 
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
@@ -168,22 +164,10 @@ def write_attribute_csv(rows, path):
 
 def read_attribute_csv(path):
     """Read an attribute CSV back as {column: {image_id: float}}; n/a cells are skipped."""
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "image_id":
-            raise ConfigError(f"{path}: expected an attribute CSV with an image_id column")
-        columns = {name: {} for name in header[1:]}
-        for row in reader:
-            for name, cell in zip(header[1:], row[1:]):
-                if cell != report.NA:
-                    try:
-                        value = float(cell)
-                        if not math.isfinite(value):
-                            raise ValueError
-                    except ValueError:
-                        raise DataFormatError(
-                            f"{name} of {row[0]} is not a finite number: {cell!r}", path=str(path)
-                        ) from None
-                    columns[name][row[0]] = value
+    header, rows = report.read_csv(path, ("image_id",))
+    columns = {name: {} for name in header[1:]}
+    for row in rows:
+        for name, cell in zip(header[1:], row[1:]):
+            if cell != report.NA:
+                columns[name][row[0]] = report.read_number(cell, f"{name} of {row[0]}", path)
     return columns

@@ -12,7 +12,6 @@ MEMMETER_LOG sets the log level.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -53,7 +52,7 @@ TRAIN_DEFAULTS = _defaults(
     predictor.RegressionConfig, split_seed=None, base_seed=MEASURE_DEFAULTS["base_seed"], machine=None
 )
 
-ANALYZE_DEFAULTS = {"top_k": 5, "min_count": 5}
+ANALYZE_DEFAULTS = _defaults(analysis.AnalyzeConfig)
 
 # Types of the config keys that no config dataclass declares (_from_cfg checks those);
 # machine, knob and values are checked where they are read.
@@ -62,8 +61,6 @@ CLI_KEY_TYPES = {
     "workers": int | None,
     "split_seed": int | None,
     "base_seed": int,
-    "top_k": int,
-    "min_count": int,
 }
 
 SWEEP_KNOBS = (
@@ -183,30 +180,32 @@ def _apply_common_overrides(cfg, args):
 
 # --- commands ------------------------------------------------------------------
 
-def _measure_and_write(cfg, dataset, out, set_a_seed):
-    """Measure one config into `out`/scores.csv and episodes.jsonl; set A is drawn with set_a_seed.
-
-    The config and the dataset size are checked before the output directory is made.
-    """
+def _episode_config(cfg, dataset, set_a_seed):
+    """The checked EpisodeConfig of one measurement and its set A, drawn with set_a_seed."""
     config = _from_cfg(measurer.EpisodeConfig, cfg, machine=_machine_spec(cfg["machine"], dataset))
     if len(dataset) < config.required_images:
         raise DataFormatError(
             f"dataset holds {len(dataset)} images but n={config.n} needs {config.required_images}",
             path=dataset.source,
         )
-    set_a = _resolve_set_a(cfg, dataset, set_a_seed)
+    return config, _resolve_set_a(cfg, dataset, set_a_seed)
+
+
+def _measure_and_write(config, set_a, dataset, out, workers):
+    """Measure one checked config into `out`/scores.csv and episodes.jsonl."""
     out = _out_dir(out)
-    table, episodes = measurer.measure(dataset, set_a, config, workers=cfg["workers"])
+    table, episodes = measurer.measure(dataset, set_a, config, workers=workers)
     measurer.write_score_csv(table, out / "scores.csv")
     measurer.write_episode_jsonl(episodes, out / "episodes.jsonl")
-    return config, table, out
+    return table, out
 
 
 def cmd_measure(args):
     started = time.monotonic()
     cfg = _apply_common_overrides(_load_config(args.config, MEASURE_DEFAULTS), args)
     dataset = _load_dataset(args.data)
-    config, table, out = _measure_and_write(cfg, dataset, args.out, cfg["base_seed"])
+    config, set_a = _episode_config(cfg, dataset, cfg["base_seed"])
+    table, out = _measure_and_write(config, set_a, dataset, args.out, cfg["workers"])
     cfg["machine"] = asdict(config.machine)
     _write_manifest(out, "measure", cfg, table.config_hash, dataset, time.monotonic() - started)
     print(f"measured {len(table.scores)} images over {table.m_effective}/{config.m} episodes -> {out / 'scores.csv'}")
@@ -227,6 +226,7 @@ def cmd_attributes(args):
 def cmd_analyze(args):
     started = time.monotonic()
     cfg = _load_config(args.config, ANALYZE_DEFAULTS)
+    config = _from_cfg(analysis.AnalyzeConfig, cfg)
     if args.scores is None:
         raise ConfigError("--scores is required for analyze")
     table = measurer.read_score_csv(args.scores)
@@ -258,10 +258,10 @@ def cmd_analyze(args):
     else:
         log.warning("skipping decile grouping: only %d scored images", len(table.scores))
     if args.labels:
-        entries = analysis.rank_labels(table, _read_labels(args.labels), min_count=cfg["min_count"])
+        entries = analysis.rank_labels(table, _read_labels(args.labels), config.min_count)
         ranked = [{"label": label, "mean_score": mean, "count": count} for label, mean, count in entries]
-        k = cfg["top_k"]
-        ranking = {"min_count": cfg["min_count"], "top": ranked[:k], "bottom": ranked[-k:][::-1], "all": ranked}
+        k = config.top_k
+        ranking = {"min_count": config.min_count, "top": ranked[:k], "bottom": ranked[-k:][::-1], "all": ranked}
         report.write_json(out / "label_ranking.json", ranking)
         outputs.append(out / "label_ranking.json")
     _write_manifest(out, "analyze", cfg, table.config_hash, None, time.monotonic() - started)
@@ -271,18 +271,8 @@ def cmd_analyze(args):
 
 def _read_labels(path):
     """{image_id: label} from a CSV with header "image_id,label"; empty lines are skipped."""
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "image_id" or len(header) < 2:
-            raise ConfigError(f'{path}: expected a CSV with header "image_id,label"')
-        labels = {}
-        for row in reader:
-            if len(row) == 1:
-                raise DataFormatError(f"line {reader.line_num} has one field, expected image_id,label", path=str(path))
-            if row:
-                labels[row[0]] = row[1]
-        return labels
+    _, rows = report.read_csv(path, ("image_id", "label"))
+    return {row[0]: row[1] for row in rows}
 
 
 def cmd_train_predictor(args):
@@ -336,9 +326,7 @@ def cmd_sweep(args):
     if len(set(map(str, values))) != len(values):
         raise ConfigError("sweep knob values must be distinct")
     dataset = _load_dataset(args.data)
-    out = _out_dir(args.out)
-    tables = []
-    run_payload = []
+    runs = []
     for value in values:
         sub_cfg = dict(cfg)
         if knob == "machine_kind":
@@ -346,7 +334,13 @@ def cmd_sweep(args):
         else:
             sub_cfg[knob] = value
         # Set A comes from the base config's seed so every sub-run scores the same images.
-        _, table, _ = _measure_and_write(sub_cfg, dataset, out / f"run_{knob}_{value}", cfg["base_seed"])
+        runs.append((value, *_episode_config(sub_cfg, dataset, cfg["base_seed"])))
+    # Every sub-run is checked above, so a bad value fails before the first run measures.
+    out = _out_dir(args.out)
+    tables = []
+    run_payload = []
+    for value, config, set_a in runs:
+        table, _ = _measure_and_write(config, set_a, dataset, out / f"run_{knob}_{value}", cfg["workers"])
         run_id = f"{knob}={value}"
         tables.append((run_id, table.scores))
         run_payload.append({"run_id": run_id, "config_hash": table.config_hash, "m_effective": table.m_effective})

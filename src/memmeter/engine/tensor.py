@@ -2,7 +2,8 @@
 
 Covers exactly the operations the toolkit's machines need: dense and
 convolutional layers, 2x2 max pooling, pointwise activations, and scalar
-reductions. Single-threaded, deterministic, no graph optimization.
+reductions. Single-threaded, deterministic, no graph optimization. Ops
+take Tensor operands; wrap a raw array in Tensor() first.
 
 Backward closures take their output's gradient as an argument and never
 reference their own output node, so graphs are acyclic and a forward
@@ -25,14 +26,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def backward(self):
         """Populate grad on every tracked ancestor of a scalar output.
@@ -97,10 +90,6 @@ def _node(data, parents, backward):
     return out
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _unbroadcast(g, shape):
     # Reduce a broadcast gradient back to the parent's shape.
     extra = g.ndim - len(shape)
@@ -113,7 +102,6 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     out_data = a.data + b.data
 
     def backward(g):
@@ -124,7 +112,6 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     out_data = a.data - b.data
 
     def backward(g):
@@ -135,7 +122,6 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     out_data = a.data * b.data
 
     def backward(g):
@@ -146,7 +132,6 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError("matmul expects 2-d operands")
     out_data = a.data @ b.data
@@ -159,7 +144,6 @@ def matmul(a, b) -> Tensor:
 
 
 def relu(x) -> Tensor:
-    x = as_tensor(x)
     out_data = np.maximum(x.data, 0.0)
 
     def backward(g):
@@ -169,7 +153,6 @@ def relu(x) -> Tensor:
 
 
 def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
     # Stable in both tails.
     z = x.data
     e = np.exp(-np.abs(z))
@@ -182,7 +165,6 @@ def sigmoid(x) -> Tensor:
 
 
 def reshape(x, shape) -> Tensor:
-    x = as_tensor(x)
     out_data = x.data.reshape(shape)
 
     def backward(g):
@@ -192,7 +174,6 @@ def reshape(x, shape) -> Tensor:
 
 
 def mean(x) -> Tensor:
-    x = as_tensor(x)
     out_data = np.asarray(x.data.mean())
 
     def backward(g):
@@ -202,7 +183,6 @@ def mean(x) -> Tensor:
 
 
 def tensor_sum(x) -> Tensor:
-    x = as_tensor(x)
     out_data = np.asarray(x.data.sum())
 
     def backward(g):
@@ -234,7 +214,6 @@ def conv2d(x, w, b, workspace) -> Tensor:
     pass) takes its shape's buffers with it, and the next forward of that
     shape allocates them again.
     """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     n, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
     if c2 != c:
@@ -280,7 +259,6 @@ def maxpool2(x) -> Tensor:
     Trailing odd rows/columns are dropped and get zero gradient; each output's
     gradient goes to the first corner, in row-major order, equal to the maximum.
     """
-    x = as_tensor(x)
     _, _, h, w = x.data.shape
     h2, w2 = h // 2, w // 2
     if h2 < 1 or w2 < 1:

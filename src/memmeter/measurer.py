@@ -11,11 +11,9 @@ fraction of gate-passing episodes that called an image "seen".
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
-import math
 import multiprocessing
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -331,23 +329,17 @@ def write_score_csv(table: ScoreTable, path):
 
 
 def read_score_csv(path) -> ScoreTable:
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(SCORE_HEADER):
-            raise ConfigError(f"{path} is not a score table (header {header})")
-        rows = list(reader)
+    header, rows = report.read_csv(path, SCORE_HEADER)
+    if len(header) != len(SCORE_HEADER):
+        raise ConfigError(f"{path} is not a score table (header {header})")
     if not rows:
         raise ConfigError(f"{path} holds no scores")
+    scores = {row[0]: report.read_number(row[1], f"score of {row[0]}", path) for row in rows}
     first = rows[0]
     try:
-        scores = {row[0]: float(row[1]) for row in rows}
         m_effective, base_seed = int(first[2]), int(first[5])
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise DataFormatError(f"malformed score table row: {exc}", path=str(path)) from None
-    for image_id, score in scores.items():
-        if not math.isfinite(score):
-            raise DataFormatError(f"score of {image_id} is not finite: {score}", path=str(path))
     return ScoreTable(
         scores=scores,
         m_effective=m_effective,

@@ -1,10 +1,13 @@
-"""Decile grouping, correlations, label rankings, consistency matrices."""
+"""Decile grouping, correlations, label rankings, consistency matrices, report files."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memmeter
 from memmeter.analysis import (
     consistency_matrix,
     correlate,
@@ -149,7 +152,7 @@ def test_rank_labels_matches_group_mean_oracle():
 
 def test_rank_labels_without_coverage_is_usage_error():
     with pytest.raises(ConfigError, match="cover"):
-        rank_labels(table_for({"a": 0.5}), {"other": "X"})
+        rank_labels(table_for({"a": 0.5}), {"other": "X"}, min_count=1)
 
 
 # --- consistency matrices ----------------------------------------------------------------
@@ -222,3 +225,19 @@ def test_report_writers_produce_valid_outputs(tmp_path):
     assert (tmp_path / "cells.csv").read_bytes() == b"a,b,c\r\n0.30000000000000004,n/a,7\r\n"
     write_json(tmp_path / "manifest.json", {"unset": None}, keep_null=True)
     assert (tmp_path / "manifest.json").read_text() == '{\n  "unset": null\n}\n'
+
+
+def test_only_report_module_handles_tables_and_na():
+    # report.py reads and writes every table and owns the n/a rule; data.py
+    # reads only the PPM manifest, whose errors are its own.
+    csv_importers, na_holders = set(), set()
+    for path in Path(memmeter.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names):
+                csv_importers.add(path.name)
+            if isinstance(node, ast.ImportFrom) and node.module == "csv":
+                csv_importers.add(path.name)
+            if isinstance(node, ast.Constant) and node.value == "n/a":
+                na_holders.add(path.name)
+    assert csv_importers == {"report.py", "data.py"}
+    assert na_holders == {"report.py"}

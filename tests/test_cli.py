@@ -380,6 +380,57 @@ def test_analyze_requires_scores(tmp_path, capsys):
     assert "--scores" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("analyze", "--scores"),
+        ("analyze", "--attributes"),
+        ("analyze", "--merge-csv"),
+        ("analyze", "--labels"),
+        ("train-predictor", "--scores"),
+    ],
+)
+def test_missing_table_file_exits_2(tmp_path, command, flag, capsys):
+    missing = tmp_path / "nope.csv"
+    argv = [command, flag, str(missing), "--out", str(tmp_path / "o")]
+    if flag != "--scores":
+        argv += ["--scores", str(write_score_rows(tmp_path / "scores.csv"))]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and str(missing) in err
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--attributes", "image_id,hue,saturation,value,contrast,colorfulness,entropy\nramp000,0.5\n"),
+        ("--labels", "image_id,label\nramp000,cat\n\nramp001,dog,extra\n"),
+        ("--scores", ",".join(SCORE_HEADER) + "\nramp000,0.5,2,m,h,0,extra\n"),
+    ],
+    ids=["short-attributes-row", "three-field-labels-row", "seven-field-score-row"],
+)
+def test_table_row_of_wrong_width_exits_3(tmp_path, flag, text, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text(text)
+    argv = ["analyze", flag, str(table), "--out", str(tmp_path / "a")]
+    if flag != "--scores":
+        argv += ["--scores", str(write_score_rows(tmp_path / "scores.csv"))]
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    line = text.count("\n")
+    assert str(table) in err and f"line {line} has" in err
+
+
+@pytest.mark.parametrize("key", ["top_k", "min_count"])
+def test_analyze_config_value_below_one_exits_2(tmp_path, key, capsys):
+    config = tmp_path / "an.json"
+    config.write_text(json.dumps({key: 0}))
+    scores = write_score_rows(tmp_path / "scores.csv")
+    assert run_cli("analyze", "--config", str(config), "--scores", str(scores), "--out", str(tmp_path / "a")) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
 # Hand-written inputs of the pinned-output tests; no training is involved, so the
 # bytes below depend on no BLAS. img00, img04 and img09 have no hue, so decile 1
 # has no hue mean; "flat" is constant, so its rank correlation is undefined.
@@ -955,6 +1006,14 @@ def test_sweep_unknown_knob_is_usage_error(tmp_path, ppm_dataset_dir):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"knob": "galaxy", "values": [1, 2]}))
     assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(tmp_path / "o")) == 2
+
+
+def test_sweep_checks_every_value_before_the_first_run(tmp_path, ppm_dataset_dir, capsys):
+    config = measure_config(tmp_path, knob="n", values=[4, "5"])
+    out = tmp_path / "sweep-out"
+    assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(out)) == 2
+    assert "'n'" in capsys.readouterr().err
+    assert not (out / "run_n_4" / "scores.csv").exists()
 
 
 # --- misc -------------------------------------------------------------------------------
