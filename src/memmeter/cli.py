@@ -86,9 +86,11 @@ def _load_config(path, defaults):
     merged = dict(defaults)
     if path:
         try:
-            loaded = json.loads(Path(path).read_text())
+            loaded = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text (byte offset {exc.start})") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):

@@ -12,12 +12,12 @@ reads its own label table).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import report
 from .errors import ConfigError, DataFormatError
 from .rng import make_rng
 
@@ -250,8 +250,7 @@ def write_ppm(image: ImageTensor, path):
 
 
 def _read_manifest(path):
-    with Path(path).open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(report.csv_reader(path))
     if not rows or rows[0] not in (["id", "filename"], ["id", "filename", "label"]):
         raise DataFormatError('manifest must start with header "id,filename" or "id,filename,label"', path=str(path))
     for line_no, row in enumerate(rows[1:], start=2):

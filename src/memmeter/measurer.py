@@ -26,7 +26,7 @@ from .engine import SGD, Tensor, build_machine, load_into_machine, rotation_loss
 from .engine.losses import ROTATION_TARGETS, SEEN_CLASS, UNSEEN_CLASS, rotated_batch
 from .engine.machine import MachineSpec
 from .errors import ConfigError, DataFormatError, MeasurementError
-from .metrics import PredictionRecord, rms_calibration_error
+from .metrics import rms_calibration_error
 from .rng import derive_seed, make_rng
 
 log = logging.getLogger(__name__)
@@ -166,36 +166,35 @@ def stage_b_epoch(machine, seen_images, unseen_images, config: EpisodeConfig, op
         optimizer.step()
 
 
-def _predict_records(machine, images, true_class):
-    records = []
-    for image in images:
-        logits = machine.forward(Tensor(image.pixels[None])).data[0]
-        shifted = np.exp(logits - logits.max())
-        probs = shifted / shifted.sum()
-        records.append(PredictionRecord(image.id, probs, true_class=true_class))
-    return records
+def _probabilities(machine, images) -> np.ndarray:
+    """(N, 2) softmax rows of the seen/unseen head, one image per forward pass."""
+    logits = np.stack([machine.forward(Tensor(image.pixels[None])).data[0] for image in images])
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True)
 
 
 def stage_c(machine, a_images, config: EpisodeConfig, calib_seen=(), calib_unseen=()):
     """Detect: verdicts over set A plus the episode's calibration error.
 
-    No gradient updates. seen_only mode scores calibration on A itself
-    (every record truly seen); held_out mode scores it on the reserved
-    seen/unseen mix instead.
+    No gradient updates. An image's verdict is the argmax class, so a tie
+    counts as seen. seen_only mode scores calibration on A itself (every
+    image truly seen); held_out mode scores it on the reserved seen/unseen
+    mix instead.
     """
-    a_records = _predict_records(machine, a_images, true_class=SEEN_CLASS)
+    a_probs = _probabilities(machine, a_images)
+    a_calls = a_probs.argmax(axis=1)
     verdicts = {
-        rec.image_id: "seen" if rec.predicted_class == SEEN_CLASS else "unseen"
-        for rec in a_records
+        image.id: "seen" if call == SEEN_CLASS else "unseen" for image, call in zip(a_images, a_calls)
     }
     if config.calibration_mode == "seen_only":
-        report = rms_calibration_error(a_records)
+        images, probs, truth = a_images, a_probs, np.full(len(a_images), SEEN_CLASS)
     else:
-        mixed = _predict_records(machine, calib_seen, true_class=SEEN_CLASS) + _predict_records(
-            machine, calib_unseen, true_class=UNSEEN_CLASS
-        )
-        report = rms_calibration_error(mixed)
-    return verdicts, report.rms_error
+        images = list(calib_seen) + list(calib_unseen)
+        probs = _probabilities(machine, images)
+        truth = np.array([SEEN_CLASS] * len(calib_seen) + [UNSEEN_CLASS] * len(calib_unseen))
+    correct = (probs.argmax(axis=1) == truth).astype(np.float64)
+    error = rms_calibration_error(probs.max(axis=1), correct, [image.id for image in images])
+    return verdicts, error
 
 
 def select_epoch(calibration_trace) -> int:
@@ -329,6 +328,7 @@ def write_score_csv(table: ScoreTable, path):
 
 
 def read_score_csv(path) -> ScoreTable:
+    """The score table of one run: every row must carry the same run columns."""
     header, rows = report.read_csv(path, SCORE_HEADER)
     if len(header) != len(SCORE_HEADER):
         raise ConfigError(f"{path} is not a score table (header {header})")
@@ -336,6 +336,12 @@ def read_score_csv(path) -> ScoreTable:
         raise ConfigError(f"{path} holds no scores")
     scores = {row[0]: report.read_number(row[1], f"score of {row[0]}", path) for row in rows}
     first = rows[0]
+    for row in rows:
+        if row[2:] != first[2:]:
+            raise DataFormatError(
+                f"row of {row[0]!r} disagrees with the first row on {', '.join(SCORE_HEADER[2:])}",
+                path=str(path),
+            )
     try:
         m_effective, base_seed = int(first[2]), int(first[5])
     except ValueError as exc:

@@ -1,6 +1,6 @@
 """Calibration error and rank correlation primitives.
 
-All functions are pure over immutable inputs. Spearman returns None (the
+All functions are pure over their array inputs. Spearman returns None (the
 undefined marker, rendered as "n/a" in reports) when either side has no
 rank variation.
 """
@@ -8,75 +8,30 @@ rank variation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
-class PredictionRecord:
-    image_id: str
-    probs: np.ndarray
-    true_class: int | None = None
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 1:
-            raise ValueError(f"probs must be a vector, got shape {self.probs.shape}")
-        if (self.probs < 0).any() or abs(self.probs.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probs of {self.image_id!r} must be nonnegative and sum to 1")
-
-    @property
-    def predicted_class(self) -> int:
-        # argmax with lowest-index tie-break
-        return int(np.argmax(self.probs))
-
-    @property
-    def confidence(self) -> float:
-        return float(self.probs.max())
-
-
-@dataclass
-class CalibrationReport:
-    rms_error: float
-    bin_count: int
-    bins: list  # (count, mean confidence, empirical accuracy) per bin
-
-
-def rms_calibration_error(records, bin_count=None) -> CalibrationReport:
+def rms_calibration_error(confidence, correct, ids) -> float:
     """RMS gap between confidence and accuracy over equal-count bins.
 
-    Records are sorted by (confidence, image_id) and split into
-    b = min(ceil(sqrt(N)), N) bins, earlier bins taking the remainder;
-    bin_count overrides b when given. The error is
-    sqrt(sum_k (|B_k|/N) * (mean_conf_k - mean_acc_k)^2).
+    confidence[i] is the top class probability of image ids[i] and
+    correct[i] is 1.0 when that class was the true one, else 0.0. The
+    images are sorted by (confidence, id) and split into
+    b = min(ceil(sqrt(N)), N) bins, earlier bins taking the remainder.
+    The error is sqrt(sum_k (|B_k|/N) * (mean_conf_k - mean_acc_k)^2).
     """
-    records = list(records)
-    n = len(records)
+    n = len(ids)
     if n == 0:
-        raise ValueError("rms_calibration_error needs at least one record")
-    for rec in records:
-        if rec.true_class is None:
-            raise ValueError(f"record {rec.image_id!r} has no true_class")
-    ordered = sorted(records, key=lambda r: (r.confidence, r.image_id))
-    conf = np.array([r.confidence for r in ordered])
-    correct = np.array([float(r.predicted_class == r.true_class) for r in ordered])
-    b = bin_count if bin_count is not None else min(math.ceil(math.sqrt(n)), n)
-    if not 1 <= b <= n:
-        raise ValueError(f"bin_count {b} outside [1, {n}]")
-    base, remainder = divmod(n, b)
-    bins = []
+        raise ValueError("rms_calibration_error needs at least one prediction")
+    confidence = np.asarray(confidence, dtype=np.float64)
+    correct = np.asarray(correct, dtype=np.float64)
+    order = np.lexsort((np.asarray(ids), confidence))
+    b = min(math.ceil(math.sqrt(n)), n)
     total = 0.0
-    start = 0
-    for k in range(b):
-        size = base + (1 if k < remainder else 0)
-        stop = start + size
-        mean_conf = float(conf[start:stop].mean())
-        mean_acc = float(correct[start:stop].mean())
-        bins.append((size, mean_conf, mean_acc))
-        total += (size / n) * (mean_conf - mean_acc) ** 2
-        start = stop
-    return CalibrationReport(rms_error=float(math.sqrt(total)), bin_count=b, bins=bins)
+    for conf, acc in zip(np.array_split(confidence[order], b), np.array_split(correct[order], b)):
+        total += (len(conf) / n) * (float(conf.mean()) - float(acc.mean())) ** 2
+    return math.sqrt(total)
 
 
 def midranks(values) -> np.ndarray:

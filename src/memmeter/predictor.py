@@ -72,13 +72,17 @@ def build_predictor(spec: MachineSpec, seed: int) -> PredictorModel:
     return PredictorModel(build_machine(spec, 1, seed))
 
 
+MIN_TEST_IDS = 3  # metrics.spearman needs three observations
+
+
 def split_ids(ids, config: RegressionConfig):
-    """Disjoint, exhaustive train/test split of the scored ids."""
+    """Disjoint, exhaustive train/test split of the scored ids, checked before any training."""
     ids = sorted(ids)
     n_test = int(round(len(ids) * config.test_fraction))
-    if n_test < 1 or n_test >= len(ids):
+    if n_test < MIN_TEST_IDS or n_test >= len(ids):
         raise ConfigError(
-            f"test_fraction {config.test_fraction} leaves a degenerate split of {len(ids)} ids"
+            f"test_fraction {config.test_fraction} leaves {n_test} of {len(ids)} ids for testing; "
+            f"the split needs at least {MIN_TEST_IDS} test ids and one training id"
         )
     order = make_rng(derive_seed(config.split_seed, "split")).permutation(len(ids))
     test_ids = [ids[i] for i in order[:n_test]]

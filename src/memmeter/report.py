@@ -6,13 +6,15 @@ as "n/a". Floats are written by repr, so a CSV cell reads back as the
 same float. JSON reports are key-sorted, indented by two spaces and end
 with a newline. The run manifest uses the same layout but keeps JSON null
 for its unset config values. Reading, a missing file or a wrong header is
-a ConfigError; a row of the wrong width or a number cell that is not a
-finite float is a DataFormatError naming the file.
+a ConfigError; text that is not UTF-8, a row of the wrong width or a
+number cell that is not a finite float is a DataFormatError naming the
+file.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -61,19 +63,27 @@ def read_csv(path, first_columns):
     """(header, rows) of a CSV table whose header starts with `first_columns`; blank lines are skipped."""
     if not Path(path).is_file():
         raise ConfigError(f"table file not found: {path}")
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[: len(first_columns)] != list(first_columns):
-            raise ConfigError(f"{path}: expected a CSV header starting with the {','.join(first_columns)} column(s)")
-        rows = []
-        for row in filter(None, reader):
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"line {reader.line_num} has {len(row)} fields, not {len(header)}", path=str(path)
-                )
-            rows.append(row)
+    reader = csv_reader(path)
+    header = next(reader, [])
+    if header[: len(first_columns)] != list(first_columns):
+        raise ConfigError(f"{path}: expected a CSV header starting with the {','.join(first_columns)} column(s)")
+    rows = []
+    for row in filter(None, reader):
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"line {reader.line_num} has {len(row)} fields, not {len(header)}", path=str(path)
+            )
+        rows.append(row)
     return header, rows
+
+
+def csv_reader(path):
+    """A csv.reader over the UTF-8 text of an input file; other bytes are a DataFormatError at their offset."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError("not UTF-8 text", path=str(path), offset=exc.start) from None
+    return csv.reader(io.StringIO(text, newline=""))
 
 
 def read_number(cell, what, path):

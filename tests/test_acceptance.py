@@ -23,7 +23,7 @@ from memmeter.engine import tensor as T
 from memmeter.engine.losses import mse_loss, one_hot, rotated_batch, rotation_loss, seen_loss, softmax_cross_entropy
 from memmeter.engine.machine import MachineSpec
 from memmeter.measurer import EpisodeConfig, measure, read_score_csv, select_epoch
-from memmeter.metrics import midranks, rms_calibration_error, spearman
+from memmeter.metrics import midranks, spearman
 from memmeter.predictor import RegressionConfig, build_predictor, evaluate_predictor, predict, train_predictor
 from memmeter.rng import make_rng
 
@@ -164,21 +164,15 @@ def test_separable_fixture_sanity(monkeypatch):
 
 def test_calibration_oracle():
     with criterion("calibration-oracle"):
-        from test_metrics import oracle_calibration, record
+        from test_metrics import calibrated_bins, calibration, oracle_calibration, random_predictions
 
         rng = make_rng("acceptance-calibration")
         for trial in range(1000):
-            n = int(rng.integers(1, 50))
-            records = [
-                record(f"t{trial}_{k}", float(rng.uniform(0.5, 1.0)), bool(rng.random() < 0.7))
-                for k in range(n)
-            ]
-            ours = rms_calibration_error(records).rms_error
-            assert abs(ours - oracle_calibration(records)) < 1e-12
-        # perfectly calibrated constructions: mean confidence == accuracy per bin
-        for confidence, correct_of_ten in ((1.0, 10), (0.8, 8), (0.5, 5)):
-            records = [record(f"p{k}", confidence, k < correct_of_ten) for k in range(10)]
-            assert rms_calibration_error(records, bin_count=1).rms_error < 1e-12
+            predictions = random_predictions(rng, f"t{trial}", int(rng.integers(1, 50)))
+            assert abs(calibration(predictions) - oracle_calibration(predictions)) < 1e-12
+        # perfectly calibrated constructions: mean confidence == accuracy in every bin
+        for confidence, bin_size, correct_per_bin in ((1.0, 3, 3), (0.8, 5, 4), (0.5, 2, 1)):
+            assert calibration(calibrated_bins(confidence, bin_size, correct_per_bin)) < 1e-12
 
 
 def test_spearman_oracle():

@@ -229,7 +229,7 @@ def test_report_writers_produce_valid_outputs(tmp_path):
 
 def test_only_report_module_handles_tables_and_na():
     # report.py reads and writes every table and owns the n/a rule; data.py
-    # reads only the PPM manifest, whose errors are its own.
+    # reads the PPM manifest through report.csv_reader but checks its rows itself.
     csv_importers, na_holders = set(), set()
     for path in Path(memmeter.__file__).parent.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -239,5 +239,5 @@ def test_only_report_module_handles_tables_and_na():
                 csv_importers.add(path.name)
             if isinstance(node, ast.Constant) and node.value == "n/a":
                 na_holders.add(path.name)
-    assert csv_importers == {"report.py", "data.py"}
+    assert csv_importers == {"report.py"}
     assert na_holders == {"report.py"}

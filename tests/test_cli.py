@@ -1,7 +1,12 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import argparse
+import itertools
 import json
+import re
+import shlex
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,6 +380,15 @@ def test_analyze_malformed_score_table_exits_3(tmp_path, cells, capsys):
     assert str(scores) in capsys.readouterr().err
 
 
+def test_analyze_score_rows_of_two_runs_exit_3(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(",".join(SCORE_HEADER) + "\na,0.5,2,x,h1,0\nb,0.25,4,x,h2,0\n")
+    assert run_cli("analyze", "--scores", str(scores), "--out", str(tmp_path / "a")) == 3
+    err = capsys.readouterr().err
+    assert str(scores) in err and "row of 'b' disagrees" in err
+    assert not (tmp_path / "a").exists()
+
+
 def test_analyze_requires_scores(tmp_path, capsys):
     assert run_cli("analyze", "--out", str(tmp_path / "o")) == 2
     assert "--scores" in capsys.readouterr().err
@@ -419,6 +433,30 @@ def test_table_row_of_wrong_width_exits_3(tmp_path, flag, text, capsys):
     err = capsys.readouterr().err
     line = text.count("\n")
     assert str(table) in err and f"line {line} has" in err
+
+
+NOT_UTF8 = b"\xff" + bytes(make_rng("not-utf8").integers(0, 256, 199, dtype=np.uint8))
+
+
+@pytest.mark.parametrize(
+    "command, bad_file, code",
+    [("analyze", "scores.csv", 3), ("measure", "config.json", 2), ("measure", "manifest.csv", 3)],
+)
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, ppm_dataset_dir, command, bad_file, code, capsys):
+    data = shutil.copytree(ppm_dataset_dir, tmp_path / "data")
+    paths = {
+        "scores.csv": tmp_path / "scores.csv",
+        "config.json": measure_config(tmp_path),
+        "manifest.csv": data / "manifest.csv",
+    }
+    paths[bad_file].write_bytes(NOT_UTF8)
+    if command == "analyze":
+        argv = ["analyze", "--scores", str(paths["scores.csv"])]
+    else:
+        argv = ["measure", "--config", str(paths["config.json"]), "--data", str(data)]
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == code
+    err = capsys.readouterr().err
+    assert str(paths[bad_file]) in err and "not UTF-8" in err and "byte offset 0" in err
 
 
 @pytest.mark.parametrize("key", ["top_k", "min_count"])
@@ -901,6 +939,18 @@ def test_train_and_predict_roundtrip(tmp_path):
     assert all(0.0 < v < 1.0 for v in values)
 
 
+def test_train_predictor_with_under_three_test_ids_exits_2_before_training(tmp_path, capsys):
+    dataset, scores = synth.brightness_scored_images(count=12, seed=17, size=6)
+    data_dir = synth.write_ppm_dataset(dataset, tmp_path / "data")
+    scores_csv = tmp_path / "scores.csv"
+    measurer.write_score_csv(ScoreTable(scores, 10, "fixture", "h", 0), scores_csv)
+    out = tmp_path / "trained"
+    code = run_cli("train-predictor", "--scores", str(scores_csv), "--data", str(data_dir), "--out", str(out))
+    assert code == 2
+    assert "test_fraction 0.2 leaves 2 of 12 ids for testing" in capsys.readouterr().err
+    assert not (out / "predictor.mmt1").exists()
+
+
 def test_predict_before_train_is_explicit_error(tmp_path, ppm_dataset_dir, capsys):
     code = run_cli(
         "predict", "--model", str(tmp_path / "missing.mmt1"), "--data", str(ppm_dataset_dir), "--out", str(tmp_path / "o")
@@ -1017,6 +1067,36 @@ def test_sweep_checks_every_value_before_the_first_run(tmp_path, ppm_dataset_dir
 
 
 # --- misc -------------------------------------------------------------------------------
+
+# --- README ----------------------------------------------------------------------------
+
+def readme_walkthrough():
+    """The README walkthrough's Python block and the lines of its shell block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Quick walkthrough", 1)[1].split("\n## ", 1)[0]
+    python = section.split("```python\n", 1)[1].split("```", 1)[0]
+    shell = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return python, shell.replace("\\\n", " ").splitlines()
+
+
+def test_readme_walkthrough_runs(tmp_path, monkeypatch):
+    python, shell = readme_walkthrough()
+    monkeypatch.chdir(tmp_path)
+    exec(compile(python, "README.md", "exec"), {})
+    lines = iter(shell)
+    commands = []
+    for line in lines:
+        heredoc = re.fullmatch(r"cat > (\S+) <<'JSON'", line)
+        if heredoc:
+            body = itertools.takewhile(lambda text: text != "JSON", lines)
+            Path(heredoc[1]).write_text("\n".join(body) + "\n")
+        elif line.strip():
+            argv = shlex.split(line)
+            assert argv[0] == "memmeter", line
+            assert cli.main(argv[1:]) == 0, line
+            commands.append(argv[1])
+    assert commands == ["measure", "attributes", "analyze", "train-predictor", "predict", "sweep"]
+
 
 def test_version_flag():
     with pytest.raises(SystemExit) as excinfo:

@@ -6,29 +6,33 @@ import math
 import numpy as np
 import pytest
 
-from memmeter.metrics import (
-    PredictionRecord,
-    midranks,
-    rms_calibration_error,
-    spearman,
-)
+from memmeter.metrics import midranks, rms_calibration_error, spearman
 from memmeter.rng import make_rng
 
 
-def record(image_id, confidence, correct, classes=2):
-    """Two-way record with the given top confidence; class 0 is predicted."""
-    probs = np.full(classes, (1.0 - confidence) / (classes - 1))
-    probs[0] = confidence
-    return PredictionRecord(image_id, probs, true_class=0 if correct else 1)
+def calibration(predictions):
+    """rms_calibration_error over (image_id, confidence, correct) triples."""
+    ids = [image_id for image_id, _, _ in predictions]
+    confidence = np.array([conf for _, conf, _ in predictions])
+    correct = np.array([1.0 if ok else 0.0 for _, _, ok in predictions])
+    return rms_calibration_error(confidence, correct, ids)
+
+
+def calibrated_bins(confidence, bin_size, correct_per_bin):
+    """bin_size**2 predictions at one confidence, so the default binning makes
+    bin_size bins of bin_size ids, each with correct_per_bin correct calls."""
+    return [
+        (f"p{k:03d}", confidence, k % bin_size < correct_per_bin) for k in range(bin_size * bin_size)
+    ]
 
 
 # --- calibration ---------------------------------------------------------------
 
-def oracle_calibration(records, bin_count=None):
+def oracle_calibration(predictions):
     """Naive two-pass oracle materializing every bin explicitly."""
-    ordered = sorted(records, key=lambda r: (float(max(r.probs)), r.image_id))
+    ordered = sorted(predictions, key=lambda p: (p[1], p[0]))
     n = len(ordered)
-    b = bin_count if bin_count is not None else min(math.ceil(math.sqrt(n)), n)
+    b = min(math.ceil(math.sqrt(n)), n)
     sizes = []
     base, rem = divmod(n, b)
     for k in range(b):
@@ -40,72 +44,57 @@ def oracle_calibration(records, bin_count=None):
         cursor += size
     total = 0.0
     for members in bins:
-        confs = [float(max(r.probs)) for r in members]
-        accs = [1.0 if int(np.argmax(r.probs)) == r.true_class else 0.0 for r in members]
+        confs = [conf for _, conf, _ in members]
+        accs = [1.0 if ok else 0.0 for _, _, ok in members]
         gap = sum(confs) / len(confs) - sum(accs) / len(accs)
         total += (len(members) / n) * gap * gap
     return math.sqrt(total)
 
 
+def random_predictions(rng, prefix, n):
+    return [
+        (f"{prefix}_{k}", float(rng.uniform(0.5, 1.0)), bool(rng.random() < 0.7)) for k in range(n)
+    ]
+
+
 def test_perfect_confidence_and_accuracy_is_zero():
-    records = [record(f"i{k}", 1.0, True) for k in range(8)]
-    assert rms_calibration_error(records).rms_error == 0.0
+    assert calibration([(f"i{k}", 1.0, True) for k in range(8)]) == 0.0
 
 
-def test_single_bin_half_correct_is_half():
-    records = [record(f"i{k}", 1.0, k < 2) for k in range(4)]
-    report = rms_calibration_error(records, bin_count=1)
-    assert report.rms_error == pytest.approx(0.5)
-    assert report.bin_count == 1
-    assert report.bins == [(4, 1.0, 0.5)]
+def test_half_correct_bins_give_half():
+    # 4 ids make 2 bins of 2; correct and wrong alternate, so each bin is half right
+    predictions = [(f"i{k}", 1.0, k % 2 == 0) for k in range(4)]
+    assert calibration(predictions) == pytest.approx(0.5)
 
 
 def test_matches_naive_oracle_on_random_sets():
     rng = make_rng("calibration-oracle")
     for trial in range(300):
-        n = int(rng.integers(1, 60))
-        records = [
-            record(f"r{trial}_{k}", float(rng.uniform(0.5, 1.0)), bool(rng.random() < 0.7))
-            for k in range(n)
-        ]
-        report = rms_calibration_error(records)
-        assert report.rms_error == pytest.approx(oracle_calibration(records), abs=1e-12)
-        assert sum(size for size, _, _ in report.bins) == n
+        predictions = random_predictions(rng, f"r{trial}", int(rng.integers(1, 60)))
+        assert calibration(predictions) == pytest.approx(oracle_calibration(predictions), abs=1e-12)
 
 
 def test_perfectly_calibrated_bins_give_zero():
     # each bin's mean confidence equals its empirical accuracy
-    records = []
-    for k in range(10):
-        records.append(record(f"a{k}", 0.8, k < 8))  # conf 0.8, 8/10 correct
-    report = rms_calibration_error(records, bin_count=1)
-    assert report.rms_error < 1e-12
+    assert calibration(calibrated_bins(0.8, 5, 4)) < 1e-12  # 5 bins at 0.8, 4/5 correct in each
+    assert calibration(calibrated_bins(0.5, 2, 1)) < 1e-12  # 2 bins at 0.5, alternating
 
 
 def test_error_bounded_and_order_invariant():
     rng = make_rng("calibration-permute")
-    records = [
-        record(f"i{k}", float(rng.uniform(0.5, 1.0)), bool(rng.random() < 0.5)) for k in range(40)
+    predictions = [
+        (f"i{k}", float(rng.uniform(0.5, 1.0)), bool(rng.random() < 0.5)) for k in range(40)
     ]
-    baseline = rms_calibration_error(records).rms_error
+    baseline = calibration(predictions)
     assert 0.0 <= baseline <= 1.0
     for _ in range(10):
-        shuffled = [records[i] for i in rng.permutation(len(records))]
-        assert rms_calibration_error(shuffled).rms_error == baseline
+        shuffled = [predictions[i] for i in rng.permutation(len(predictions))]
+        assert calibration(shuffled) == baseline
 
 
 def test_calibration_input_validation():
     with pytest.raises(ValueError, match="at least one"):
-        rms_calibration_error([])
-    with pytest.raises(ValueError, match="true_class"):
-        rms_calibration_error([PredictionRecord("x", np.array([0.6, 0.4]))])
-
-
-def test_prediction_record_validation_and_tie_break():
-    with pytest.raises(ValueError, match="sum to 1"):
-        PredictionRecord("x", np.array([0.5, 0.4]))
-    tied = PredictionRecord("x", np.array([0.5, 0.5]))
-    assert tied.predicted_class == 0  # lowest index wins
+        rms_calibration_error(np.array([]), np.array([]), [])
 
 
 # --- spearman ----------------------------------------------------------------------
