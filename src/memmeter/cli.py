@@ -7,6 +7,12 @@ Exit codes: 0 ok, 2 config error, 3 data format error, 4 measurement
 failure; any other exception (an internal error, or an episode whose
 training diverged) ends the run with a traceback and exit 1.
 MEMMETER_LOG sets the log level.
+
+sweep measures once per entry of `values`, with the measure key named by
+`knob` (any measure key but set_a and workers; a machine value is a whole
+machine object) set to that entry, and writes the run of entry i
+(0-based) to run_<i>/. Two entries that give the same config hash are one
+run and exit 2 before anything is measured.
 """
 
 from __future__ import annotations
@@ -62,19 +68,6 @@ CLI_KEY_TYPES = {
     "split_seed": int | None,
     "base_seed": int,
 }
-
-SWEEP_KNOBS = (
-    "n",
-    "m",
-    "epochs_a",
-    "epochs_b",
-    "lr_a",
-    "lr_b",
-    "base_seed",
-    "pretext_mode",
-    "calibration_mode",
-    "machine_kind",
-)
 
 
 def _setup_logging():
@@ -185,11 +178,7 @@ def _apply_common_overrides(cfg, args):
 def _episode_config(cfg, dataset, set_a_seed):
     """The checked EpisodeConfig of one measurement and its set A, drawn with set_a_seed."""
     config = _from_cfg(measurer.EpisodeConfig, cfg, machine=_machine_spec(cfg["machine"], dataset))
-    if len(dataset) < config.required_images:
-        raise DataFormatError(
-            f"dataset holds {len(dataset)} images but n={config.n} needs {config.required_images}",
-            path=dataset.source,
-        )
+    measurer.check_dataset_size(dataset, config)
     return config, _resolve_set_a(cfg, dataset, set_a_seed)
 
 
@@ -321,29 +310,27 @@ def cmd_sweep(args):
     defaults = dict(MEASURE_DEFAULTS, knob=None, values=None)
     cfg = _apply_common_overrides(_load_config(args.config, defaults), args)
     knob, values = cfg.pop("knob"), cfg.pop("values")
-    if knob not in SWEEP_KNOBS:
-        raise ConfigError(f"sweep knob must be one of {SWEEP_KNOBS}, got {knob!r}")
+    knobs = [f.name for f in fields(measurer.EpisodeConfig)]
+    if knob not in knobs:
+        raise ConfigError(f"sweep knob must be one of {knobs}, got {knob!r}")
     if not isinstance(values, list) or len(values) < 2:
         raise ConfigError("sweep needs a list of at least 2 knob values")
-    if len(set(map(str, values))) != len(values):
-        raise ConfigError("sweep knob values must be distinct")
     dataset = _load_dataset(args.data)
-    runs = []
-    for value in values:
-        sub_cfg = dict(cfg)
-        if knob == "machine_kind":
-            sub_cfg["machine"] = dict(sub_cfg["machine"], kind=value)
-        else:
-            sub_cfg[knob] = value
-        # Set A comes from the base config's seed so every sub-run scores the same images.
-        runs.append((value, *_episode_config(sub_cfg, dataset, cfg["base_seed"])))
-    # Every sub-run is checked above, so a bad value fails before the first run measures.
+    # Set A comes from the base config's seed so every sub-run scores the same images.
+    runs = [_episode_config(dict(cfg, **{knob: value}), dataset, cfg["base_seed"]) for value in values]
+    # Every sub-run is checked here, so a bad or repeated value fails before the first run measures.
+    digests = [measurer.config_digest(config, set_a) for config, set_a in runs]
+    for i, digest in enumerate(digests):
+        first = digests.index(digest)
+        if first != i:
+            raise ConfigError(f"sweep values {values[first]!r} and {values[i]!r} are one run (config hash {digest})")
     out = _out_dir(args.out)
     tables = []
     run_payload = []
-    for value, config, set_a in runs:
-        table, _ = _measure_and_write(config, set_a, dataset, out / f"run_{knob}_{value}", cfg["workers"])
-        run_id = f"{knob}={value}"
+    for i, (config, set_a) in enumerate(runs):
+        table, _ = _measure_and_write(config, set_a, dataset, out / f"run_{i}", cfg["workers"])
+        label = config.machine.descriptor() if knob == "machine" else values[i]
+        run_id = f"{knob}={label}"
         tables.append((run_id, table.scores))
         run_payload.append({"run_id": run_id, "config_hash": table.config_hash, "m_effective": table.m_effective})
     run_ids = [run_id for run_id, _ in tables]

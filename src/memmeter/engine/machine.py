@@ -27,15 +27,12 @@ class MachineSpec:
     hidden: tuple[int, ...] = ()
     conv_channels: tuple[int, ...] = (16, 32)
     fc_width: int = 64
-    activation: str = "relu"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(self.hidden))
         object.__setattr__(self, "conv_channels", tuple(self.conv_channels))
         if self.kind not in KINDS:
             raise ConfigError(f"unknown machine kind {self.kind!r}, expected one of {KINDS}")
-        if self.activation != "relu":
-            raise ConfigError("only relu activation is supported")
         if min(self.in_channels, self.height, self.width) < 1:
             raise ConfigError("machine input dimensions must be positive")
         if self.kind == "linear" and self.hidden:

@@ -271,6 +271,16 @@ def _worker_episode(episode_index):
     return run_episode(*_worker_args, episode_index)
 
 
+def check_dataset_size(dataset, config: EpisodeConfig):
+    """Raise DataFormatError, naming the dataset, if it holds fewer images than the protocol needs."""
+    if len(dataset) < config.required_images:
+        raise DataFormatError(
+            f"dataset holds {len(dataset)} images but the protocol needs {config.required_images} "
+            f"(n={config.n}, calibration reserve {config.calibration_reserve})",
+            path=dataset.source,
+        )
+
+
 def measure(dataset, set_a, config: EpisodeConfig, workers: int = 1):
     """Run m independent episodes and aggregate the score table.
 
@@ -280,11 +290,7 @@ def measure(dataset, set_a, config: EpisodeConfig, workers: int = 1):
     it starts. Gate-failing episodes are excluded and m_effective reduced.
     """
     set_a = list(set_a)
-    if len(dataset) < config.required_images:
-        raise ConfigError(
-            f"dataset holds {len(dataset)} images but the protocol needs {config.required_images} "
-            f"(n={config.n}, calibration reserve {config.calibration_reserve})"
-        )
+    check_dataset_size(dataset, config)
     workers = min(workers, config.m)
     if workers > 1:
         with multiprocessing.Pool(workers, _init_worker, (dataset, set_a, config)) as pool:

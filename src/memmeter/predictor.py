@@ -183,6 +183,8 @@ def load_predictor(path) -> PredictorModel:
         meta = json.loads(meta_path.read_text())
     except ValueError as exc:
         raise DataFormatError(f"architecture sidecar is not JSON: {exc}", path=str(meta_path)) from None
+    if isinstance(meta, dict) and meta.get("activation") == "relu":
+        del meta["activation"]  # written before MachineSpec dropped its one-value activation key
     try:
         spec = parse_machine_spec(meta)
     except ConfigError as exc:

@@ -13,6 +13,8 @@ import pytest
 
 import synth
 from memmeter import cli, measurer
+from memmeter.engine import build_machine, save_params
+from memmeter.engine.machine import MachineSpec
 from memmeter.measurer import SCORE_HEADER, ScoreTable, read_score_csv
 from memmeter.metrics import spearman
 from memmeter.rng import make_rng
@@ -836,7 +838,7 @@ base_seed=3,-0.5,n/a,1.0
   ]
 }
 """,
-    "run_base_seed_1/scores.csv": """\
+    "run_0/scores.csv": """\
 image_id,score,m_effective,machine,config_hash,base_seed
 a,0.0,2,mlp[8|in3x6x6],hash1,1
 b,0.5,2,mlp[8|in3x6x6],hash1,1
@@ -968,6 +970,7 @@ def test_predict_before_train_is_explicit_error(tmp_path, ppm_dataset_dir, capsy
         '{"kind": "bogus"}',
         '{"kind": "mlp", "hidden": []}',
         '{"kind": "mlp", "hidden": 5}',
+        '{"kind": "mlp", "hidden": [8], "activation": "tanh"}',
     ],
 )
 def test_predict_with_malformed_sidecar_exits_3(tmp_path, ppm_dataset_dir, sidecar, capsys):
@@ -1007,7 +1010,7 @@ def test_sweep_two_seeds_gives_symmetric_unit_diagonal_matrix(tmp_path, ppm_data
     assert matrix[0][1] == matrix[1][0]
     rows = (out / "consistency.csv").read_text().splitlines()
     assert rows[0] == "run_id,base_seed=1,base_seed=2"
-    assert (out / "run_base_seed_1" / "scores.csv").exists()
+    assert (out / "run_0" / "scores.csv").exists()
 
 
 def test_sweep_epochs_b_knob(tmp_path, ppm_dataset_dir):
@@ -1034,14 +1037,29 @@ def test_sweep_epochs_b_knob(tmp_path, ppm_dataset_dir):
 
 
 def test_sweep_run_equals_plain_measure(tmp_path, ppm_dataset_dir):
-    # measure_config has epochs_b 2; both commands draw set A from its base_seed.
-    sweep_out, measure_out = tmp_path / "sweep-out", tmp_path / "measure-out"
-    config = measure_config(tmp_path, knob="epochs_b", values=[1, 2])
-    assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(sweep_out)) == 0
-    config = measure_config(tmp_path)
-    assert run_cli("measure", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(measure_out)) == 0
-    for name in ("scores.csv", "episodes.jsonl"):
-        assert (sweep_out / "run_epochs_b_2" / name).read_bytes() == (measure_out / name).read_bytes()
+    # run_<i> holds what measure writes with the knob set to values[i]; both
+    # commands draw set A from measure_config's base_seed.
+    spec = MachineSpec(kind="mlp", hidden=(8,), in_channels=3, height=6, width=6)
+    checkpoints = [str(tmp_path / f"start{seed}.mmt1") for seed in (1, 2)]
+    for seed, path in zip((1, 2), checkpoints):
+        save_params(build_machine(spec, 4, seed).parameters(), path)
+    cases = [
+        ("epochs_b", [1, 2], {}),
+        ("machine", [{"kind": "linear"}, {"kind": "mlp", "hidden": [8]}], {"pretext_mode": "binary"}),
+        ("init_checkpoint", checkpoints, {}),
+    ]
+    for knob, values, base in cases:
+        sweep_out = tmp_path / f"sweep-{knob}"
+        config = measure_config(tmp_path, knob=knob, values=values, **base)
+        assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(sweep_out)) == 0
+        for i, value in enumerate(values):
+            measure_out = tmp_path / f"measure-{knob}-{i}"
+            config = measure_config(tmp_path, **base, **{knob: value})
+            assert run_cli("measure", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(measure_out)) == 0
+            for name in ("scores.csv", "episodes.jsonl"):
+                assert (sweep_out / f"run_{i}" / name).read_bytes() == (measure_out / name).read_bytes(), (knob, i, name)
+    run_ids = json.loads((tmp_path / "sweep-machine" / "consistency.json").read_text())["run_ids"]
+    assert run_ids == ["machine=linear[in3x6x6]", "machine=mlp[8|in3x6x6]"]
 
 
 def test_sweep_single_value_is_usage_error(tmp_path, ppm_dataset_dir, capsys):
@@ -1052,10 +1070,27 @@ def test_sweep_single_value_is_usage_error(tmp_path, ppm_dataset_dir, capsys):
     assert "at least 2" in capsys.readouterr().err
 
 
-def test_sweep_unknown_knob_is_usage_error(tmp_path, ppm_dataset_dir):
+def test_sweep_unknown_knob_is_usage_error(tmp_path, ppm_dataset_dir, capsys):
+    # set_a and workers are measure keys but not EpisodeConfig fields; machine_kind was a knob once.
     config = tmp_path / "sweep.json"
-    config.write_text(json.dumps({"knob": "galaxy", "values": [1, 2]}))
-    assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(tmp_path / "o")) == 2
+    for knob in ("galaxy", "set_a", "workers", "machine_kind", ["n"]):
+        config.write_text(json.dumps({"knob": knob, "values": [1, 2]}))
+        assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(tmp_path / "o")) == 2
+        assert "sweep knob must be one of" in capsys.readouterr().err
+
+
+def test_sweep_values_that_make_one_run_are_usage_error(tmp_path, ppm_dataset_dir, capsys):
+    # A linear machine has no fc layer, so fc_width changes neither its descriptor nor the config hash.
+    cases = [
+        ("machine", [{"kind": "linear"}, {"kind": "linear", "fc_width": 32}], {"pretext_mode": "binary"}),
+        ("base_seed", [1, 2, 1], {}),
+    ]
+    for knob, values, base in cases:
+        config = measure_config(tmp_path, knob=knob, values=values, **base)
+        out = tmp_path / f"sweep-{knob}"
+        assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(out)) == 2
+        assert "are one run" in capsys.readouterr().err
+        assert not (out / "run_0" / "scores.csv").exists()
 
 
 def test_sweep_checks_every_value_before_the_first_run(tmp_path, ppm_dataset_dir, capsys):
@@ -1063,7 +1098,7 @@ def test_sweep_checks_every_value_before_the_first_run(tmp_path, ppm_dataset_dir
     out = tmp_path / "sweep-out"
     assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(out)) == 2
     assert "'n'" in capsys.readouterr().err
-    assert not (out / "run_n_4" / "scores.csv").exists()
+    assert not (out / "run_0" / "scores.csv").exists()
 
 
 # --- misc -------------------------------------------------------------------------------

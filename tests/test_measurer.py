@@ -11,7 +11,7 @@ from memmeter.data import Dataset
 from memmeter.engine import SGD, build_machine
 from memmeter.engine.losses import SEEN_CLASS, UNSEEN_CLASS, rotated_batch
 from memmeter.engine.machine import MachineSpec
-from memmeter.errors import ConfigError, MeasurementError
+from memmeter.errors import ConfigError, DataFormatError, MeasurementError
 from memmeter.measurer import (
     EpisodeConfig,
     EpisodeResult,
@@ -358,7 +358,7 @@ def test_measure_starts_no_more_workers_than_episodes(small_dataset, small_spec,
 
 def test_measure_rejects_small_dataset(small_dataset, small_spec):
     config = quick_config(small_spec, n=6)
-    with pytest.raises(ConfigError, match="needs 18"):
+    with pytest.raises(DataFormatError, match="^test: .*needs 18"):
         measure(small_dataset, small_dataset.ids[:6], config)
 
 

@@ -1,5 +1,7 @@
 """Score regressor: training convergence, prediction contracts, evaluation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,22 @@ def test_save_load_roundtrip(tmp_path, scored_fixture):
     path = tmp_path / "predictor.mmt1"
     save_predictor(model, path)
     loaded = load_predictor(path)
+    images = list(dataset)[:5]
+    assert np.array_equal(model.predict_batch(images), loaded.predict_batch(images))
+
+
+def test_load_accepts_sidecar_with_relu_activation_key(tmp_path, scored_fixture):
+    # Sidecars written while MachineSpec still had its one-value activation field carry "activation": "relu".
+    dataset, _ = scored_fixture
+    model = build_predictor(MachineSpec(kind="small_cnn", in_channels=3, height=8, width=8), seed=13)
+    path = tmp_path / "predictor.mmt1"
+    save_predictor(model, path)
+    sidecar = path.with_suffix(".mmt1.json")
+    meta = json.loads(sidecar.read_text())
+    assert "activation" not in meta
+    sidecar.write_text(json.dumps(dict(meta, activation="relu"), sort_keys=True, indent=2))
+    loaded = load_predictor(path)
+    assert loaded.spec == model.spec
     images = list(dataset)[:5]
     assert np.array_equal(model.predict_batch(images), loaded.predict_batch(images))
 
