@@ -179,6 +179,7 @@ def _episode_config(cfg, dataset, set_a_seed):
     """The checked EpisodeConfig of one measurement and its set A, drawn with set_a_seed."""
     config = _from_cfg(measurer.EpisodeConfig, cfg, machine=_machine_spec(cfg["machine"], dataset))
     measurer.check_dataset_size(dataset, config)
+    measurer.check_init_checkpoint(config)
     return config, _resolve_set_a(cfg, dataset, set_a_seed)
 
 

@@ -3,7 +3,12 @@
 Three desk-scale machine kinds are supported:
   linear    -- flatten straight into the classification head
   mlp       -- flatten, then one or more dense+relu blocks
-  small_cnn -- conv3x3/relu/pool twice, then a dense+relu block
+  small_cnn -- conv3x3/pool/relu twice, then a dense+relu block
+
+small_cnn pools before its relu: max and relu commute exactly, in values
+and in gradients (a window with a positive maximum has the same winning
+corner either way, and any other window passes no gradient), so the order
+is free and relu runs on a quarter of the elements.
 """
 
 from __future__ import annotations
@@ -108,8 +113,8 @@ def _build_backbone(spec, rng):
         h, w = spec.height, spec.width
         for i, out_ch in enumerate(spec.conv_channels):
             layers.append((f"conv{i}", Conv2d(channels, out_ch, rng)))
-            layers.append((f"convact{i}", ReLU()))
             layers.append((f"pool{i}", MaxPool2()))
+            layers.append((f"convact{i}", ReLU()))
             channels = out_ch
             h, w = h // 2, w // 2
         layers.append(("flatten", Flatten()))

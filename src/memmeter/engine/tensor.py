@@ -257,9 +257,12 @@ def maxpool2(x) -> Tensor:
     """2x2 max pooling, stride 2, as the maximum of the four window corners.
 
     Trailing odd rows/columns are dropped and get zero gradient; each output's
-    gradient goes to the first corner, in row-major order, equal to the maximum.
+    gradient goes to the first corner, in row-major order, equal to the maximum,
+    and a NaN window, equal to none of its corners, sends none. The backward
+    turns each window's winning corner into one flat offset into x and writes
+    the whole gradient with a single scatter.
     """
-    _, _, h, w = x.data.shape
+    n, c, h, w = x.data.shape
     h2, w2 = h // 2, w // 2
     if h2 < 1 or w2 < 1:
         raise ValueError("maxpool2 needs at least a 2x2 input")
@@ -269,11 +272,17 @@ def maxpool2(x) -> Tensor:
         out_data = np.maximum(out_data, x.data[corner])
 
     def backward(g):
-        dx = np.zeros_like(x.data)
-        for corner in corners:
-            hit = x.data[corner] == out_data
-            dx[corner] = np.where(hit, g, 0.0)
-            g = np.where(hit, 0.0, g)
+        c0, c1, c2 = (x.data[corner] for corner in corners[:3])
+        # The winner's offset from its window's top-left corner, plus that corner's offset in x.
+        offsets = np.where(c0 == out_data, 0, np.where(c1 == out_data, 1, np.where(c2 == out_data, w, w + 1)))
+        offsets += (
+            np.arange(n * c).reshape(n, c, 1, 1) * (h * w) + (np.arange(h2) * (2 * w))[:, None] + np.arange(0, 2 * w2, 2)
+        )
+        nan = np.isnan(out_data)
+        if nan.any():  # the chain above sends a NaN window to its last corner
+            g = np.where(nan, 0.0, g)
+        dx = np.zeros(x.data.shape)  # C-contiguous, so ravel() is a view
+        dx.ravel()[offsets] = g
         _accumulate(x, dx)
 
     return _node(out_data, (x,), backward)

@@ -281,6 +281,15 @@ def check_dataset_size(dataset, config: EpisodeConfig):
         )
 
 
+def check_init_checkpoint(config: EpisodeConfig):
+    """Raise ConfigError if the init checkpoint file is missing, DataFormatError if it does not fit the machine."""
+    if not config.init_checkpoint:
+        return
+    if not Path(config.init_checkpoint).is_file():
+        raise ConfigError(f"init_checkpoint file not found: {config.init_checkpoint}")
+    load_into_machine(build_machine(config.machine, config.head_width_a, 0), config.init_checkpoint)
+
+
 def measure(dataset, set_a, config: EpisodeConfig, workers: int = 1):
     """Run m independent episodes and aggregate the score table.
 
@@ -291,6 +300,7 @@ def measure(dataset, set_a, config: EpisodeConfig, workers: int = 1):
     """
     set_a = list(set_a)
     check_dataset_size(dataset, config)
+    check_init_checkpoint(config)
     workers = min(workers, config.m)
     if workers > 1:
         with multiprocessing.Pool(workers, _init_worker, (dataset, set_a, config)) as pool:

@@ -203,6 +203,24 @@ def test_measure_missing_data_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "hidden, code, message",
+    [(None, 2, "init_checkpoint file not found"), ((16,), 3, "shape mismatch for fc0.weight")],
+    ids=["missing", "mismatched"],
+)
+def test_measure_checks_init_checkpoint_before_measuring(tmp_path, ppm_dataset_dir, hidden, code, message, capsys):
+    checkpoint = tmp_path / "start.mmt1"
+    if hidden is not None:
+        spec = MachineSpec(kind="mlp", hidden=hidden, in_channels=3, height=6, width=6)
+        save_params(build_machine(spec, 4, 1).parameters(), checkpoint)
+    config = measure_config(tmp_path, init_checkpoint=str(checkpoint))
+    out = tmp_path / "run"
+    assert run_cli("measure", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(out)) == code
+    err = capsys.readouterr().err
+    assert message in err and str(checkpoint) in err
+    assert not out.exists()
+
+
 def test_diverging_measure_is_not_reported_as_config_error(tmp_path, ppm_dataset_dir, capsys):
     # lr_b 1e8 drives stage (b)'s logits to infinity: an internal failure, not a bad config.
     config = measure_config(tmp_path, lr_b=1e8, machine={"kind": "small_cnn"})
@@ -1098,6 +1116,17 @@ def test_sweep_checks_every_value_before_the_first_run(tmp_path, ppm_dataset_dir
     out = tmp_path / "sweep-out"
     assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(out)) == 2
     assert "'n'" in capsys.readouterr().err
+    assert not (out / "run_0" / "scores.csv").exists()
+
+
+def test_sweep_checks_every_init_checkpoint_before_the_first_run(tmp_path, ppm_dataset_dir, capsys):
+    good, missing = tmp_path / "good.mmt1", tmp_path / "missing.mmt1"
+    spec = MachineSpec(kind="mlp", hidden=(8,), in_channels=3, height=6, width=6)
+    save_params(build_machine(spec, 4, 1).parameters(), good)
+    config = measure_config(tmp_path, knob="init_checkpoint", values=[str(good), str(missing)])
+    out = tmp_path / "sweep-out"
+    assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(out)) == 2
+    assert str(missing) in capsys.readouterr().err
     assert not (out / "run_0" / "scores.csv").exists()
 
 

@@ -85,6 +85,40 @@ def test_small_cnn_has_conv_and_pool(cnn_spec):
     assert any(name.startswith("pool") for name in names)
 
 
+def test_pool_before_relu_trains_bitwise_like_relu_before_pool(cnn_spec, rng):
+    from memmeter.data import ImageTensor
+    from memmeter.engine import SGD, mse_loss, rotation_loss
+    from memmeter.engine.losses import rotated_batch
+    from memmeter.predictor import PredictorModel
+
+    # Zero borders give windows whose conv outputs all equal the bias, so ties and non-positive maxima occur.
+    images = np.zeros((16, 3, 12, 12))
+    images[:, :, 3:-3, 3:-3] = rng.random((16, 3, 6, 6))
+    targets = rng.random(16)
+    orders = [rng.permutation(16) for _ in range(10)]
+    finals = []
+    for relu_first in (False, True):
+        machine = build_machine(cnn_spec, 4, seed=3)
+        names = [name for name, _ in machine.backbone]
+        for i in range(len(cnn_spec.conv_channels)):
+            pool, act = names.index(f"pool{i}"), names.index(f"convact{i}")
+            assert pool + 1 == act
+            if relu_first:
+                machine.backbone[pool], machine.backbone[act] = machine.backbone[act], machine.backbone[pool]
+        optimizer = SGD(machine.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4, total_steps=50)
+        for step in range(50):
+            rotation_loss(machine, rotated_batch(ImageTensor(str(step), images[step % 16]))).backward()
+            optimizer.step()
+        machine.replace_head(1, seed=4)
+        model = PredictorModel(machine)
+        optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4, total_steps=10)
+        for order in orders:
+            mse_loss(model.forward_scores(images[order]), targets[order]).backward()
+            optimizer.step()
+        finals.append([t.data.tobytes() for _, t in machine.parameters()])
+    assert finals[0] == finals[1]
+
+
 def test_bias_starts_at_zero_and_init_is_seeded(cnn_spec):
     one = build_machine(cnn_spec, 4, seed=9)
     two = build_machine(cnn_spec, 4, seed=9)

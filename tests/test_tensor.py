@@ -161,6 +161,42 @@ def test_maxpool_ties_route_to_first_corner_and_odd_edges_get_no_gradient():
     assert np.array_equal(t.grad[0, 0], expected)
 
 
+def four_corner_maxpool_grad(x, g):
+    """Reference 2x2 max pool and its x.grad: four `where` passes, one per corner in row-major order."""
+    h2, w2 = x.shape[2] // 2, x.shape[3] // 2
+    corners = [(..., slice(i, 2 * h2, 2), slice(j, 2 * w2, 2)) for i in (0, 1) for j in (0, 1)]
+    out = x[corners[0]]
+    for corner in corners[1:]:
+        out = np.maximum(out, x[corner])
+    dx = np.zeros_like(x)
+    for corner in corners:
+        hit = x[corner] == out
+        dx[corner] = np.where(hit, g, 0.0)
+        g = np.where(hit, 0.0, g)
+    grad = np.zeros_like(x)
+    grad += dx
+    return out, grad
+
+
+def test_maxpool_backward_matches_four_corner_reference(rng):
+    for trial in range(300):
+        shape = (*rng.integers(1, 4, size=2), *rng.integers(2, 10, size=2))  # odd H and W included
+        x = rng.integers(-2, 3, size=shape).astype(np.float64)  # integer plateaus: many ties
+        if trial % 2:
+            x = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)  # a non-contiguous view
+        if trial % 3 == 0:  # a NaN inside a pooled window
+            n, c, h, w = x.shape
+            x[rng.integers(n), rng.integers(c), rng.integers(h - h % 2), rng.integers(w - w % 2)] = np.nan
+        t = Tensor(x, requires_grad=True)
+        out = T.maxpool2(t)
+        g = rng.normal(size=out.data.shape)
+        g[rng.random(g.shape) < 0.3] = -0.0
+        out_expected, grad_expected = four_corner_maxpool_grad(x, g)
+        assert out.data.tobytes() == out_expected.tobytes()
+        out._backward(g)
+        assert t.grad.tobytes() == grad_expected.tobytes(), (trial, x.shape)
+
+
 def test_conv2d_matches_direct_convolution(rng):
     x = rng.normal(size=(1, 2, 5, 5))
     w = rng.normal(size=(3, 2, 3, 3))
