@@ -127,13 +127,9 @@ def _machine_spec(machine_cfg, dataset) -> MachineSpec:
 def _resolve_set_a(cfg, dataset, seed):
     """The explicit set_a, or the first n ids of a shuffle seeded by `seed`."""
     if cfg["set_a"] is not None:
-        set_a = [str(i) for i in cfg["set_a"]]
-        if len(set_a) != cfg["n"]:
-            raise ConfigError(f"set_a holds {len(set_a)} ids but n={cfg['n']}")
-        return set_a
-    ids = dataset.ids
-    perm = make_rng(derive_seed(seed, "set_a")).permutation(len(ids))
-    return [ids[i] for i in perm[: cfg["n"]]]
+        return [str(i) for i in cfg["set_a"]]
+    perm = make_rng(derive_seed(seed, "set_a")).permutation(len(dataset))
+    return [dataset.ids[i] for i in perm[: cfg["n"]]]
 
 
 def _write_manifest(out_dir, command, cfg, config_hash, dataset, elapsed):
@@ -178,9 +174,9 @@ def _apply_common_overrides(cfg, args):
 def _episode_config(cfg, dataset, set_a_seed):
     """The checked EpisodeConfig of one measurement and its set A, drawn with set_a_seed."""
     config = _from_cfg(measurer.EpisodeConfig, cfg, machine=_machine_spec(cfg["machine"], dataset))
-    measurer.check_dataset_size(dataset, config)
-    measurer.check_init_checkpoint(config)
-    return config, _resolve_set_a(cfg, dataset, set_a_seed)
+    set_a = _resolve_set_a(cfg, dataset, set_a_seed)
+    measurer.check_measurement(dataset, set_a, config)
+    return config, set_a
 
 
 def _measure_and_write(config, set_a, dataset, out, workers):
@@ -231,33 +227,36 @@ def cmd_analyze(args):
         if overlap:
             raise ConfigError(f"merged columns collide with existing ones: {sorted(overlap)}")
         columns.update(merged)
-    out = _out_dir(args.out)
-    correlations = {
-        "n": len(table.scores),
-        "columns": analysis.correlate(table, columns),
-        "strength_bands": analysis.STRENGTH_BANDS,
-        "full_scale_reference": analysis.FULL_SCALE_REFERENCE,
+    outputs = {
+        "correlations.json": {
+            "n": len(table.scores),
+            "columns": analysis.correlate(table, columns),
+            "strength_bands": analysis.STRENGTH_BANDS,
+            "full_scale_reference": analysis.FULL_SCALE_REFERENCE,
+        }
     }
-    report.write_json(out / "correlations.json", correlations)
-    outputs = [out / "correlations.json"]
     if len(table.scores) >= analysis.GROUP_COUNT:
         groups = analysis.group_by_decile(table, columns)
         rows = [(g["index"], g["mean_score"], name, mean)
                 for g in groups for name, mean in sorted(g["attribute_means"].items())]
-        report.write_csv(out / "deciles.csv", ("group_index", "mean_score", "attribute", "mean_value"), rows)
-        report.write_json(out / "groups.json", groups)
-        outputs += [out / "deciles.csv", out / "groups.json"]
+        outputs["deciles.csv"] = (("group_index", "mean_score", "attribute", "mean_value"), rows)
+        outputs["groups.json"] = groups
     else:
         log.warning("skipping decile grouping: only %d scored images", len(table.scores))
     if args.labels:
         entries = analysis.rank_labels(table, _read_labels(args.labels), config.min_count)
         ranked = [{"label": label, "mean_score": mean, "count": count} for label, mean, count in entries]
-        k = config.top_k
-        ranking = {"min_count": config.min_count, "top": ranked[:k], "bottom": ranked[-k:][::-1], "all": ranked}
-        report.write_json(out / "label_ranking.json", ranking)
-        outputs.append(out / "label_ranking.json")
+        top, bottom = ranked[: config.top_k], ranked[-config.top_k :][::-1]
+        outputs["label_ranking.json"] = {"min_count": config.min_count, "top": top, "bottom": bottom, "all": ranked}
+    # Every result is computed before the output directory exists, so bad input leaves no files.
+    out = _out_dir(args.out)
+    for name, payload in outputs.items():
+        if name.endswith(".csv"):
+            report.write_csv(out / name, *payload)
+        else:
+            report.write_json(out / name, payload)
     _write_manifest(out, "analyze", cfg, table.config_hash, None, time.monotonic() - started)
-    print("wrote " + ", ".join(str(p) for p in outputs))
+    print("wrote " + ", ".join(str(out / name) for name in outputs))
     return 0
 
 

@@ -130,22 +130,12 @@ def sample_episode_sets(dataset, set_a, n, episode_seed, reserve=0) -> EpisodeSe
 
     B, C, and the reserves are drawn uniformly without replacement from
     the dataset minus the fixed set A, fully determined by episode_seed.
+    Expects a set A that `measurer.check_measurement` accepted.
     """
     set_a = tuple(set_a)
-    if n < 1:
-        raise ConfigError("set size n must be >= 1")
-    if len(set_a) != n or len(set(set_a)) != n:
-        raise ConfigError(f"set A must hold {n} distinct ids, got {len(set_a)}")
-    unknown = [i for i in set_a if i not in dataset]
-    if unknown:
-        raise ConfigError(f"unknown image id {unknown[0]!r}")
     taken = set(set_a)
     pool = [i for i in dataset.ids if i not in taken]
     needed = 2 * n + 2 * reserve
-    if len(pool) < needed:
-        raise ConfigError(
-            f"dataset too small: need {needed} images outside set A, have {len(pool)}"
-        )
     rng = make_rng(episode_seed)
     chosen = tuple(pool[i] for i in rng.choice(len(pool), size=needed, replace=False))
     return EpisodeSets(

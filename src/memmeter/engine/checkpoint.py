@@ -9,6 +9,7 @@ All integers are little-endian uint32.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -55,11 +56,13 @@ def load_params(path):
 
     while pos < len(blob):
         (name_len,) = _U32.unpack(take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError("name is not UTF-8", path=str(path), offset=pos - name_len + exc.start) from None
         (rank,) = _U32.unpack(take(4, "rank"))
         shape = tuple(_U32.unpack(take(4, "dim"))[0] for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        raw = take(count * 8, f"values of {name}")
+        raw = take(math.prod(shape) * 8, f"values of {name}")
         data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
         out.append((name, data))
     return out

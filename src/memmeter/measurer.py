@@ -271,23 +271,31 @@ def _worker_episode(episode_index):
     return run_episode(*_worker_args, episode_index)
 
 
-def check_dataset_size(dataset, config: EpisodeConfig):
-    """Raise DataFormatError, naming the dataset, if it holds fewer images than the protocol needs."""
+def check_measurement(dataset, set_a, config: EpisodeConfig):
+    """Raise, before any episode runs, unless dataset size, init checkpoint, set A
+    (n distinct dataset ids) and image shape (square, for quarter turns) fit `config`."""
     if len(dataset) < config.required_images:
         raise DataFormatError(
             f"dataset holds {len(dataset)} images but the protocol needs {config.required_images} "
             f"(n={config.n}, calibration reserve {config.calibration_reserve})",
             path=dataset.source,
         )
-
-
-def check_init_checkpoint(config: EpisodeConfig):
-    """Raise ConfigError if the init checkpoint file is missing, DataFormatError if it does not fit the machine."""
-    if not config.init_checkpoint:
-        return
-    if not Path(config.init_checkpoint).is_file():
-        raise ConfigError(f"init_checkpoint file not found: {config.init_checkpoint}")
-    load_into_machine(build_machine(config.machine, config.head_width_a, 0), config.init_checkpoint)
+    if config.init_checkpoint:
+        if not Path(config.init_checkpoint).is_file():
+            raise ConfigError(f"init_checkpoint file not found: {config.init_checkpoint}")
+        load_into_machine(build_machine(config.machine, config.head_width_a, 0), config.init_checkpoint)
+    if len(set_a) != config.n:
+        raise ConfigError(f"set_a holds {len(set_a)} ids but n={config.n}")
+    seen = set()
+    for image_id in set_a:
+        if image_id not in dataset:
+            raise ConfigError(f"set_a names unknown image id {image_id!r}")
+        if image_id in seen:
+            raise ConfigError(f"set_a names image id {image_id!r} twice")
+        seen.add(image_id)
+    _, height, width = dataset.dims
+    if height != width:
+        raise ConfigError(f"quarter-turn rotations need square images, dataset images are {height}x{width}")
 
 
 def measure(dataset, set_a, config: EpisodeConfig, workers: int = 1):
@@ -299,8 +307,7 @@ def measure(dataset, set_a, config: EpisodeConfig, workers: int = 1):
     it starts. Gate-failing episodes are excluded and m_effective reduced.
     """
     set_a = list(set_a)
-    check_dataset_size(dataset, config)
-    check_init_checkpoint(config)
+    check_measurement(dataset, set_a, config)
     workers = min(workers, config.m)
     if workers > 1:
         with multiprocessing.Pool(workers, _init_worker, (dataset, set_a, config)) as pool:

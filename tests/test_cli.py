@@ -13,6 +13,7 @@ import pytest
 
 import synth
 from memmeter import cli, measurer
+from memmeter.data import Dataset
 from memmeter.engine import build_machine, save_params
 from memmeter.engine.machine import MachineSpec
 from memmeter.measurer import SCORE_HEADER, ScoreTable, read_score_csv
@@ -221,6 +222,68 @@ def test_measure_checks_init_checkpoint_before_measuring(tmp_path, ppm_dataset_d
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "set_a, message",
+    [
+        (["ramp000", "ramp001", "ramp002"], "set_a holds 3 ids but n=4"),
+        (["ramp000", "ramp001", "ramp999", "ramp003"], "unknown image id 'ramp999'"),
+        (["ramp000", "ramp001", "ramp000", "ramp003"], "image id 'ramp000' twice"),
+    ],
+    ids=["count", "unknown", "repeated"],
+)
+def test_measure_with_bad_set_a_exits_2_without_outputs(tmp_path, ppm_dataset_dir, set_a, message, capsys):
+    config = measure_config(tmp_path, set_a=set_a)
+    out = tmp_path / "run"
+    assert run_cli("measure", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_measure_on_non_square_images_exits_2_without_outputs(tmp_path, capsys):
+    wide = Dataset([f"w{i:02d}" for i in range(12)], np.full((12, 3, 6, 8), 0.5))
+    data = synth.write_ppm_dataset(wide, tmp_path / "wide")
+    out = tmp_path / "run"
+    assert run_cli("measure", "--config", str(measure_config(tmp_path)), "--data", str(data), "--out", str(out)) == 2
+    assert "square images, dataset images are 6x8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+MMT1_NAME_NOT_UTF8 = b"MMT1" + (3).to_bytes(4, "little") + b"fc\xff"
+MMT1_SIZE_OVERFLOW = (
+    b"MMT1" + (10).to_bytes(4, "little") + b"fc0.weight" + (3).to_bytes(4, "little")
+    + b"".join(dim.to_bytes(4, "little") for dim in (2**31, 2**31, 4))
+)
+BAD_CHECKPOINTS = pytest.mark.parametrize(
+    "blob, message",
+    [(MMT1_NAME_NOT_UTF8, "name is not UTF-8 (byte offset 10)"),
+     (MMT1_SIZE_OVERFLOW, "truncated checkpoint while reading values of fc0.weight (byte offset 34)")],
+    ids=["name-not-utf8", "size-overflow"],
+)
+
+
+@BAD_CHECKPOINTS
+def test_measure_with_malformed_init_checkpoint_exits_3_without_outputs(tmp_path, ppm_dataset_dir, blob, message, capsys):
+    checkpoint = tmp_path / "start.mmt1"
+    checkpoint.write_bytes(blob)
+    config = measure_config(tmp_path, init_checkpoint=str(checkpoint))
+    out = tmp_path / "run"
+    assert run_cli("measure", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err and message in err
+    assert not out.exists()
+
+
+@BAD_CHECKPOINTS
+def test_predict_with_malformed_model_exits_3(tmp_path, ppm_dataset_dir, blob, message, capsys):
+    model = tmp_path / "predictor.mmt1"
+    model.write_bytes(blob)
+    (tmp_path / "predictor.mmt1.json").write_text('{"kind": "mlp", "hidden": [8], "in_channels": 3, "height": 6, "width": 6}')
+    out = tmp_path / "o"
+    assert run_cli("predict", "--model", str(model), "--data", str(ppm_dataset_dir), "--out", str(out)) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diverging_measure_is_not_reported_as_config_error(tmp_path, ppm_dataset_dir, capsys):
     # lr_b 1e8 drives stage (b)'s logits to infinity: an internal failure, not a bad config.
     config = measure_config(tmp_path, lr_b=1e8, machine={"kind": "small_cnn"})
@@ -361,6 +424,18 @@ def test_analyze_labels_skip_empty_lines(tmp_path):
     assert run_cli("analyze", "--config", str(config), "--scores", str(scores), "--labels", str(labels), "--out", str(out)) == 0
     ranking = json.loads((out / "label_ranking.json").read_text())
     assert ranking["all"] == [{"count": 1, "label": "cat", "mean_score": 0.5}]
+
+
+@pytest.mark.parametrize("labels_text", [None, "image_id,label\nimg99,cat\n"], ids=["missing", "no-scored-image"])
+def test_analyze_with_unusable_labels_exits_2_without_outputs(tmp_path, labels_text, capsys):
+    scores = write_score_rows(tmp_path / "scores.csv")
+    labels = tmp_path / "labels.csv"
+    if labels_text is not None:
+        labels.write_text(labels_text)
+    out = tmp_path / "a"
+    assert run_cli("analyze", "--scores", str(scores), "--labels", str(labels), "--out", str(out)) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_merge_csv_without_image_id_column_exits_2(tmp_path, measured_run, capsys):
@@ -1117,6 +1192,14 @@ def test_sweep_checks_every_value_before_the_first_run(tmp_path, ppm_dataset_dir
     assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(out)) == 2
     assert "'n'" in capsys.readouterr().err
     assert not (out / "run_0" / "scores.csv").exists()
+
+
+def test_sweep_with_bad_set_a_exits_2_before_the_first_run(tmp_path, ppm_dataset_dir, capsys):
+    config = measure_config(tmp_path, knob="base_seed", values=[1, 2], set_a=["ramp000", "ramp001", "ramp002", "ramp999"])
+    out = tmp_path / "sweep-out"
+    assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(out)) == 2
+    assert "unknown image id 'ramp999'" in capsys.readouterr().err
+    assert not (out / "run_0").exists()
 
 
 def test_sweep_checks_every_init_checkpoint_before_the_first_run(tmp_path, ppm_dataset_dir, capsys):

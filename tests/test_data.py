@@ -119,12 +119,6 @@ def test_inclusion_frequency_is_uniform(rng):
         assert abs(count / draws - p) < 3 * sigma, f"{image_id}: {count / draws:.4f}"
 
 
-def test_dataset_too_small_is_config_error(rng):
-    dataset = make_dataset(11, rng)
-    with pytest.raises(ConfigError, match="too small"):
-        sample_episode_sets(dataset, dataset.ids[:4], 4, episode_seed=0)
-
-
 # --- CIFAR loader ---------------------------------------------------------------
 
 def cifar_blob(records):

@@ -16,6 +16,7 @@ from memmeter.measurer import (
     EpisodeConfig,
     EpisodeResult,
     ScoreTable,
+    check_measurement,
     measure,
     read_score_csv,
     rotation_accuracy,
@@ -360,6 +361,23 @@ def test_measure_rejects_small_dataset(small_dataset, small_spec):
     config = quick_config(small_spec, n=6)
     with pytest.raises(DataFormatError, match="^test: .*needs 18"):
         measure(small_dataset, small_dataset.ids[:6], config)
+
+
+def test_check_measurement_rejects_small_dataset_first(small_dataset, small_spec):
+    eleven = Dataset(small_dataset.ids[:11], small_dataset.pixels[:11], source="eleven")
+    # set A is bad too, but the dataset size is checked before it
+    with pytest.raises(DataFormatError, match="^eleven: dataset holds 11 images but the protocol needs 12"):
+        check_measurement(eleven, ["nope"], quick_config(small_spec))
+
+
+def test_measure_checks_set_a_before_any_episode(small_dataset, small_spec, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("no episode may run with a bad set A")
+
+    monkeypatch.setattr(measurer, "run_episode", forbidden)
+    set_a = ["ramp00", "ramp01", "ramp01", "ramp03"]
+    with pytest.raises(ConfigError, match="'ramp01' twice"):
+        measure(small_dataset, set_a, quick_config(small_spec, m=4), workers=2)
 
 
 def test_measure_all_gates_failing_is_measurement_error(small_dataset, small_spec, monkeypatch):
