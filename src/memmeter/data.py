@@ -103,11 +103,26 @@ class Dataset:
 
 # --- rotations -------------------------------------------------------------
 
-def rotate_pixels(pixels: np.ndarray, quarter_turns: int) -> np.ndarray:
-    """Rotate (C, H, W) pixels counterclockwise by 90deg * quarter_turns."""
+def rotate_pixels(pixels: np.ndarray, quarter_turns: int, out=None) -> np.ndarray:
+    """Rotate (C, H, W) pixels counterclockwise by 90deg * quarter_turns.
+
+    Writes into `out` when it is given, else into a new array. The turns are
+    np.rot90's views over axes (1, 2), built directly: a quarter turn
+    reverses the columns and then swaps rows and columns.
+    """
     if quarter_turns % 2 and pixels.shape[1] != pixels.shape[2]:
         raise ConfigError(f"90/270 degree rotation needs square images, got {pixels.shape[1]}x{pixels.shape[2]}")
-    return np.rot90(pixels, quarter_turns % 4, axes=(1, 2)).copy()
+    turns = quarter_turns % 4
+    if turns == 1:
+        pixels = pixels[:, :, ::-1].transpose(0, 2, 1)
+    elif turns == 2:
+        pixels = pixels[:, ::-1, ::-1]
+    elif turns == 3:
+        pixels = pixels.transpose(0, 2, 1)[:, :, ::-1]
+    if out is None:
+        return pixels.copy()
+    out[...] = pixels
+    return out
 
 
 def hflip_pixels(pixels: np.ndarray) -> np.ndarray:

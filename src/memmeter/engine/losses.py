@@ -58,16 +58,20 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     def backward(g):
         softmax = expz / sumexp
-        T._accumulate(logits, g * (softmax - targets) / n)
+        T._accumulate(logits, g * (softmax - targets) / n, owned=True)
 
     return T._node(np.asarray(loss), (logits,), backward)
 
 
 def rotated_batch(image) -> np.ndarray:
-    """Stack of the four quarter-turn rotations of one image, NCHW."""
+    """Stack of the four quarter-turn rotations of one image, NCHW, written once each."""
     from ..data import rotate_pixels
 
-    return np.stack([rotate_pixels(image.pixels, k) for k in range(4)])
+    pixels = image.pixels
+    batch = np.empty((4, *pixels.shape), dtype=pixels.dtype)
+    for k in range(4):
+        rotate_pixels(pixels, k, out=batch[k])
+    return batch
 
 
 def rotation_loss(machine, rotations, mode="four_way") -> Tensor:

@@ -8,6 +8,12 @@ take Tensor operands; wrap a raw array in Tensor() first.
 Backward closures take their output's gradient as an argument and never
 reference their own output node, so graphs are acyclic and a forward
 dropped without backward() is freed by reference counting alone.
+
+Each gradient is written once. An op that makes its input's gradient as a
+new array, and keeps no other reference to it, hands the array over
+(`_accumulate(t, g, owned=True)`) and a first gradient is that array
+itself; a view of another array (the consumer's gradient, a workspace
+buffer) is copied. `_accumulate` says why parameters come out the same.
 """
 
 from __future__ import annotations
@@ -73,12 +79,32 @@ def _toposort(root):
     return order
 
 
-def _accumulate(t, g):
+def _accumulate(t, g, owned=False):
+    """Add the gradient `g`, shaped like `t`, into `t.grad`.
+
+    `owned=True` promises that the caller made `g` in this call and keeps
+    no other reference to it, so a first gradient takes `g` itself. Any
+    other first gradient is copied as `g + 0.0` into an array laid out like
+    `t.data`, which has the bytes of a zero-filled buffer plus `g`.
+
+    The two differ only in the sign of zero: the copy turns -0.0 into
+    +0.0, a handed-over array keeps it. Backward ops multiply, add, sum and
+    scatter gradients, and none of these lets a zero's sign change a
+    nonzero result. Nor does it reach a parameter: SGD's
+    `v <- momentum*v + grad (+ weight_decay*param)` gets the same nonzero
+    values, and `param -= lr*v` subtracts a zero of either sign from a
+    parameter without changing it unless the parameter is -0.0. None is:
+    parameters start nonzero or +0.0 (He-uniform draws, zero biases), and
+    `x - y` is -0.0 only for x = -0.0.
+    """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.grad is not None:
+        t.grad += g
+    elif owned:
+        t.grad = g
+    else:
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
 
 
 def _node(data, parents, backward):
@@ -137,8 +163,8 @@ def matmul(a, b) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ b.data.T, owned=True)
+        _accumulate(b, a.data.T @ g, owned=True)
 
     return _node(out_data, (a, b), backward)
 
@@ -147,7 +173,7 @@ def relu(x) -> Tensor:
     out_data = np.maximum(x.data, 0.0)
 
     def backward(g):
-        _accumulate(x, g * (x.data > 0.0))
+        _accumulate(x, g * (x.data > 0.0), owned=True)
 
     return _node(out_data, (x,), backward)
 
@@ -159,7 +185,7 @@ def sigmoid(x) -> Tensor:
     out_data = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
-        _accumulate(x, g * out_data * (1.0 - out_data))
+        _accumulate(x, g * out_data * (1.0 - out_data), owned=True)
 
     return _node(out_data, (x,), backward)
 
@@ -213,6 +239,9 @@ def conv2d(x, w, b, workspace) -> Tensor:
     buffers of its own. A forward dropped without backward() (an evaluation
     pass) takes its shape's buffers with it, and the next forward of that
     shape allocates them again.
+
+    The backward sums the input gradient in the `dpad` buffer, which the
+    next backward of this shape overwrites, so x.grad is copied out of it.
     """
     n, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
@@ -235,18 +264,21 @@ def conv2d(x, w, b, workspace) -> Tensor:
     def backward(g):
         nonlocal dpad
         g = g.reshape(n, f, out_h * out_w)
-        _accumulate(b, g.sum(axis=(0, 2)))
-        _accumulate(w, np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
+        _accumulate(b, g.sum(axis=(0, 2)), owned=True)
+        _accumulate(w, np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape), owned=True)
         if x.requires_grad:
             # The weight gradient was the last use of cols; its buffer takes their gradient.
             dcols = np.matmul(w_mat.T, g, out=cols).reshape(n, c, kh, kw, out_h, out_w)
             if dpad is None:  # first backward for this shape
-                dpad = np.zeros_like(padded)
-            else:
-                dpad.fill(0.0)
+                dpad = np.empty_like(padded)
+            # The first shifted term is assigned, not added to zeros; only the strips it misses are zeroed.
+            dpad[:, :, :out_h, :out_w] = dcols[:, :, 0, 0]
+            dpad[:, :, out_h:, :] = 0.0
+            dpad[:, :, :out_h, out_w:] = 0.0
             for i in range(kh):
                 for j in range(kw):
-                    dpad[:, :, i : i + out_h, j : j + out_w] += dcols[:, :, i, j]
+                    if i or j:
+                        dpad[:, :, i : i + out_h, j : j + out_w] += dcols[:, :, i, j]
             _accumulate(x, dpad[:, :, 1:-1, 1:-1])
         workspace[x.data.shape] = (padded, cols, dpad)
 
@@ -256,6 +288,9 @@ def conv2d(x, w, b, workspace) -> Tensor:
 def maxpool2(x) -> Tensor:
     """2x2 max pooling, stride 2, as the maximum of the four window corners.
 
+    The forward takes two pairwise passes, each row's two columns and then
+    each window's two rows; np.maximum keeps its first operand on ties and
+    propagates NaN, so the result has the bytes of the row-major corner chain.
     Trailing odd rows/columns are dropped and get zero gradient; each output's
     gradient goes to the first corner, in row-major order, equal to the maximum,
     and a NaN window, equal to none of its corners, sends none. The backward
@@ -266,23 +301,25 @@ def maxpool2(x) -> Tensor:
     h2, w2 = h // 2, w // 2
     if h2 < 1 or w2 < 1:
         raise ValueError("maxpool2 needs at least a 2x2 input")
-    corners = [(..., slice(i, 2 * h2, 2), slice(j, 2 * w2, 2)) for i in (0, 1) for j in (0, 1)]
-    out_data = x.data[corners[0]]
-    for corner in corners[1:]:
-        out_data = np.maximum(out_data, x.data[corner])
+    pairs = x.data[..., : 2 * h2, : 2 * w2].reshape(n, c, 2 * h2, w2, 2)
+    rows = np.maximum(pairs[..., 0], pairs[..., 1]).reshape(n, c, h2, 2, w2)
+    out_data = np.maximum(rows[:, :, :, 0], rows[:, :, :, 1])
 
     def backward(g):
-        c0, c1, c2 = (x.data[corner] for corner in corners[:3])
-        # The winner's offset from its window's top-left corner, plus that corner's offset in x.
-        offsets = np.where(c0 == out_data, 0, np.where(c1 == out_data, 1, np.where(c2 == out_data, w, w + 1)))
-        offsets += (
-            np.arange(n * c).reshape(n, c, 1, 1) * (h * w) + (np.arange(h2) * (2 * w))[:, None] + np.arange(0, 2 * w2, 2)
+        c0, c1, c2 = (x.data[..., i : 2 * h2 : 2, j : 2 * w2 : 2] for i, j in ((0, 0), (0, 1), (1, 0)))
+        # Each window's top-left corner as a flat offset into x, plus the winner's offset from it:
+        # 0, 1, w or w + 1, counted in integer arithmetic from the corners before it that lose.
+        offsets = np.arange(n * c).reshape(n, c, 1, 1) * (h * w) + (
+            (np.arange(h2) * (2 * w))[:, None] + np.arange(0, 2 * w2, 2)
         )
+        past0 = c0 != out_data
+        past1 = past0 & (c1 != out_data)
+        offsets += past0 + (w - 1) * past1 + (past1 & (c2 != out_data))
         nan = np.isnan(out_data)
-        if nan.any():  # the chain above sends a NaN window to its last corner
+        if nan.any():  # no corner equals NaN, so the count sends a NaN window to its last corner
             g = np.where(nan, 0.0, g)
         dx = np.zeros(x.data.shape)  # C-contiguous, so ravel() is a view
         dx.ravel()[offsets] = g
-        _accumulate(x, dx)
+        _accumulate(x, dx, owned=True)
 
     return _node(out_data, (x,), backward)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from memmeter.data import ImageTensor
 from memmeter.engine import Tensor, build_machine
 from memmeter.engine.losses import (
     mse_loss,
@@ -137,6 +138,14 @@ def test_rotation_loss_matches_four_separate_passes(cnn_spec, rng):
         logits = machine.forward(Tensor(batch[k][None]))
         separate.append(float(softmax_cross_entropy(logits, one_hot([k], 4)).data))
     assert combined == pytest.approx(np.mean(separate), abs=1e-12)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("size", [1, 5, 12])
+def test_rotated_batch_has_the_bytes_of_np_rot90(channels, size, rng):
+    image = ImageTensor("img", rng.random((channels, size, size)))
+    expected = np.stack([np.rot90(image.pixels, k, axes=(1, 2)) for k in range(4)])
+    assert rotated_batch(image).tobytes() == expected.tobytes()
 
 
 def test_rotation_loss_checks_head_width(rng):

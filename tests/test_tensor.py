@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from memmeter.engine import Tensor, build_machine
+from memmeter.engine import Conv2d, Tensor, build_machine
 from memmeter.engine import tensor as T
 
 
@@ -162,7 +162,10 @@ def test_maxpool_ties_route_to_first_corner_and_odd_edges_get_no_gradient():
 
 
 def four_corner_maxpool_grad(x, g):
-    """Reference 2x2 max pool and its x.grad: four `where` passes, one per corner in row-major order."""
+    """Reference 2x2 max pool and its x.grad: four `where` passes, one per corner in row-major order.
+
+    max-pool hands its dx over as x's first gradient, so x.grad is dx itself, -0.0 entries included.
+    """
     h2, w2 = x.shape[2] // 2, x.shape[3] // 2
     corners = [(..., slice(i, 2 * h2, 2), slice(j, 2 * w2, 2)) for i in (0, 1) for j in (0, 1)]
     out = x[corners[0]]
@@ -173,15 +176,14 @@ def four_corner_maxpool_grad(x, g):
         hit = x[corner] == out
         dx[corner] = np.where(hit, g, 0.0)
         g = np.where(hit, 0.0, g)
-    grad = np.zeros_like(x)
-    grad += dx
-    return out, grad
+    return out, dx
 
 
 def test_maxpool_backward_matches_four_corner_reference(rng):
     for trial in range(300):
         shape = (*rng.integers(1, 4, size=2), *rng.integers(2, 10, size=2))  # odd H and W included
         x = rng.integers(-2, 3, size=shape).astype(np.float64)  # integer plateaus: many ties
+        x[(x == 0.0) & (rng.random(shape) < 0.5)] = -0.0  # zero plateaus of both signs
         if trial % 2:
             x = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)  # a non-contiguous view
         if trial % 3 == 0:  # a NaN inside a pooled window
@@ -195,6 +197,75 @@ def test_maxpool_backward_matches_four_corner_reference(rng):
         assert out.data.tobytes() == out_expected.tobytes()
         out._backward(g)
         assert t.grad.tobytes() == grad_expected.tobytes(), (trial, x.shape)
+
+
+def test_conv_input_gradient_keeps_its_bytes_through_the_next_backward(rng):
+    layer = Conv2d(3, 4, rng)
+    x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+    T.mean(T.mul(layer.forward(x), Tensor(rng.normal(size=(2, 4, 6, 6))))).backward()
+    kept = x.grad.tobytes()
+    other = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+    # Reuses the layer's workspace for this shape, with another output gradient.
+    T.mean(T.mul(layer.forward(other), Tensor(rng.normal(size=(2, 4, 6, 6))))).backward()
+    assert x.grad.tobytes() == kept
+    assert other.grad.tobytes() != kept
+
+
+def _zero_fill_accumulate(t, g, owned=False):
+    """The engine's earlier gradient rule: every first gradient is a zero-filled buffer plus g."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad += g
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp", "small_cnn"])
+def test_handed_over_gradients_train_bitwise_like_zero_filled_ones(kind, monkeypatch, rng):
+    from memmeter.data import ImageTensor
+    from memmeter.engine import SGD, mse_loss, rotation_loss, seen_loss
+    from memmeter.engine.losses import rotated_batch
+    from memmeter.engine.machine import MachineSpec
+    from memmeter.predictor import PredictorModel
+
+    spec = MachineSpec(kind=kind, in_channels=3, height=8, width=8, hidden=(8,) if kind == "mlp" else ())
+    images = rng.random((16, 3, 8, 8))
+    images[0] = 0.0  # an all-zero image: flat activations, and gradients of -0.0 behind them
+    targets = rng.random(16)
+    orders = [rng.permutation(16) for _ in range(10)]
+    handed_over = T._accumulate
+    signed_zero_seen = []
+
+    def watched(t, g, owned=False):
+        if owned and t.requires_grad and t.grad is None:
+            signed_zero_seen.append(bool(np.signbit(g[g == 0.0]).any()))
+        handed_over(t, g, owned)
+
+    def train():
+        machine = build_machine(spec, 4, seed=3)
+        optimizer = SGD(machine.parameters(), lr=0.05, total_steps=50)
+        for step in range(50):
+            rotation_loss(machine, rotated_batch(ImageTensor(str(step), images[step % 16]))).backward()
+            optimizer.step()
+        machine.replace_head(2, seed=4)
+        optimizer = SGD(machine.parameters(), lr=0.05, total_steps=20)
+        for step in range(20):
+            seen_loss(machine, ImageTensor(str(step), images[step % 16]), ("seen", "unseen")[step % 2]).backward()
+            optimizer.step()
+        machine.replace_head(1, seed=5)
+        model = PredictorModel(machine)
+        optimizer = SGD(model.parameters(), lr=0.05, weight_decay=0.0, total_steps=10)
+        for order in orders:
+            mse_loss(model.forward_scores(images[order]), targets[order]).backward()
+            optimizer.step()
+        return [t.data.tobytes() for _, t in machine.parameters()]
+
+    monkeypatch.setattr(T, "_accumulate", watched)
+    new = train()
+    monkeypatch.setattr(T, "_accumulate", _zero_fill_accumulate)
+    assert new == train()
+    if kind != "linear":  # relu hands over g * (x > 0), which is -0.0 wherever g < 0 and x <= 0
+        assert any(signed_zero_seen)
 
 
 def test_conv2d_matches_direct_convolution(rng):
