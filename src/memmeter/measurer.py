@@ -23,7 +23,7 @@ import numpy as np
 from . import report
 from .data import sample_episode_sets
 from .engine import SGD, Tensor, build_machine, load_into_machine, rotation_loss, seen_loss
-from .engine.losses import ROTATION_TARGETS, SEEN_CLASS, UNSEEN_CLASS, rotated_batch
+from .engine.losses import ROTATION_LABELS, SEEN_CLASS, UNSEEN_CLASS, rotated_batch, rotation_head_width
 from .engine.machine import MachineSpec
 from .errors import ConfigError, DataFormatError, MeasurementError
 from .metrics import rms_calibration_error
@@ -58,13 +58,13 @@ class EpisodeConfig:
             raise ConfigError("epochs_a and epochs_b must be >= 1")
         if not 0.0 < self.accuracy_gate <= 1.0:
             raise ConfigError("accuracy_gate must be in (0, 1]")
-        if self.lr_a < 0 or self.lr_b < 0:
-            raise ConfigError("learning rates must be nonnegative")
-        if not 0.0 <= self.momentum < 1.0 or self.weight_decay < 0:
-            raise ConfigError("momentum must be in [0, 1) and weight_decay nonnegative")
-        if self.pretext_mode not in ROTATION_TARGETS:
+        if not (0 <= self.lr_a < np.inf and 0 <= self.lr_b < np.inf):
+            raise ConfigError("learning rates must be finite and nonnegative")
+        if not (0.0 <= self.momentum < 1.0 and 0 <= self.weight_decay < np.inf):
+            raise ConfigError("momentum must be in [0, 1) and weight_decay finite and nonnegative")
+        if self.pretext_mode not in ROTATION_LABELS:
             raise ConfigError(
-                f"unknown pretext mode {self.pretext_mode!r}, expected one of {tuple(ROTATION_TARGETS)}"
+                f"unknown pretext mode {self.pretext_mode!r}, expected one of {tuple(ROTATION_LABELS)}"
             )
         if self.calibration_mode not in CALIBRATION_MODES:
             raise ConfigError(
@@ -75,7 +75,7 @@ class EpisodeConfig:
 
     @property
     def head_width_a(self) -> int:
-        return ROTATION_TARGETS[self.pretext_mode].shape[1]
+        return rotation_head_width(self.pretext_mode)
 
     @property
     def calibration_reserve(self) -> int:
@@ -119,11 +119,11 @@ def config_digest(config: EpisodeConfig, set_a) -> str:
 
 def rotation_accuracy(machine, images, mode) -> float:
     """Top-1 accuracy over all four rotations of every image, no updates."""
-    targets = ROTATION_TARGETS[mode].argmax(axis=1)
+    labels = ROTATION_LABELS[mode]
     correct = 0
     for image in images:
         logits = machine.forward(Tensor(rotated_batch(image))).data
-        correct += int((logits.argmax(axis=1) == targets).sum())
+        correct += int((logits.argmax(axis=1) == labels).sum())
     return correct / (4 * len(images))
 
 
@@ -158,7 +158,7 @@ def stage_b_epoch(machine, seen_images, unseen_images, config: EpisodeConfig, op
         raise ConfigError(
             f"stage (b) needs balanced sets, got {len(seen_images)} seen vs {len(unseen_images)} unseen"
         )
-    labeled = [(img, "seen") for img in seen_images] + [(img, "unseen") for img in unseen_images]
+    labeled = [(img, SEEN_CLASS) for img in seen_images] + [(img, UNSEEN_CLASS) for img in unseen_images]
     for index in rng.permutation(len(labeled)):
         image, label = labeled[index]
         loss = seen_loss(machine, image, label)

@@ -38,8 +38,8 @@ class RegressionConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        if self.lr < 0:
-            raise ConfigError("lr must be nonnegative")
+        if not 0 <= self.lr < np.inf:
+            raise ConfigError("lr must be finite and nonnegative")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must be in (0, 1)")
 

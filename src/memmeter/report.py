@@ -6,9 +6,9 @@ as "n/a". Floats are written by repr, so a CSV cell reads back as the
 same float. JSON reports are key-sorted, indented by two spaces and end
 with a newline. The run manifest uses the same layout but keeps JSON null
 for its unset config values. Reading, a missing file or a wrong header is
-a ConfigError; text that is not UTF-8, a row of the wrong width or a
-number cell that is not a finite float is a DataFormatError naming the
-file.
+a ConfigError; text that is not UTF-8, a row of the wrong width, a
+number cell that is not a finite float or a repeated image id is a
+DataFormatError naming the file.
 """
 
 from __future__ import annotations
@@ -60,7 +60,10 @@ def write_json(path, payload, keep_null=False):
 
 
 def read_csv(path, first_columns):
-    """(header, rows) of a CSV table whose header starts with `first_columns`; blank lines are skipped."""
+    """(header, rows) of a CSV table whose header starts with `first_columns`; blank lines are skipped.
+
+    The first column is the image id, one row per id.
+    """
     if not Path(path).is_file():
         raise ConfigError(f"table file not found: {path}")
     reader = csv_reader(path)
@@ -68,11 +71,15 @@ def read_csv(path, first_columns):
     if header[: len(first_columns)] != list(first_columns):
         raise ConfigError(f"{path}: expected a CSV header starting with the {','.join(first_columns)} column(s)")
     rows = []
+    ids = set()
     for row in filter(None, reader):
         if len(row) != len(header):
             raise DataFormatError(
                 f"line {reader.line_num} has {len(row)} fields, not {len(header)}", path=str(path)
             )
+        if row[0] in ids:
+            raise DataFormatError(f"line {reader.line_num} repeats image id {row[0]!r}", path=str(path))
+        ids.add(row[0])
         rows.append(row)
     return header, rows
 

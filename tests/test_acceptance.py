@@ -20,7 +20,7 @@ from memmeter.attributes import colorfulness, compute_attributes, entropy, globa
 from memmeter.data import ImageTensor, rotate_pixels
 from memmeter.engine import Tensor, build_machine
 from memmeter.engine import tensor as T
-from memmeter.engine.losses import mse_loss, one_hot, rotated_batch, rotation_loss, seen_loss, softmax_cross_entropy
+from memmeter.engine.losses import SEEN_CLASS, mse_loss, rotated_batch, rotation_loss, seen_loss, softmax_cross_entropy
 from memmeter.engine.machine import MachineSpec
 from memmeter.measurer import EpisodeConfig, measure, read_score_csv, select_epoch
 from memmeter.metrics import midranks, spearman
@@ -118,9 +118,9 @@ def test_gradient_correctness():
         spec = MachineSpec(kind="small_cnn", in_channels=3, height=8, width=8)
         machine = build_machine(spec, 4, seed=1)
         x = rng.random((4, 3, 8, 8))
-        targets = one_hot([0, 1, 2, 3], 4)
+        labels = [0, 1, 2, 3]
         params = [t for _, t in machine.parameters()]
-        check(lambda: softmax_cross_entropy(machine.forward(Tensor(x)), targets), params, 120)
+        check(lambda: softmax_cross_entropy(machine.forward(Tensor(x)), labels), params, 120)
 
         # sigmoid + mean squared error through the predictor head
         model = build_predictor(spec, seed=2)
@@ -134,7 +134,7 @@ def test_gradient_correctness():
         rotations = rotated_batch(image)
         check(lambda: rotation_loss(rot_machine, rotations), [t for _, t in rot_machine.parameters()], 60)
         seen_machine = build_machine(spec, 2, seed=5)
-        check(lambda: seen_loss(seen_machine, image, "seen"), [t for _, t in seen_machine.parameters()], 60)
+        check(lambda: seen_loss(seen_machine, image, SEEN_CLASS), [t for _, t in seen_machine.parameters()], 60)
 
         # input gradients through every standalone op
         for op in (T.relu, T.sigmoid, T.maxpool2):

@@ -3,6 +3,7 @@
 import argparse
 import itertools
 import json
+import math
 import re
 import shlex
 import shutil
@@ -196,6 +197,35 @@ def test_mistyped_config_value_exits_2(tmp_path, ppm_dataset_dir, overrides, key
     assert code == 2
     err = capsys.readouterr().err
     assert "config error: " in err and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("measure", {"lr_a": math.nan}),
+        ("measure", {"lr_b": math.inf}),
+        ("measure", {"weight_decay": math.inf}),
+        ("sweep", {"knob": "lr_a", "values": [0.01, math.nan]}),
+        ("train-predictor", {"lr": math.nan}),
+        ("train-predictor", {"lr": math.inf}),
+    ],
+    ids=lambda param: json.dumps(param) if isinstance(param, dict) else param,
+)
+def test_non_finite_config_number_exits_2_without_outputs(tmp_path, ppm_dataset_dir, command, overrides, capsys):
+    # Python's json reads NaN and Infinity, so a config file can hold them.
+    out = tmp_path / "o"
+    if command == "train-predictor":
+        dataset, scores = synth.brightness_scored_images(count=20, seed=17, size=6)
+        data = synth.write_ppm_dataset(dataset, tmp_path / "data")
+        measurer.write_score_csv(ScoreTable(scores, 10, "fixture", "h", 0), tmp_path / "scores.csv")
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps(dict(overrides, epochs=1)))
+        argv = ["--config", str(config), "--scores", str(tmp_path / "scores.csv"), "--data", str(data)]
+    else:
+        argv = ["--config", str(measure_config(tmp_path, **overrides)), "--data", str(ppm_dataset_dir)]
+    assert run_cli(command, *argv, "--out", str(out)) == 2
+    assert "finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_measure_missing_data_exits_2(tmp_path):
@@ -528,6 +558,30 @@ def test_table_row_of_wrong_width_exits_3(tmp_path, flag, text, capsys):
     err = capsys.readouterr().err
     line = text.count("\n")
     assert str(table) in err and f"line {line} has" in err
+
+@pytest.mark.parametrize(
+    "command, flag, text, line, image_id",
+    [
+        ("analyze", "--scores", ",".join(SCORE_HEADER) + "\na,0.5,2,m,h,0\na,1.0,2,m,h,0\nb,0.0,2,m,h,0\n", 3, "a"),
+        ("analyze", "--attributes", "image_id,hue,saturation,value,contrast,colorfulness,entropy\n"
+                                    "ramp000,1,1,1,1,1,1\nramp000,2,2,2,2,2,2\n", 3, "ramp000"),
+        ("analyze", "--merge-csv", "image_id,human\nramp000,0.5\n\nramp000,0.25\n", 4, "ramp000"),
+        ("analyze", "--labels", "image_id,label\nramp000,cat\nramp000,dog\n", 3, "ramp000"),
+        ("train-predictor", "--scores", ",".join(SCORE_HEADER) + "\na,0.5,2,m,h,0\na,1.0,2,m,h,0\n", 3, "a"),
+    ],
+    ids=["scores", "attributes", "merge-csv", "labels", "train-predictor-scores"],
+)
+def test_table_with_a_repeated_image_id_exits_3_without_outputs(tmp_path, command, flag, text, line, image_id, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text(text)
+    out = tmp_path / "o"
+    argv = [command, flag, str(table), "--out", str(out)]
+    if flag != "--scores":
+        argv += ["--scores", str(write_score_rows(tmp_path / "scores.csv"))]
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert str(table) in err and f"line {line} repeats image id {image_id!r}" in err
+    assert not out.exists()
 
 
 NOT_UTF8 = b"\xff" + bytes(make_rng("not-utf8").integers(0, 256, 199, dtype=np.uint8))

@@ -67,6 +67,13 @@ def test_config_validation(small_spec):
     assert quick_config(small_spec, pretext_mode="binary").head_width_a == 2
 
 
+@pytest.mark.parametrize("key", ["lr_a", "lr_b", "weight_decay"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+def test_config_rejects_rates_that_are_not_finite_and_nonnegative(small_spec, key, value):
+    with pytest.raises(ConfigError, match="finite and nonnegative"):
+        quick_config(small_spec, **{key: value})
+
+
 # --- stage (a) -------------------------------------------------------------------
 
 def test_stage_a_learns_separable_rotations():

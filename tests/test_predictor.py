@@ -83,6 +83,12 @@ def test_missing_images_is_config_error(scored_fixture):
         train_predictor(table_for(bad), dataset, RegressionConfig(augment=False), seed=0)
 
 
+
+@pytest.mark.parametrize("lr", [np.nan, np.inf, -0.1])
+def test_config_rejects_an_lr_that_is_not_finite_and_nonnegative(lr):
+    with pytest.raises(ConfigError, match="lr must be finite and nonnegative"):
+        RegressionConfig(lr=lr)
+
 def test_split_is_disjoint_and_exhaustive(scored_fixture):
     _, scores = scored_fixture
     config = RegressionConfig(test_fraction=0.3, split_seed=7)

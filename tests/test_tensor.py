@@ -224,7 +224,7 @@ def _zero_fill_accumulate(t, g, owned=False):
 def test_handed_over_gradients_train_bitwise_like_zero_filled_ones(kind, monkeypatch, rng):
     from memmeter.data import ImageTensor
     from memmeter.engine import SGD, mse_loss, rotation_loss, seen_loss
-    from memmeter.engine.losses import rotated_batch
+    from memmeter.engine.losses import SEEN_CLASS, UNSEEN_CLASS, rotated_batch
     from memmeter.engine.machine import MachineSpec
     from memmeter.predictor import PredictorModel
 
@@ -250,7 +250,7 @@ def test_handed_over_gradients_train_bitwise_like_zero_filled_ones(kind, monkeyp
         machine.replace_head(2, seed=4)
         optimizer = SGD(machine.parameters(), lr=0.05, total_steps=20)
         for step in range(20):
-            seen_loss(machine, ImageTensor(str(step), images[step % 16]), ("seen", "unseen")[step % 2]).backward()
+            seen_loss(machine, ImageTensor(str(step), images[step % 16]), (SEEN_CLASS, UNSEEN_CLASS)[step % 2]).backward()
             optimizer.step()
         machine.replace_head(1, seed=5)
         model = PredictorModel(machine)
@@ -284,7 +284,7 @@ def test_conv2d_matches_direct_convolution(rng):
 
 def test_machine_training_is_bitwise_deterministic(mlp_spec, rng):
     from memmeter.engine import SGD
-    from memmeter.engine.losses import softmax_cross_entropy, one_hot
+    from memmeter.engine.losses import softmax_cross_entropy
 
     batches = [rng.normal(size=(2, 3, 6, 6)) for _ in range(10)]
     finals = []
@@ -292,7 +292,7 @@ def test_machine_training_is_bitwise_deterministic(mlp_spec, rng):
         machine = build_machine(mlp_spec, 4, seed=99)
         optimizer = SGD(machine.parameters(), lr=0.05, total_steps=len(batches))
         for batch in batches:
-            loss = softmax_cross_entropy(machine.forward(Tensor(batch)), one_hot([0, 1], 4))
+            loss = softmax_cross_entropy(machine.forward(Tensor(batch)), [0, 1])
             loss.backward()
             optimizer.step()
         finals.append([t.data.copy() for _, t in machine.parameters()])
@@ -302,11 +302,11 @@ def test_machine_training_is_bitwise_deterministic(mlp_spec, rng):
 
 def test_all_values_finite_after_training_step(cnn_spec, rng):
     from memmeter.engine import SGD
-    from memmeter.engine.losses import softmax_cross_entropy, one_hot
+    from memmeter.engine.losses import softmax_cross_entropy
 
     machine = build_machine(cnn_spec, 4, seed=5)
     optimizer = SGD(machine.parameters(), lr=0.01, total_steps=1)
-    loss = softmax_cross_entropy(machine.forward(Tensor(rng.random((4, 3, 12, 12)))), one_hot([0, 1, 2, 3], 4))
+    loss = softmax_cross_entropy(machine.forward(Tensor(rng.random((4, 3, 12, 12)))), [0, 1, 2, 3])
     loss.backward()
     optimizer.step()
     assert np.isfinite(loss.data)
@@ -315,9 +315,9 @@ def test_all_values_finite_after_training_step(cnn_spec, rng):
 
 
 def _rotation_step_loss(machine, batch):
-    from memmeter.engine.losses import one_hot, softmax_cross_entropy
+    from memmeter.engine.losses import softmax_cross_entropy
 
-    return softmax_cross_entropy(machine.forward(Tensor(batch)), one_hot([0, 1, 2, 3], 4))
+    return softmax_cross_entropy(machine.forward(Tensor(batch)), [0, 1, 2, 3])
 
 
 def _take_grads(machine):
