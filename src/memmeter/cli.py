@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from . import __version__, analysis, attributes, measurer, predictor, report
-from .data import Dataset, load_cifar_binary, load_ppm_dir
+from .data import load_dataset
 from .engine.machine import MachineSpec, parse_machine_spec
 from .errors import ConfigError, DataFormatError, MeasurementError, check_types
 from .rng import derive_seed, make_rng
@@ -51,12 +51,9 @@ def _from_cfg(config_cls, cfg, **overrides):
     return config_cls(**values)
 
 
-# Keyword arguments are the CLI-only keys. workers None means all available cores;
-# split_seed None means "use base_seed".
+# Keyword arguments are the CLI-only keys. workers None means all available cores.
 MEASURE_DEFAULTS = _defaults(measurer.EpisodeConfig, machine={"kind": "small_cnn"}, set_a=None, workers=None)
-TRAIN_DEFAULTS = _defaults(
-    predictor.RegressionConfig, split_seed=None, base_seed=MEASURE_DEFAULTS["base_seed"], machine=None
-)
+TRAIN_DEFAULTS = _defaults(predictor.RegressionConfig, base_seed=MEASURE_DEFAULTS["base_seed"], machine=None)
 
 ANALYZE_DEFAULTS = _defaults(analysis.AnalyzeConfig)
 
@@ -65,7 +62,6 @@ ANALYZE_DEFAULTS = _defaults(analysis.AnalyzeConfig)
 CLI_KEY_TYPES = {
     "set_a": list | None,
     "workers": int | None,
-    "split_seed": int | None,
     "base_seed": int,
 }
 
@@ -94,23 +90,6 @@ def _load_config(path, defaults):
         check_types(loaded, CLI_KEY_TYPES, "config key")
         merged.update(loaded)
     return merged
-
-
-def _load_dataset(path) -> Dataset:
-    if path is None:
-        raise ConfigError("--data is required for this command")
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"data path does not exist: {path}")
-    if path.is_file():
-        if path.suffix == ".bin":
-            return load_cifar_binary(path)
-        raise ConfigError(f"unsupported dataset file {path} (expected a .bin batch)")
-    if (path / "manifest.csv").exists() or list(path.glob("*.ppm")):
-        return load_ppm_dir(path)
-    if list(path.glob("*.bin")):
-        return load_cifar_binary(path)
-    raise ConfigError(f"directory {path} holds neither .ppm images nor .bin batches")
 
 
 def _machine_spec(machine_cfg, dataset) -> MachineSpec:
@@ -149,8 +128,6 @@ def _write_manifest(out_dir, command, cfg, config_hash, dataset, elapsed):
 
 
 def _out_dir(path):
-    if path is None:
-        raise ConfigError("--out is required for this command")
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -191,7 +168,7 @@ def _measure_and_write(config, set_a, dataset, out, workers):
 def cmd_measure(args):
     started = time.monotonic()
     cfg = _apply_common_overrides(_load_config(args.config, MEASURE_DEFAULTS), args)
-    dataset = _load_dataset(args.data)
+    dataset = load_dataset(args.data)
     config, set_a = _episode_config(cfg, dataset, cfg["base_seed"])
     table, out = _measure_and_write(config, set_a, dataset, args.out, cfg["workers"])
     cfg["machine"] = asdict(config.machine)
@@ -202,7 +179,7 @@ def cmd_measure(args):
 
 def cmd_attributes(args):
     started = time.monotonic()
-    dataset = _load_dataset(args.data)
+    dataset = load_dataset(args.data)
     out = _out_dir(args.out)
     rows = {img.id: attributes.compute_attributes(img) for img in dataset}
     attributes.write_attribute_csv(rows, out / "attributes.csv")
@@ -215,8 +192,6 @@ def cmd_analyze(args):
     started = time.monotonic()
     cfg = _load_config(args.config, ANALYZE_DEFAULTS)
     config = _from_cfg(analysis.AnalyzeConfig, cfg)
-    if args.scores is None:
-        raise ConfigError("--scores is required for analyze")
     table = measurer.read_score_csv(args.scores)
     columns = {}
     if args.attributes:
@@ -269,12 +244,9 @@ def _read_labels(path):
 def cmd_train_predictor(args):
     started = time.monotonic()
     cfg = _apply_common_overrides(_load_config(args.config, TRAIN_DEFAULTS), args)
-    if args.scores is None:
-        raise ConfigError("--scores is required for train-predictor")
     table = measurer.read_score_csv(args.scores)
-    dataset = _load_dataset(args.data)
-    split_seed = cfg["split_seed"] if cfg["split_seed"] is not None else cfg["base_seed"]
-    reg_config = _from_cfg(predictor.RegressionConfig, cfg, split_seed=split_seed)
+    dataset = load_dataset(args.data)
+    reg_config = _from_cfg(predictor.RegressionConfig, cfg)
     spec = _machine_spec(cfg["machine"], dataset) if cfg["machine"] else None
     result = predictor.train_predictor(table, dataset, reg_config, spec=spec, seed=cfg["base_seed"])
     out = _out_dir(args.out)
@@ -293,12 +265,10 @@ def cmd_train_predictor(args):
 
 def cmd_predict(args):
     started = time.monotonic()
-    if args.model is None:
-        raise ConfigError("--model is required for predict")
     model = predictor.load_predictor(args.model)
-    dataset = _load_dataset(args.data)
-    out = _out_dir(args.out)
+    dataset = load_dataset(args.data)
     predictions = predictor.predict(model, dataset)
+    out = _out_dir(args.out)
     report.write_csv(out / "predictions.csv", ("image_id", "predicted_score"), sorted(predictions.items()))
     _write_manifest(out, "predict", {}, "", dataset, time.monotonic() - started)
     print(f"wrote {len(predictions)} predictions -> {out / 'predictions.csv'}")
@@ -315,7 +285,7 @@ def cmd_sweep(args):
         raise ConfigError(f"sweep knob must be one of {knobs}, got {knob!r}")
     if not isinstance(values, list) or len(values) < 2:
         raise ConfigError("sweep needs a list of at least 2 knob values")
-    dataset = _load_dataset(args.data)
+    dataset = load_dataset(args.data)
     # Set A comes from the base config's seed so every sub-run scores the same images.
     runs = [_episode_config(dict(cfg, **{knob: value}), dataset, cfg["base_seed"]) for value in values]
     # Every sub-run is checked here, so a bad or repeated value fails before the first run measures.
@@ -347,15 +317,15 @@ def cmd_sweep(args):
 # Every flag of the CLI; each subcommand takes the ones it reads.
 FLAGS = {
     "--config": {"help": "JSON config file; flags override file fields"},
-    "--data": {"help": "dataset path (.bin file/dir or PPM directory)"},
-    "--out": {"help": "output directory"},
+    "--data": {"required": True, "help": "dataset path (.bin file/dir or PPM directory)"},
+    "--out": {"required": True, "help": "output directory"},
     "--seed": {"type": int, "help": "override base_seed"},
     "--workers": {"type": int, "help": "episode parallelism (default: all cores)"},
-    "--scores": {"help": "score table CSV from measure"},
+    "--scores": {"required": True, "help": "score table CSV from measure"},
     "--attributes": {"help": "attribute CSV from the attributes command"},
     "--merge-csv": {"help": "extra per-image columns to correlate (CSV with image_id)"},
     "--labels": {"help": 'label CSV with header "image_id,label"'},
-    "--model": {"help": "predictor checkpoint (.mmt1)"},
+    "--model": {"required": True, "help": "predictor checkpoint (.mmt1)"},
 }
 
 # name: (handler, help, the flags it reads)

@@ -2,16 +2,18 @@
 
 Images are channel-major float64 arrays with values in [0, 1]; a Dataset
 holds all of its images as the rows of one read-only (N, C, H, W) array.
-Rotations are exact counterclockwise pixel permutations. Supported on-disk
-formats: CIFAR-10 binary batches (1 label byte + 3072 pixel bytes per
-record) and binary PPM (P6, maxval <= 255), optionally with a manifest CSV
-"id,filename[,label]". Class labels are not kept: the CIFAR label byte and
-the manifest's label column are allowed and ignored (`analyze --labels`
-reads its own label table).
+Rotations are exact counterclockwise pixel permutations. `load_dataset`
+alone picks a path's on-disk format: CIFAR-10 binary batches (1 label byte +
+3072 pixel bytes per record), or binary PPM (P6, maxval <= 255), optionally
+with a manifest CSV "id,filename[,label]". A path of neither format is a
+ConfigError; a file that does not parse is a DataFormatError naming it.
+Class labels are not kept: the CIFAR label byte and the manifest's label
+column are allowed and ignored (`analyze --labels` reads its own table).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -190,59 +192,27 @@ def read_ppm(path) -> np.ndarray:
     """Decode one binary P6 PPM (maxval <= 255) into (3, H, W) pixels."""
     path = Path(path)
     blob = path.read_bytes()
-    pos = 0
-
-    def fail(message):
-        raise DataFormatError(message, path=str(path), offset=pos)
-
-    if blob[:2] != b"P6":
-        fail("bad magic, expected P6")
-    pos = 2
-
-    def next_token():
-        nonlocal pos
-        while pos < len(blob):
-            ch = blob[pos : pos + 1]
-            if ch == b"#":  # comment runs to end of line
-                while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            fail("truncated header")
-        return blob[start:pos]
-
-    fields = []
-    for name in ("width", "height", "maxval"):
-        token = next_token()
-        if not token.isdigit():
-            fail(f"non-numeric {name} field {token!r}")
-        fields.append(int(token))
-    width, height, maxval = fields
+    # "P6", then width, height and maxval, each after whitespace or comments
+    # that run to "\n", then one whitespace byte; re caches the compiled pattern.
+    header = re.match(rb"P6" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s", blob)
+    if header is None:
+        problem = "bad magic, expected P6" if blob[:2] != b"P6" else "malformed header, expected P6 width height maxval"
+        raise DataFormatError(problem, path=str(path), offset=0)
+    width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1:
-        fail(f"bad dimensions {width}x{height}")
+        raise DataFormatError(f"bad dimensions {width}x{height}", path=str(path), offset=header.start(1))
     if not 0 < maxval <= 255:
-        fail(f"maxval {maxval} outside (0, 255]")
-    if pos >= len(blob) or not blob[pos : pos + 1].isspace():
-        fail("missing whitespace after maxval")
-    pos += 1
-    expected = width * height * 3
-    payload = blob[pos : pos + expected]
-    if len(payload) != expected:
-        pos = len(blob)
-        raise DataFormatError(
-            f"truncated pixel data, expected {expected} bytes", path=str(path), offset=len(blob)
-        )
-    if pos + expected != len(blob):
-        pos += expected
-        fail("trailing bytes after pixel data")
-    raster = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return raster.transpose(2, 0, 1).astype(np.float64) / maxval
+        raise DataFormatError(f"maxval {maxval} outside (0, 255]", path=str(path), offset=header.start(3))
+    start, count = header.end(), width * height * 3
+    if len(blob) < start + count:
+        raise DataFormatError(f"truncated pixel data, expected {count} bytes", path=str(path), offset=len(blob))
+    if len(blob) > start + count:
+        raise DataFormatError("trailing bytes after pixel data", path=str(path), offset=start + count)
+    raster = np.frombuffer(blob, dtype=np.uint8, count=count, offset=start)
+    if maxval < 255 and raster.max() > maxval:
+        first = int(np.argmax(raster > maxval))
+        raise DataFormatError(f"sample {raster[first]} above maxval {maxval}", path=str(path), offset=start + first)
+    return raster.reshape(height, width, 3).transpose(2, 0, 1).astype(np.float64) / maxval
 
 
 def write_ppm(image: ImageTensor, path):
@@ -255,13 +225,20 @@ def write_ppm(image: ImageTensor, path):
 
 
 def _read_manifest(path):
+    """The (id, file) entries of a manifest; every id is new and every file exists."""
     rows = list(report.csv_reader(path))
     if not rows or rows[0] not in (["id", "filename"], ["id", "filename", "label"]):
         raise DataFormatError('manifest must start with header "id,filename" or "id,filename,label"', path=str(path))
+    entries = {}
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != len(rows[0]):
             raise DataFormatError(f"manifest row {line_no} has {len(row)} fields", path=str(path))
-    return [(row[0], row[1]) for row in rows[1:]]
+        if row[0] in entries:
+            raise DataFormatError(f"manifest row {line_no} repeats image id {row[0]!r}", path=str(path))
+        entries[row[0]] = path.parent / row[1]
+        if not entries[row[0]].is_file():
+            raise DataFormatError(f"manifest row {line_no} names missing file {row[1]!r}", path=str(path))
+    return list(entries.items())
 
 
 def load_ppm_dir(path) -> Dataset:
@@ -269,7 +246,7 @@ def load_ppm_dir(path) -> Dataset:
     path = Path(path)
     manifest = path / "manifest.csv"
     if manifest.exists():
-        entries = [(image_id, path / name) for image_id, name in _read_manifest(manifest)]
+        entries = _read_manifest(manifest)
     else:
         entries = [(file.stem, file) for file in sorted(path.glob("*.ppm"))]
         if not entries:
@@ -283,6 +260,22 @@ def load_ppm_dir(path) -> Dataset:
     # np.stack keeps read_ppm's channel-last memory order. attributes.grayscale's
     # tensordot rounds differently on a channel-first copy, so that would change attributes.
     return Dataset([image_id for image_id, _ in entries], np.stack(rasters), source=str(path))
+
+
+def load_dataset(path) -> Dataset:
+    """Load a .bin file or a directory of .bin batches, or a PPM directory."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"data path does not exist: {path}")
+    if path.is_file():
+        if path.suffix == ".bin":
+            return load_cifar_binary(path)
+        raise ConfigError(f"unsupported dataset file {path} (expected a .bin batch)")
+    if (path / "manifest.csv").exists() or any(path.glob("*.ppm")):
+        return load_ppm_dir(path)
+    if any(path.glob("*.bin")):
+        return load_cifar_binary(path)
+    raise ConfigError(f"directory {path} holds neither .ppm images nor .bin batches")
 
 
 # --- regression augmentations ----------------------------------------------

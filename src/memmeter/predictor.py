@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ class RegressionConfig:
     epochs: int = 50
     lr: float = 0.01
     batch_size: int = 16
-    split_seed: int = 0
+    split_seed: int | None = None  # None: train_predictor's seed
     test_fraction: float = 0.2
     augment: bool = True
 
@@ -107,6 +107,8 @@ def train_predictor(score_table, dataset, config: RegressionConfig, spec=None, s
         c, h, w = dataset.dims
         spec = MachineSpec(kind="small_cnn", in_channels=c, height=h, width=w)
     model = build_predictor(spec, derive_seed(seed, "predictor-init"))
+    if config.split_seed is None:
+        config = replace(config, split_seed=seed)
     train_ids, test_ids = split_ids(score_table.scores, config)
 
     batches_per_epoch = (len(train_ids) + config.batch_size - 1) // config.batch_size

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import synth
-from memmeter import cli, measurer
+from memmeter import cli, measurer, predictor
 from memmeter.data import Dataset
 from memmeter.engine import build_machine, save_params
 from memmeter.engine.machine import MachineSpec
@@ -365,6 +365,66 @@ def test_attributes_on_cifar_binary_file(tmp_path):
     assert lines[1].startswith("batch.bin#0,")
 
 
+# --- datasets ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["void", "images.txt", "empty"])
+def test_data_path_of_no_dataset_format_exits_2_without_outputs(tmp_path, name, capsys):
+    (tmp_path / "images.txt").write_text("not a dataset\n")
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "empty" / "notes.txt").write_text("")
+    data, out = tmp_path / name, tmp_path / "o"
+    assert run_cli("attributes", "--data", str(data), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and str(data) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, given, missing",
+    [
+        ("attributes", "--out", "--data"),
+        ("measure", "--data", "--out"),
+        ("predict", "--data --out", "--model"),
+        ("train-predictor", "--data --out", "--scores"),
+    ],
+)
+def test_missing_required_flag_is_usage_error(tmp_path, ppm_dataset_dir, command, given, missing, capsys):
+    values = {"--data": str(ppm_dataset_dir), "--out": str(tmp_path / "o")}
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(command, *itertools.chain.from_iterable((flag, values[flag]) for flag in given.split()))
+    assert excinfo.value.code == 2
+    assert f"required: {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_ppm_sample_above_maxval_exits_3_naming_file_and_offset(tmp_path, ppm_dataset_dir, capsys):
+    data = shutil.copytree(ppm_dataset_dir, tmp_path / "data")
+    bad = data / "ramp003.ppm"
+    bad.write_bytes(b"P6\n6 6\n100\n" + bytes([100] * 20 + [200] + [0] * 87))
+    out = tmp_path / "o"
+    assert run_cli("attributes", "--data", str(data), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and "sample 200 above maxval 100 (byte offset 31)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("ramp000,ramp001.ppm", "manifest row 18 repeats image id 'ramp000'"),
+     ("extra,extra.ppm", "manifest row 18 names missing file 'extra.ppm'")],
+    ids=["repeated-id", "missing-file"],
+)
+def test_bad_manifest_row_exits_3_naming_manifest_and_row(tmp_path, ppm_dataset_dir, row, message, capsys):
+    data = shutil.copytree(ppm_dataset_dir, tmp_path / "data")
+    manifest = data / "manifest.csv"
+    manifest.write_text(manifest.read_text() + row + "\n")
+    out = tmp_path / "o"
+    assert run_cli("attributes", "--data", str(data), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert str(manifest) in err and message in err
+    assert not out.exists()
+
+
 def test_log_level_env_var(tmp_path, ppm_dataset_dir, monkeypatch, caplog):
     import logging
 
@@ -515,7 +575,9 @@ def test_analyze_score_rows_of_two_runs_exit_3(tmp_path, capsys):
 
 
 def test_analyze_requires_scores(tmp_path, capsys):
-    assert run_cli("analyze", "--out", str(tmp_path / "o")) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("analyze", "--out", str(tmp_path / "o"))
+    assert excinfo.value.code == 2
     assert "--scores" in capsys.readouterr().err
 
 
@@ -529,11 +591,13 @@ def test_analyze_requires_scores(tmp_path, capsys):
         ("train-predictor", "--scores"),
     ],
 )
-def test_missing_table_file_exits_2(tmp_path, command, flag, capsys):
+def test_missing_table_file_exits_2(tmp_path, ppm_dataset_dir, command, flag, capsys):
     missing = tmp_path / "nope.csv"
     argv = [command, flag, str(missing), "--out", str(tmp_path / "o")]
     if flag != "--scores":
         argv += ["--scores", str(write_score_rows(tmp_path / "scores.csv"))]
+    if command == "train-predictor":
+        argv += ["--data", str(ppm_dataset_dir)]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert "config error: " in err and str(missing) in err
@@ -571,13 +635,17 @@ def test_table_row_of_wrong_width_exits_3(tmp_path, flag, text, capsys):
     ],
     ids=["scores", "attributes", "merge-csv", "labels", "train-predictor-scores"],
 )
-def test_table_with_a_repeated_image_id_exits_3_without_outputs(tmp_path, command, flag, text, line, image_id, capsys):
+def test_table_with_a_repeated_image_id_exits_3_without_outputs(
+    tmp_path, ppm_dataset_dir, command, flag, text, line, image_id, capsys
+):
     table = tmp_path / "table.csv"
     table.write_text(text)
     out = tmp_path / "o"
     argv = [command, flag, str(table), "--out", str(out)]
     if flag != "--scores":
         argv += ["--scores", str(write_score_rows(tmp_path / "scores.csv"))]
+    if command == "train-predictor":
+        argv += ["--data", str(ppm_dataset_dir)]
     assert run_cli(*argv) == 3
     err = capsys.readouterr().err
     assert str(table) in err and f"line {line} repeats image id {image_id!r}" in err
@@ -1106,6 +1174,15 @@ def test_predict_before_train_is_explicit_error(tmp_path, ppm_dataset_dir, capsy
     )
     assert code == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_predict_on_images_the_model_does_not_fit_exits_2_without_outputs(tmp_path, ppm_dataset_dir, capsys):
+    model = tmp_path / "predictor.mmt1"
+    predictor.save_predictor(predictor.build_predictor(MachineSpec("small_cnn", 3, 8, 8), seed=0), model)
+    out = tmp_path / "o"
+    assert run_cli("predict", "--model", str(model), "--data", str(ppm_dataset_dir), "--out", str(out)) == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

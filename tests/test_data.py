@@ -221,6 +221,36 @@ def test_ppm_truncated_payload(tmp_path):
         read_ppm(path)
 
 
+@pytest.mark.parametrize(
+    "header",
+    [b"P6# made by hand\n2 1\n255\n", b"P6\n#a\n2 #b\n\n# c\n1\t#d\n255\n"],
+    ids=["comment-after-magic", "comment-between-every-field"],
+)
+def test_ppm_header_comments_load(tmp_path, header):
+    path = tmp_path / "c.ppm"
+    path.write_bytes(header + bytes([255, 0, 51, 0, 255, 102]))
+    assert np.array_equal(read_ppm(path)[:, 0, :], [[1.0, 0.0], [0.0, 1.0], [0.2, 0.4]])
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"P6\n2 x\n255\n" + bytes(6), "malformed header"),
+        (b"P6\n1 1\n0\n" + bytes(3), r"maxval 0 outside \(0, 255\] \(byte offset 7\)"),
+        (b"P6\n1 1\n256\n" + bytes(3), r"maxval 256 outside"),
+        (b"P6\n0 1\n255\n", r"bad dimensions 0x1 \(byte offset 3\)"),
+        (b"P6\n1 1\n255\n" + bytes(4), r"trailing bytes after pixel data \(byte offset 14\)"),
+    ],
+    ids=["non-numeric-height", "maxval-0", "maxval-256", "width-0", "trailing-bytes"],
+)
+def test_ppm_malformed_header_or_length_names_the_file(tmp_path, blob, message):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(blob)
+    with pytest.raises(DataFormatError, match=message) as excinfo:
+        read_ppm(path)
+    assert str(path) in str(excinfo.value)
+
+
 def test_ppm_write_then_load_roundtrips_bytes(tmp_path, rng):
     image = random_image("x", rng, size=5)
     first = tmp_path / "first.ppm"

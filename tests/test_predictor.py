@@ -89,6 +89,15 @@ def test_config_rejects_an_lr_that_is_not_finite_and_nonnegative(lr):
     with pytest.raises(ConfigError, match="lr must be finite and nonnegative"):
         RegressionConfig(lr=lr)
 
+
+def test_config_without_split_seed_splits_with_the_training_seed(scored_fixture):
+    dataset, scores = scored_fixture
+    config = RegressionConfig(epochs=1, batch_size=80, augment=False)
+    assert config.split_seed is None
+    result = train_predictor(table_for(scores), dataset, config, seed=7)
+    assert result.test_ids == split_ids(scores, RegressionConfig(split_seed=7))[1]
+
+
 def test_split_is_disjoint_and_exhaustive(scored_fixture):
     _, scores = scored_fixture
     config = RegressionConfig(test_fraction=0.3, split_seed=7)
