@@ -91,16 +91,13 @@ def _block_average(arr: np.ndarray) -> np.ndarray:
 def _mean_local_contrast(linear: np.ndarray) -> float:
     """Average over pixels of the mean absolute luminance gap to 4-neighbors."""
     lum = 100.0 * np.sqrt(linear)
-    h, w = lum.shape
-    diff_sum = np.zeros((h, w))
-    neighbor_count = np.zeros((h, w))
-    for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        ys = slice(max(dy, 0), h + min(dy, 0))
-        xs = slice(max(dx, 0), w + min(dx, 0))
-        ys_n = slice(max(-dy, 0), h + min(-dy, 0))
-        xs_n = slice(max(-dx, 0), w + min(-dx, 0))
-        diff_sum[ys, xs] += np.abs(lum[ys, xs] - lum[ys_n, xs_n])
-        neighbor_count[ys, xs] += 1
+    vertical, horizontal = np.abs(np.diff(lum, axis=0)), np.abs(np.diff(lum, axis=1))
+    diff_sum, neighbor_count = np.zeros(lum.shape), np.zeros(lum.shape)
+    # Each gap counts for both pixels of its pair; adding up, down, left, right fixes the rounding.
+    for target, gaps in ((np.s_[1:], vertical), (np.s_[:-1], vertical),
+                         (np.s_[:, 1:], horizontal), (np.s_[:, :-1], horizontal)):
+        diff_sum[target] += gaps
+        neighbor_count[target] += 1
     return float((diff_sum / neighbor_count).mean())
 
 
@@ -114,10 +111,10 @@ def global_contrast(image) -> float:
     linear = grayscale(image.pixels)
     total = 0.0
     for level in range(1, GCF_LEVELS + 1):
-        if min(linear.shape) >= 2:
-            total += _gcf_weight(level) * _mean_local_contrast(linear)
-        if level < GCF_LEVELS:
-            linear = _block_average(linear)
+        if min(linear.shape) < 2:
+            break  # block averaging never grows a side, so no later level counts either
+        total += _gcf_weight(level) * _mean_local_contrast(linear)
+        linear = _block_average(linear)
     return total
 
 

@@ -157,9 +157,9 @@ def _episode_config(cfg, dataset, set_a_seed):
 
 
 def _measure_and_write(config, set_a, dataset, out, workers):
-    """Measure one checked config into `out`/scores.csv and episodes.jsonl."""
-    out = _out_dir(out)
+    """Measure one checked config into `out`/scores.csv and episodes.jsonl; a failed run creates no `out`."""
     table, episodes = measurer.measure(dataset, set_a, config, workers=workers)
+    out = _out_dir(out)
     measurer.write_score_csv(table, out / "scores.csv")
     measurer.write_episode_jsonl(episodes, out / "episodes.jsonl")
     return table, out
@@ -294,7 +294,7 @@ def cmd_sweep(args):
         first = digests.index(digest)
         if first != i:
             raise ConfigError(f"sweep values {values[first]!r} and {values[i]!r} are one run (config hash {digest})")
-    out = _out_dir(args.out)
+    out = Path(args.out)  # created, with its parents, by the first run's _measure_and_write
     tables = []
     run_payload = []
     for i, (config, set_a) in enumerate(runs):

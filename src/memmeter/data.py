@@ -165,12 +165,7 @@ def sample_episode_sets(dataset, set_a, n, episode_seed, reserve=0) -> EpisodeSe
 def load_cifar_binary(path) -> Dataset:
     """Load CIFAR-10 binary batches from one .bin file or a directory."""
     path = Path(path)
-    if path.is_dir():
-        files = sorted(path.glob("*.bin"))
-        if not files:
-            raise DataFormatError("no .bin files in directory", path=str(path))
-    else:
-        files = [path]
+    files = sorted(path.glob("*.bin")) if path.is_dir() else [path]
     ids, batches = [], []
     for file in files:
         blob = file.read_bytes()
@@ -182,6 +177,8 @@ def load_cifar_binary(path) -> Dataset:
             )
         batches.append(np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES))
         ids += [f"{file.name}#{index}" for index in range(len(batches[-1]))]
+    if not ids:
+        raise DataFormatError("no CIFAR records in .bin files", path=str(path))
     records = np.concatenate(batches)
     pixels = records[:, 1:].astype(np.float64).reshape(-1, *CIFAR_SHAPE)
     pixels /= 255.0
@@ -238,6 +235,8 @@ def _read_manifest(path):
         entries[row[0]] = path.parent / row[1]
         if not entries[row[0]].is_file():
             raise DataFormatError(f"manifest row {line_no} names missing file {row[1]!r}", path=str(path))
+    if not entries:
+        raise DataFormatError("manifest lists no images", path=str(path))
     return list(entries.items())
 
 
@@ -251,8 +250,6 @@ def load_ppm_dir(path) -> Dataset:
         entries = [(file.stem, file) for file in sorted(path.glob("*.ppm"))]
         if not entries:
             raise DataFormatError("no .ppm files in directory", path=str(path))
-    if not entries:
-        raise ConfigError("dataset is empty")
     rasters = [read_ppm(file) for _, file in entries]
     for (image_id, _), raster in zip(entries, rasters):
         if raster.shape != rasters[0].shape:

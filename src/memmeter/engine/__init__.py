@@ -3,7 +3,7 @@
 from .tensor import Tensor
 from .layers import Conv2d, Flatten, Linear, MaxPool2, ReLU
 from .machine import Machine, MachineSpec, build_machine
-from .losses import mse_loss, rotation_loss, seen_loss, softmax_cross_entropy
+from .losses import mse_loss, softmax_cross_entropy
 from .optim import SGD, cosine_lr
 from .checkpoint import load_into_machine, load_params, save_params
 
@@ -18,8 +18,6 @@ __all__ = [
     "Machine",
     "build_machine",
     "softmax_cross_entropy",
-    "rotation_loss",
-    "seen_loss",
     "mse_loss",
     "SGD",
     "cosine_lr",

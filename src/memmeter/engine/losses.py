@@ -1,30 +1,16 @@
-"""Loss functions for the observe and discriminate training stages.
+"""Losses only: softmax cross-entropy on class labels, and mean squared error.
 
-Both stages train classification on class labels, one integer per row of
-logits. The rotation loss averages cross-entropy over the four rotated
-copies of one image; the seen/unseen loss is plain 2-way cross-entropy,
-with class balance coming from equal-sized seen and unseen sets.
+The memory game's classes and losses live in `memmeter.measurer`. `rotated_batch`
+is a data transform, kept here because the benchmark's tracer patches it as
+`losses.rotated_batch`; it moves next to `data.rotate_pixels` with the tracer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError
 from . import tensor as T
 from .tensor import Tensor
-
-SEEN_CLASS = 0
-UNSEEN_CLASS = 1
-
-# Class of each quarter turn per pretext mode; in binary mode {0, 90} form
-# one class and {180, 270} the other.
-ROTATION_LABELS = {"four_way": (0, 1, 2, 3), "binary": (0, 0, 1, 1)}
-
-
-def rotation_head_width(mode) -> int:
-    """Head width a pretext mode needs: one logit per rotation class."""
-    return max(ROTATION_LABELS[mode]) + 1
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -61,23 +47,6 @@ def rotated_batch(image) -> np.ndarray:
     for k in range(4):
         rotate_pixels(pixels, k, out=batch[k])
     return batch
-
-
-def rotation_loss(machine, rotations, mode="four_way") -> Tensor:
-    """Mean cross-entropy over an image's four rotated copies, `rotated_batch(image)`."""
-    width = rotation_head_width(mode)
-    if machine.head_width != width:
-        raise ConfigError(f"{mode} rotation loss needs a {width}-way head, machine has {machine.head_width}")
-    logits = machine.forward(Tensor(rotations))
-    return softmax_cross_entropy(logits, ROTATION_LABELS[mode])
-
-
-def seen_loss(machine, image, label: int) -> Tensor:
-    """2-way cross-entropy of one image against its class, SEEN_CLASS or UNSEEN_CLASS."""
-    if machine.head_width != 2:
-        raise ConfigError(f"seen/unseen loss needs a 2-way head, machine has {machine.head_width}")
-    logits = machine.forward(Tensor(image.pixels[None]))
-    return softmax_cross_entropy(logits, (label,))
 
 
 def mse_loss(predictions: Tensor, targets: np.ndarray) -> Tensor:

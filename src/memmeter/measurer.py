@@ -7,6 +7,10 @@ one epoch at a time; (c) after every epoch, predict seen/unseen on the
 held-aside set A and record the calibration error. The episode's verdicts
 come from the epoch with the lowest calibration error. Scores are the
 fraction of gate-passing episodes that called an image "seen".
+
+This module defines the protocol's classes and head widths (ROTATION_LABELS
+per pretext mode, SEEN_CLASS and UNSEEN_CLASS) and the two losses built on
+them; the engine supplies only the generic cross-entropy.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import numpy as np
 
 from . import report
 from .data import sample_episode_sets
-from .engine import SGD, Tensor, build_machine, load_into_machine, rotation_loss, seen_loss
-from .engine.losses import ROTATION_LABELS, SEEN_CLASS, UNSEEN_CLASS, rotated_batch, rotation_head_width
+from .engine import SGD, Tensor, build_machine, load_into_machine, softmax_cross_entropy
+from .engine.losses import rotated_batch
 from .engine.machine import MachineSpec
 from .errors import ConfigError, DataFormatError, MeasurementError
 from .metrics import rms_calibration_error
@@ -32,6 +36,12 @@ from .rng import derive_seed, make_rng
 log = logging.getLogger(__name__)
 
 CALIBRATION_MODES = ("seen_only", "held_out")
+
+SEEN_CLASS = 0
+UNSEEN_CLASS = 1
+
+# Class of each quarter turn per pretext mode; binary mode splits {0, 90} from {180, 270}.
+ROTATION_LABELS = {"four_way": (0, 1, 2, 3), "binary": (0, 0, 1, 1)}
 
 
 @dataclass(frozen=True)
@@ -75,7 +85,7 @@ class EpisodeConfig:
 
     @property
     def head_width_a(self) -> int:
-        return rotation_head_width(self.pretext_mode)
+        return max(ROTATION_LABELS[self.pretext_mode]) + 1
 
     @property
     def calibration_reserve(self) -> int:
@@ -117,6 +127,16 @@ def config_digest(config: EpisodeConfig, set_a) -> str:
 
 # --- stages ------------------------------------------------------------------
 
+def rotation_loss(machine, rotations, mode="four_way") -> Tensor:
+    """Mean cross-entropy over an image's four rotated copies, `rotated_batch(image)`."""
+    return softmax_cross_entropy(machine.forward(Tensor(rotations)), ROTATION_LABELS[mode])
+
+
+def seen_loss(machine, image, label: int) -> Tensor:
+    """2-way cross-entropy of one image against its class, SEEN_CLASS or UNSEEN_CLASS."""
+    return softmax_cross_entropy(machine.forward(Tensor(image.pixels[None])), (label,))
+
+
 def rotation_accuracy(machine, images, mode) -> float:
     """Top-1 accuracy over all four rotations of every image, no updates."""
     labels = ROTATION_LABELS[mode]
@@ -154,10 +174,6 @@ def stage_a(machine, images, config: EpisodeConfig, shuffle_seed: int) -> float:
 
 def stage_b_epoch(machine, seen_images, unseen_images, config: EpisodeConfig, optimizer, rng):
     """Discriminate: one seen-vs-unseen pass over a seeded shuffle of B and C."""
-    if len(seen_images) != len(unseen_images):
-        raise ConfigError(
-            f"stage (b) needs balanced sets, got {len(seen_images)} seen vs {len(unseen_images)} unseen"
-        )
     labeled = [(img, SEEN_CLASS) for img in seen_images] + [(img, UNSEEN_CLASS) for img in unseen_images]
     for index in rng.permutation(len(labeled)):
         image, label = labeled[index]

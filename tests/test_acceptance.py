@@ -20,9 +20,17 @@ from memmeter.attributes import colorfulness, compute_attributes, entropy, globa
 from memmeter.data import ImageTensor, rotate_pixels
 from memmeter.engine import Tensor, build_machine
 from memmeter.engine import tensor as T
-from memmeter.engine.losses import SEEN_CLASS, mse_loss, rotated_batch, rotation_loss, seen_loss, softmax_cross_entropy
+from memmeter.engine.losses import mse_loss, rotated_batch, softmax_cross_entropy
 from memmeter.engine.machine import MachineSpec
-from memmeter.measurer import EpisodeConfig, measure, read_score_csv, select_epoch
+from memmeter.measurer import (
+    SEEN_CLASS,
+    EpisodeConfig,
+    measure,
+    read_score_csv,
+    rotation_loss,
+    seen_loss,
+    select_epoch,
+)
 from memmeter.metrics import midranks, spearman
 from memmeter.predictor import RegressionConfig, build_predictor, evaluate_predictor, predict, train_predictor
 from memmeter.rng import make_rng

@@ -320,6 +320,16 @@ def test_diverging_measure_is_not_reported_as_config_error(tmp_path, ppm_dataset
     with pytest.raises(ValueError, match="non-finite logits"):
         run_cli("measure", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(tmp_path / "o"), "--workers", "1")
     assert "config error" not in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_measure_with_every_episode_below_the_gate_exits_4_without_outputs(tmp_path, ppm_dataset_dir, capsys):
+    # lr_a 0 keeps stage (a) at its random init, far below a 100% gate.
+    config = measure_config(tmp_path, lr_a=0.0, accuracy_gate=1.0)
+    out = tmp_path / "o"
+    assert run_cli("measure", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(out)) == 4
+    assert "all 2 episodes failed the 100% accuracy gate" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_flag_overrides_config(tmp_path, ppm_dataset_dir):
@@ -395,6 +405,21 @@ def test_missing_required_flag_is_usage_error(tmp_path, ppm_dataset_dir, command
     assert excinfo.value.code == 2
     assert f"required: {missing}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", ["manifest", "empty.bin", "bins"])
+def test_data_without_images_exits_3_naming_the_path(tmp_path, name, capsys):
+    (tmp_path / "manifest").mkdir()
+    (tmp_path / "manifest" / "manifest.csv").write_text("id,filename\n")
+    (tmp_path / "empty.bin").write_bytes(b"")
+    (tmp_path / "bins").mkdir()
+    (tmp_path / "bins" / "data_batch_1.bin").write_bytes(b"")
+    named = tmp_path / name / "manifest.csv" if name == "manifest" else tmp_path / name
+    out = tmp_path / "o"
+    assert run_cli("attributes", "--data", str(tmp_path / name), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "data format error: " in err and str(named) in err
+    assert not out.exists()
 
 
 def test_ppm_sample_above_maxval_exits_3_naming_file_and_offset(tmp_path, ppm_dataset_dir, capsys):

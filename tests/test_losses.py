@@ -8,16 +8,8 @@ import pytest
 from memmeter.data import ImageTensor
 from memmeter.engine import Tensor, build_machine
 from memmeter.engine import tensor as T
-from memmeter.engine.losses import (
-    SEEN_CLASS,
-    UNSEEN_CLASS,
-    mse_loss,
-    rotated_batch,
-    rotation_loss,
-    seen_loss,
-    softmax_cross_entropy,
-)
-from memmeter.errors import ConfigError
+from memmeter.engine.losses import mse_loss, rotated_batch, softmax_cross_entropy
+from memmeter.measurer import SEEN_CLASS, UNSEEN_CLASS, rotation_loss, seen_loss
 
 from synth import random_image
 
@@ -175,11 +167,6 @@ def test_rotated_batch_has_the_bytes_of_np_rot90(channels, size, rng):
     image = ImageTensor("img", rng.random((channels, size, size)))
     expected = np.stack([np.rot90(image.pixels, k, axes=(1, 2)) for k in range(4)])
     assert rotated_batch(image).tobytes() == expected.tobytes()
-
-
-def test_rotation_loss_checks_head_width(rng):
-    with pytest.raises(ConfigError, match="4-way head"):
-        rotation_loss(UniformMachine(2), rotated_batch(random_image("img", rng)), "four_way")
 
 
 def test_seen_loss_uniform_is_ln2(rng):

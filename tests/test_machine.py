@@ -87,8 +87,9 @@ def test_small_cnn_has_conv_and_pool(cnn_spec):
 
 def test_pool_before_relu_trains_bitwise_like_relu_before_pool(cnn_spec, rng):
     from memmeter.data import ImageTensor
-    from memmeter.engine import SGD, mse_loss, rotation_loss
+    from memmeter.engine import SGD, mse_loss
     from memmeter.engine.losses import rotated_batch
+    from memmeter.measurer import rotation_loss
     from memmeter.predictor import PredictorModel
 
     # Zero borders give windows whose conv outputs all equal the bias, so ties and non-positive maxima occur.

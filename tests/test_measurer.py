@@ -9,10 +9,12 @@ import synth
 from memmeter import measurer
 from memmeter.data import Dataset
 from memmeter.engine import SGD, build_machine
-from memmeter.engine.losses import SEEN_CLASS, UNSEEN_CLASS, rotated_batch
+from memmeter.engine.losses import rotated_batch
 from memmeter.engine.machine import MachineSpec
 from memmeter.errors import ConfigError, DataFormatError, MeasurementError
 from memmeter.measurer import (
+    SEEN_CLASS,
+    UNSEEN_CLASS,
     EpisodeConfig,
     EpisodeResult,
     ScoreTable,
@@ -128,15 +130,6 @@ def test_rotation_accuracy_counts_all_four_rotations(small_dataset, small_spec):
 
 
 # --- stage (b) -------------------------------------------------------------------
-
-def test_stage_b_needs_balanced_sets(small_dataset, small_spec):
-    config = quick_config(small_spec)
-    machine = build_machine(small_spec, 2, seed=1)
-    optimizer = SGD(machine.parameters(), lr=0.01, total_steps=100)
-    images = [small_dataset.image(i) for i in small_dataset.ids]
-    with pytest.raises(ConfigError, match="balanced"):
-        stage_b_epoch(machine, images[:3], images[3:5], config, optimizer, make_rng(1))
-
 
 def test_stage_b_zero_lr_leaves_parameters_unchanged(small_dataset, small_spec):
     config = quick_config(small_spec, lr_b=0.0)
@@ -412,15 +405,6 @@ def test_binary_pretext_with_linear_machine(small_dataset):
     table, episodes = measure(small_dataset, small_dataset.ids[:4], config)
     assert table.m_effective >= 1
     assert all(0.0 <= s <= 1.0 for s in table.scores.values())
-
-
-def test_binary_pretext_head_width_enforced(small_dataset, small_spec):
-    from memmeter.engine.losses import rotation_loss
-
-    config = quick_config(small_spec, pretext_mode="binary")
-    machine = build_machine(small_spec, 4, seed=1)  # wrong width for binary
-    with pytest.raises(ConfigError, match="2-way head"):
-        rotation_loss(machine, rotated_batch(small_dataset.image(small_dataset.ids[0])), config.pretext_mode)
 
 
 def test_init_checkpoint_replaces_fresh_init(tmp_path, small_dataset, small_spec):

@@ -223,8 +223,9 @@ def _zero_fill_accumulate(t, g, owned=False):
 @pytest.mark.parametrize("kind", ["linear", "mlp", "small_cnn"])
 def test_handed_over_gradients_train_bitwise_like_zero_filled_ones(kind, monkeypatch, rng):
     from memmeter.data import ImageTensor
-    from memmeter.engine import SGD, mse_loss, rotation_loss, seen_loss
-    from memmeter.engine.losses import SEEN_CLASS, UNSEEN_CLASS, rotated_batch
+    from memmeter.engine import SGD, mse_loss
+    from memmeter.engine.losses import rotated_batch
+    from memmeter.measurer import SEEN_CLASS, UNSEEN_CLASS, rotation_loss, seen_loss
     from memmeter.engine.machine import MachineSpec
     from memmeter.predictor import PredictorModel
 
