@@ -54,8 +54,8 @@ def hsv_stats(image) -> tuple:
     Achromatic pixels carry no hue; when every pixel is achromatic (or
     hues cancel) the mean hue is undefined and returned as None.
     """
-    if image.channels != 3:
-        raise ValueError(f"hsv_stats needs a 3-channel image, got {image.channels}")
+    if image.pixels.shape[0] != 3:
+        raise ValueError(f"hsv_stats needs a 3-channel image, got {image.pixels.shape[0]}")
     r, g, b = image.pixels
     mx = np.maximum(np.maximum(r, g), b)
     mn = np.minimum(np.minimum(r, g), b)
@@ -120,8 +120,8 @@ def global_contrast(image) -> float:
 
 def colorfulness(image) -> float:
     """Opponent-channel colorfulness on the 0-255 scale."""
-    if image.channels != 3:
-        raise ValueError(f"colorfulness needs a 3-channel image, got {image.channels}")
+    if image.pixels.shape[0] != 3:
+        raise ValueError(f"colorfulness needs a 3-channel image, got {image.pixels.shape[0]}")
     r, g, b = image.pixels * 255.0
     rg = r - g
     yb = 0.5 * (r + g) - b

@@ -1,14 +1,17 @@
 """Image ingestion, rotation transforms, episode sampling, augmentations.
 
-Images are channel-major float64 arrays with values in [0, 1]; a Dataset
-holds all of its images as the rows of one read-only (N, C, H, W) array.
-Rotations are exact counterclockwise pixel permutations. `load_dataset`
-alone picks a path's on-disk format: CIFAR-10 binary batches (1 label byte +
-3072 pixel bytes per record), or binary PPM (P6, maxval <= 255), optionally
-with a manifest CSV "id,filename[,label]". A path of neither format is a
-ConfigError; a file that does not parse is a DataFormatError naming it.
-Class labels are not kept: the CIFAR label byte and the manifest's label
-column are allowed and ignored (`analyze --labels` reads its own table).
+Images are channel-major float64 arrays with values in [0, 1], checked where
+they enter the program, once over a Dataset's read-only (N, C, H, W) array
+(every loader builds a Dataset), and where they leave it, in `write_ppm`. An
+ImageTensor is a plain (id, pixels) record; the row views a Dataset hands out
+and augmented copies of them are not checked again. Rotations are exact
+counterclockwise pixel permutations. `load_dataset` alone picks a path's
+on-disk format: CIFAR-10 binary batches (1 label byte + 3072 pixel bytes per
+record), or binary PPM (P6, maxval <= 255), optionally with a manifest CSV
+"id,filename[,label]". A path of neither format is a ConfigError; a file that
+does not parse is a DataFormatError naming it. Class labels are not kept: the
+CIFAR label byte and the manifest's label column are allowed and ignored
+(`analyze --labels` reads its own table).
 """
 
 from __future__ import annotations
@@ -39,25 +42,7 @@ def check_pixels(pixels: np.ndarray, owner: str):
 @dataclass
 class ImageTensor:
     id: str
-    pixels: np.ndarray  # (channels, height, width), values in [0, 1]
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.pixels.ndim != 3:
-            raise ConfigError(f"image {self.id!r}: pixels must be (C, H, W), got ndim {self.pixels.ndim}")
-        check_pixels(self.pixels, f"image {self.id!r}")
-
-    @property
-    def channels(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[2]
+    pixels: np.ndarray  # float64 (channels, height, width), values in [0, 1]
 
 
 class Dataset:
@@ -97,10 +82,7 @@ class Dataset:
         return self.pixels.shape[1:]
 
     def image(self, image_id: str) -> ImageTensor:
-        try:
-            return ImageTensor(image_id, self.pixels[self._rows[image_id]])
-        except KeyError:
-            raise ConfigError(f"unknown image id {image_id!r}") from None
+        return ImageTensor(image_id, self.pixels[self._rows[image_id]])
 
 
 # --- rotations -------------------------------------------------------------
@@ -214,10 +196,12 @@ def read_ppm(path) -> np.ndarray:
 
 def write_ppm(image: ImageTensor, path):
     """Encode an RGB image as canonical P6 with maxval 255 (round half up)."""
-    if image.channels != 3:
-        raise ConfigError(f"PPM output needs 3 channels, image {image.id!r} has {image.channels}")
+    channels, height, width = image.pixels.shape
+    if channels != 3:
+        raise ConfigError(f"PPM output needs 3 channels, image {image.id!r} has {channels}")
+    check_pixels(image.pixels, f"image {image.id!r}")  # the uint8 cast would wrap silently
     raster = np.floor(image.pixels * 255.0 + 0.5).astype(np.uint8).transpose(1, 2, 0)
-    header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
+    header = f"P6\n{width} {height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + raster.tobytes(order="C"))
 
 
@@ -251,9 +235,9 @@ def load_ppm_dir(path) -> Dataset:
         if not entries:
             raise DataFormatError("no .ppm files in directory", path=str(path))
     rasters = [read_ppm(file) for _, file in entries]
-    for (image_id, _), raster in zip(entries, rasters):
+    for (_, file), raster in zip(entries, rasters):
         if raster.shape != rasters[0].shape:
-            raise ConfigError(f"image {image_id!r} has shape {raster.shape}, dataset uses {rasters[0].shape}")
+            raise DataFormatError(f"shape {raster.shape} differs from the dataset's {rasters[0].shape}", path=str(file))
     # np.stack keeps read_ppm's channel-last memory order. attributes.grayscale's
     # tensordot rounds differently on a channel-first copy, so that would change attributes.
     return Dataset([image_id for image_id, _ in entries], np.stack(rasters), source=str(path))
@@ -301,6 +285,7 @@ def augment_for_regression(image: ImageTensor, seed: int) -> ImageTensor:
     rng = make_rng(seed)
     pixels = hflip_pixels(image.pixels) if rng.random() < 0.5 else image.pixels.copy()
     if rng.random() < 0.5:
-        y0, y1, x0, x1 = _sample_erase_rect(rng, image.height, image.width)
-        pixels[:, y0:y1, x0:x1] = rng.random((image.channels, y1 - y0, x1 - x0))
+        channels, height, width = pixels.shape
+        y0, y1, x0, x1 = _sample_erase_rect(rng, height, width)
+        pixels[:, y0:y1, x0:x1] = rng.random((channels, y1 - y0, x1 - x0))
     return ImageTensor(image.id, pixels)

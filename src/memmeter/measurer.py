@@ -172,7 +172,7 @@ def stage_a(machine, images, config: EpisodeConfig, shuffle_seed: int) -> float:
     return rotation_accuracy(machine, images, config.pretext_mode)
 
 
-def stage_b_epoch(machine, seen_images, unseen_images, config: EpisodeConfig, optimizer, rng):
+def stage_b_epoch(machine, seen_images, unseen_images, optimizer, rng):
     """Discriminate: one seen-vs-unseen pass over a seeded shuffle of B and C."""
     labeled = [(img, SEEN_CLASS) for img in seen_images] + [(img, UNSEEN_CLASS) for img in unseen_images]
     for index in rng.permutation(len(labeled)):
@@ -266,7 +266,7 @@ def run_episode(dataset, set_a, config: EpisodeConfig, episode_index: int) -> Ep
     trace = []
     verdicts_by_epoch = []
     for _ in range(config.epochs_b):
-        stage_b_epoch(machine, b_images, c_images, config, optimizer, shuffle_rng)
+        stage_b_epoch(machine, b_images, c_images, optimizer, shuffle_rng)
         verdicts, calibration = stage_c(machine, a_images, config, calib_seen, calib_unseen)
         trace.append(calibration)
         verdicts_by_epoch.append(verdicts)

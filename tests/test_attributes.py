@@ -47,8 +47,9 @@ def test_hsv_matches_colorsys_loop_oracle(rng):
     hue, saturation, value = hsv_stats(image)
 
     sats, vals, vectors = [], [], []
-    for y in range(image.height):
-        for x in range(image.width):
+    _, height, width = image.pixels.shape
+    for y in range(height):
+        for x in range(width):
             r, g, b = image.pixels[:, y, x]
             h, s, v = colorsys.rgb_to_hsv(r, g, b)
             sats.append(s)

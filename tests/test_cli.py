@@ -14,7 +14,7 @@ import pytest
 
 import synth
 from memmeter import cli, measurer, predictor
-from memmeter.data import Dataset
+from memmeter.data import Dataset, write_ppm
 from memmeter.engine import build_machine, save_params
 from memmeter.engine.machine import MachineSpec
 from memmeter.measurer import SCORE_HEADER, ScoreTable, read_score_csv
@@ -314,6 +314,7 @@ def test_predict_with_malformed_model_exits_3(tmp_path, ppm_dataset_dir, blob, m
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
 def test_diverging_measure_is_not_reported_as_config_error(tmp_path, ppm_dataset_dir, capsys):
     # lr_b 1e8 drives stage (b)'s logits to infinity: an internal failure, not a bad config.
     config = measure_config(tmp_path, lr_b=1e8, machine={"kind": "small_cnn"})
@@ -430,6 +431,19 @@ def test_ppm_sample_above_maxval_exits_3_naming_file_and_offset(tmp_path, ppm_da
     assert run_cli("attributes", "--data", str(data), "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert str(bad) in err and "sample 200 above maxval 100 (byte offset 31)" in err
+    assert not out.exists()
+
+
+def test_ppm_images_of_different_sizes_exit_3_naming_the_file(tmp_path, capsys):
+    rng = make_rng("mixed-sizes")
+    data = tmp_path / "data"
+    data.mkdir()
+    write_ppm(synth.random_image("a", rng, size=4), data / "a.ppm")
+    write_ppm(synth.random_image("b", rng, size=5), data / "b.ppm")
+    out = tmp_path / "o"
+    assert run_cli("attributes", "--data", str(data), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "data format error: " in err and str(data / "b.ppm") in err
     assert not out.exists()
 
 

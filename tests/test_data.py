@@ -1,10 +1,12 @@
 """Rotations, episode sampling, loaders, and regression augmentations."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from memmeter import data
 from memmeter.attributes import grayscale
 from memmeter.data import (
     Dataset,
@@ -19,10 +21,13 @@ from memmeter.data import (
     sample_episode_sets,
     write_ppm,
 )
+from memmeter.engine.machine import MachineSpec
 from memmeter.errors import ConfigError, DataFormatError
+from memmeter.measurer import EpisodeConfig, measure
+from memmeter.predictor import RegressionConfig, predict, train_predictor
 from memmeter.rng import make_rng
 
-from synth import random_image, stack_dataset
+from synth import ramp_dataset, random_image, stack_dataset
 
 
 # --- rotations ---------------------------------------------------------------
@@ -261,6 +266,16 @@ def test_ppm_write_then_load_roundtrips_bytes(tmp_path, rng):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("value, message", [(1.5, "outside"), (np.nan, "non-finite")])
+def test_write_ppm_refuses_pixels_outside_unit_range(tmp_path, value, message):
+    pixels = np.full((3, 2, 2), 0.5)
+    pixels[1, 0, 1] = value
+    image = ImageTensor("bad", pixels)
+    with pytest.raises(ConfigError, match=message):
+        write_ppm(image, tmp_path / "bad.ppm")
+    assert not (tmp_path / "bad.ppm").exists()
+
+
 def test_ppm_dir_with_manifest_and_labels(tmp_path, rng):
     for name in ("one", "two"):
         write_ppm(random_image(name, rng, size=3), tmp_path / f"{name}.ppm")
@@ -288,8 +303,9 @@ def test_manifest_requires_header(tmp_path, rng):
 def test_inconsistent_dimensions_rejected(tmp_path, rng):
     write_ppm(random_image("a", rng, size=3), tmp_path / "a.ppm")
     write_ppm(random_image("b", rng, size=4), tmp_path / "b.ppm")
-    with pytest.raises(ConfigError, match="shape"):
+    with pytest.raises(DataFormatError, match="shape") as excinfo:
         load_ppm_dir(tmp_path)
+    assert str(tmp_path / "b.ppm") in str(excinfo.value)
 
 
 # --- dataset invariants ----------------------------------------------------------
@@ -305,8 +321,6 @@ def test_dataset_rejects_duplicates_and_empty(rng):
 
 
 def test_image_pixels_must_be_in_unit_range():
-    with pytest.raises(ConfigError, match="outside"):
-        ImageTensor("bad", np.full((1, 2, 2), 1.5))
     pixels = np.full((2, 1, 2, 2), 0.5)
     pixels[1, 0, 1, 0] = 1.5
     with pytest.raises(ConfigError, match="outside"):
@@ -325,6 +339,20 @@ def test_dataset_images_are_read_only_views(rng):
     augmented = augment_for_regression(image, 0)
     augmented.pixels[0, 0, 0] = 0.5
     assert not np.shares_memory(augmented.pixels, dataset.pixels)
+
+
+def test_pixels_are_not_checked_again_after_the_dataset_is_built(monkeypatch):
+    # Views of a checked dataset and the augmented copies made from them need no check.
+    dataset = ramp_dataset(count=16, size=6)
+    calls = []
+    monkeypatch.setattr(data, "check_pixels", lambda *args: calls.append(args))
+    spec = MachineSpec(kind="mlp", in_channels=3, height=6, width=6, hidden=(8,))
+    config = EpisodeConfig(machine=spec, n=4, m=2, epochs_a=1, epochs_b=1, accuracy_gate=0.01)
+    table, _ = measure(dataset, dataset.ids[:4], config, workers=1)
+    scores = replace(table, scores=dict.fromkeys(dataset.ids, 0.5))
+    model = train_predictor(scores, dataset, RegressionConfig(epochs=2, augment=True), spec=spec).model
+    predict(model, dataset)
+    assert calls == []
 
 
 # --- augmentation ------------------------------------------------------------------

@@ -132,12 +132,11 @@ def test_rotation_accuracy_counts_all_four_rotations(small_dataset, small_spec):
 # --- stage (b) -------------------------------------------------------------------
 
 def test_stage_b_zero_lr_leaves_parameters_unchanged(small_dataset, small_spec):
-    config = quick_config(small_spec, lr_b=0.0)
     machine = build_machine(small_spec, 2, seed=1)
     before = [t.data.copy() for _, t in machine.parameters()]
     optimizer = SGD(machine.parameters(), lr=0.0, total_steps=100)
     images = [small_dataset.image(i) for i in small_dataset.ids]
-    stage_b_epoch(machine, images[:4], images[4:8], config, optimizer, make_rng(1))
+    stage_b_epoch(machine, images[:4], images[4:8], optimizer, make_rng(1))
     for original, (_, tensor) in zip(before, machine.parameters()):
         assert np.array_equal(original, tensor.data)
 
@@ -152,7 +151,7 @@ def test_stage_b_learns_visually_disjoint_sets():
     optimizer = SGD(machine.parameters(), lr=config.lr_b, total_steps=config.epochs_b * 8)
     rng = make_rng(9)
     for _ in range(config.epochs_b):
-        stage_b_epoch(machine, seen, unseen, config, optimizer, rng)
+        stage_b_epoch(machine, seen, unseen, optimizer, rng)
     assert (measurer._probabilities(machine, seen).argmax(axis=1) == SEEN_CLASS).all()
     assert (measurer._probabilities(machine, unseen).argmax(axis=1) == UNSEEN_CLASS).all()
 
@@ -279,9 +278,9 @@ def test_set_a_never_enters_stage_b(small_dataset, small_spec, monkeypatch):
     trained = []
     original = measurer.stage_b_epoch
 
-    def logging_stage_b(machine, seen, unseen, cfg, optimizer, rng):
+    def logging_stage_b(machine, seen, unseen, optimizer, rng):
         trained.extend(img.id for img in seen + unseen)
-        return original(machine, seen, unseen, cfg, optimizer, rng)
+        return original(machine, seen, unseen, optimizer, rng)
 
     monkeypatch.setattr(measurer, "stage_b_epoch", logging_stage_b)
     measure(small_dataset, sorted(set_a), config, workers=1)

@@ -156,7 +156,7 @@ def test_evaluate_oracle_lookup_is_perfect(scored_fixture):
 
 def test_evaluate_needs_test_ids(scored_fixture):
     dataset, scores = scored_fixture
-    with pytest.raises(ConfigError, match="empty"):
+    with pytest.raises(ValueError, match="at least 3"):
         evaluate_predictor(OracleModel(scores), table_for(scores), dataset, [])
 
 

@@ -105,6 +105,13 @@ def test_add_broadcast_gradients(rng):
     check_gradients(lambda: T.mean(T.mul(T.add(a, b), T.add(a, b))), [a, b], rng)
 
 
+def test_add_backward_rejects_a_broadcast_other_than_a_bias_over_the_batch():
+    a = Tensor(np.ones((3, 1)), requires_grad=True)
+    b = Tensor(np.ones((3, 4)), requires_grad=True)
+    with pytest.raises(ValueError):
+        T.tensor_sum(T.add(a, b)).backward()
+
+
 def test_matmul_gradients(rng):
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
