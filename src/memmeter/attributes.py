@@ -41,11 +41,7 @@ ATTRIBUTE_NAMES = tuple(f.name for f in fields(AttributeVector))
 
 
 def grayscale(pixels: np.ndarray) -> np.ndarray:
-    if pixels.shape[0] == 1:
-        return pixels[0]
-    if pixels.shape[0] == 3:
-        return np.tensordot(LUMA_WEIGHTS, pixels, axes=1)
-    raise ValueError(f"grayscale needs 1 or 3 channels, got {pixels.shape[0]}")
+    return pixels[0] if pixels.shape[0] == 1 else np.tensordot(LUMA_WEIGHTS, pixels, axes=1)
 
 
 def hsv_stats(image) -> tuple:
@@ -54,8 +50,6 @@ def hsv_stats(image) -> tuple:
     Achromatic pixels carry no hue; when every pixel is achromatic (or
     hues cancel) the mean hue is undefined and returned as None.
     """
-    if image.pixels.shape[0] != 3:
-        raise ValueError(f"hsv_stats needs a 3-channel image, got {image.pixels.shape[0]}")
     r, g, b = image.pixels
     mx = np.maximum(np.maximum(r, g), b)
     mn = np.minimum(np.minimum(r, g), b)
@@ -120,8 +114,6 @@ def global_contrast(image) -> float:
 
 def colorfulness(image) -> float:
     """Opponent-channel colorfulness on the 0-255 scale."""
-    if image.pixels.shape[0] != 3:
-        raise ValueError(f"colorfulness needs a 3-channel image, got {image.pixels.shape[0]}")
     r, g, b = image.pixels * 255.0
     rg = r - g
     yb = 0.5 * (r + g) - b

@@ -149,15 +149,13 @@ def _apply_common_overrides(cfg, args):
 # --- commands ------------------------------------------------------------------
 
 def _episode_config(cfg, dataset, set_a_seed):
-    """The checked EpisodeConfig of one measurement and its set A, drawn with set_a_seed."""
+    """The EpisodeConfig of one measurement and its set A, drawn with set_a_seed."""
     config = _from_cfg(measurer.EpisodeConfig, cfg, machine=_machine_spec(cfg["machine"], dataset))
-    set_a = _resolve_set_a(cfg, dataset, set_a_seed)
-    measurer.check_measurement(dataset, set_a, config)
-    return config, set_a
+    return config, _resolve_set_a(cfg, dataset, set_a_seed)
 
 
 def _measure_and_write(config, set_a, dataset, out, workers):
-    """Measure one checked config into `out`/scores.csv and episodes.jsonl; a failed run creates no `out`."""
+    """Measure one config into `out`/scores.csv and episodes.jsonl; a failed run creates no `out`."""
     table, episodes = measurer.measure(dataset, set_a, config, workers=workers)
     out = _out_dir(out)
     measurer.write_score_csv(table, out / "scores.csv")
@@ -289,6 +287,8 @@ def cmd_sweep(args):
     # Set A comes from the base config's seed so every sub-run scores the same images.
     runs = [_episode_config(dict(cfg, **{knob: value}), dataset, cfg["base_seed"]) for value in values]
     # Every sub-run is checked here, so a bad or repeated value fails before the first run measures.
+    for config, set_a in runs:
+        measurer.check_measurement(dataset, set_a, config)
     digests = [measurer.config_digest(config, set_a) for config, set_a in runs]
     for i, digest in enumerate(digests):
         first = digests.index(digest)

@@ -92,10 +92,9 @@ def rotate_pixels(pixels: np.ndarray, quarter_turns: int, out=None) -> np.ndarra
 
     Writes into `out` when it is given, else into a new array. The turns are
     np.rot90's views over axes (1, 2), built directly: a quarter turn
-    reverses the columns and then swaps rows and columns.
+    reverses the columns and then swaps rows and columns, so on a non-square
+    image it swaps height and width.
     """
-    if quarter_turns % 2 and pixels.shape[1] != pixels.shape[2]:
-        raise ConfigError(f"90/270 degree rotation needs square images, got {pixels.shape[1]}x{pixels.shape[2]}")
     turns = quarter_turns % 4
     if turns == 1:
         pixels = pixels[:, :, ::-1].transpose(0, 2, 1)

@@ -16,8 +16,6 @@ from .tensor import Tensor
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Batch-mean cross-entropy of log-sum-exp-stabilized softmax logits against one class label per row."""
     z = logits.data
-    if z.ndim != 2:
-        raise ValueError(f"logits must be 2-d, got shape {z.shape}")
     n = z.shape[0]
     labels = np.asarray(labels)
     if labels.shape != (n,):

@@ -134,10 +134,6 @@ class Machine:
         self.backbone = backbone
         self.head = head
 
-    @property
-    def head_width(self) -> int:
-        return self.head.out_features
-
     def forward(self, x):
         expected = (self.spec.in_channels, self.spec.height, self.spec.width)
         if x.data.ndim != 4 or x.data.shape[1:] != expected:

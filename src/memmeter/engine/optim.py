@@ -44,9 +44,7 @@ class SGD:
 
     def step(self):
         lr = self.current_lr()
-        for (name, tensor), vel, scratch in zip(self.params, self.velocity, self._scratch):
-            if tensor.grad is None:
-                raise ValueError(f"parameter {name} has no gradient; run backward() first")
+        for (_, tensor), vel, scratch in zip(self.params, self.velocity, self._scratch):
             vel *= self.momentum
             vel += tensor.grad
             if self.weight_decay:

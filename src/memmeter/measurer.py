@@ -215,8 +215,6 @@ def stage_c(machine, a_images, config: EpisodeConfig, calib_seen=(), calib_unsee
 
 def select_epoch(calibration_trace) -> int:
     """1-based epoch with the lowest calibration error, earliest on ties."""
-    if not calibration_trace:
-        raise ValueError("empty calibration trace")
     return int(np.argmin(calibration_trace)) + 1
 
 

@@ -22,8 +22,6 @@ def rms_calibration_error(confidence, correct, ids) -> float:
     The error is sqrt(sum_k (|B_k|/N) * (mean_conf_k - mean_acc_k)^2).
     """
     n = len(ids)
-    if n == 0:
-        raise ValueError("rms_calibration_error needs at least one prediction")
     confidence = np.asarray(confidence, dtype=np.float64)
     correct = np.asarray(correct, dtype=np.float64)
     order = np.lexsort((np.asarray(ids), confidence))
@@ -37,16 +35,10 @@ def rms_calibration_error(confidence, correct, ids) -> float:
 def midranks(values) -> np.ndarray:
     """1-based ranks with ties receiving the average of their positions."""
     a = np.asarray(values, dtype=np.float64)
-    order = np.argsort(a, kind="mergesort")
-    ranks = np.empty(len(a))
-    i = 0
-    while i < len(a):
-        j = i
-        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    # Ties share the mean of their positions, which end at cumsum(counts). Each NaN is a value
+    # of its own; return_index makes np.unique's sort stable, so NaNs rank last in input order.
+    _, _, inverse, counts = np.unique(a, return_index=True, return_inverse=True, return_counts=True, equal_nan=False)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def spearman(xs, ys) -> float | None:

@@ -66,11 +66,6 @@ def test_hsv_matches_colorsys_loop_oracle(rng):
     assert hue == pytest.approx(expected_hue, abs=1e-9)
 
 
-def test_hsv_needs_three_channels(rng):
-    with pytest.raises(ValueError, match="3-channel"):
-        hsv_stats(ImageTensor("g", rng.random((1, 4, 4))))
-
-
 # --- contrast ----------------------------------------------------------------------
 
 def gcf_weight(i):

@@ -252,6 +252,15 @@ def test_measure_checks_init_checkpoint_before_measuring(tmp_path, ppm_dataset_d
     assert not out.exists()
 
 
+def test_measure_runs_its_preflight_check_once(tmp_path, ppm_dataset_dir, monkeypatch):
+    calls = []
+    check = measurer.check_measurement
+    monkeypatch.setattr(measurer, "check_measurement", lambda *args: calls.append(args) or check(*args))
+    config = measure_config(tmp_path)
+    assert run_cli("measure", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(tmp_path / "run")) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "set_a, message",
     [

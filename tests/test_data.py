@@ -62,11 +62,10 @@ def test_rotation_preserves_pixel_multiset(rng):
         assert np.array_equal(np.sort(rotate_pixels(pixels, quarter_turns).ravel()), np.sort(pixels.ravel()))
 
 
-def test_rotate_rejects_non_square_quarter_turns(rng):
+def test_rotate_non_square_matches_rot90(rng):
     pixels = rng.random((3, 4, 6))
-    with pytest.raises(ConfigError, match="square"):
-        rotate_pixels(pixels, 1)
-    assert rotate_pixels(pixels, 2).shape == (3, 4, 6)
+    for quarter_turns in range(4):
+        assert np.array_equal(rotate_pixels(pixels, quarter_turns), np.rot90(pixels, quarter_turns, axes=(1, 2)))
 
 
 # --- episode sampling ----------------------------------------------------------

@@ -197,6 +197,13 @@ def test_seen_loss_composes_cross_entropy(mlp_spec, rng):
     )
 
 
+@pytest.mark.parametrize("targets", [np.zeros(2), np.zeros((1, 2)), np.zeros((2, 2))])
+def test_mse_loss_rejects_targets_of_another_shape(targets):
+    # Broadcasting (2, 1) predictions against these targets would average the wrong pairs silently.
+    with pytest.raises(ValueError, match="prediction shape"):
+        mse_loss(Tensor(np.zeros((2, 1))), targets)
+
+
 def test_mse_loss_value_and_gradient(rng):
     pred = Tensor(np.array([0.2, 0.8]), requires_grad=True)
     loss = mse_loss(pred, np.array([0.0, 1.0]))

@@ -58,13 +58,13 @@ def test_head_swap_preserves_backbone_exactly(cnn_spec):
     for name, original in before.items():
         assert np.linalg.norm(after[name].data - original) == 0.0
     assert machine.head.weight.data.shape == (old_head_shape[0], 2)
-    assert machine.head_width == 2
+    assert machine.head.out_features == 2
 
 
 def test_head_widths_per_task(cnn_spec):
-    assert build_machine(cnn_spec, 4, seed=1).head_width == 4
-    assert build_machine(cnn_spec, 2, seed=1).head_width == 2
-    assert build_machine(cnn_spec, 1, seed=1).head_width == 1
+    assert build_machine(cnn_spec, 4, seed=1).head.out_features == 4
+    assert build_machine(cnn_spec, 2, seed=1).head.out_features == 2
+    assert build_machine(cnn_spec, 1, seed=1).head.out_features == 1
 
 
 def test_spec_validation():

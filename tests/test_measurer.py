@@ -161,7 +161,7 @@ def test_head_reinit_removes_stage_a_head(small_dataset, small_spec):
     stage_a_head = machine.head
     machine.replace_head(2, seed=2)
     assert machine.head is not stage_a_head
-    assert machine.head_width == 2
+    assert machine.head.out_features == 2
     assert all(t.data.shape[-1] != 4 for n, t in machine.parameters() if n.startswith("head."))
 
 

@@ -43,13 +43,6 @@ def test_two_momentum_steps_match_closed_form():
     assert p.data[0] == pytest.approx(-(lr0 * v1 + lr1 * v2), abs=1e-15)
 
 
-def test_missing_gradient_is_a_usage_error():
-    p = make_param(0.0)
-    opt = SGD([("p", p)], lr=0.1, total_steps=1)
-    with pytest.raises(ValueError, match="no gradient"):
-        opt.step()
-
-
 def test_momentum_and_decay_ranges_are_validated():
     p = make_param(0.0)
     with pytest.raises(ValueError, match="momentum"):

@@ -112,6 +112,13 @@ def test_add_backward_rejects_a_broadcast_other_than_a_bias_over_the_batch():
         T.tensor_sum(T.add(a, b)).backward()
 
 
+def test_matmul_rejects_operands_that_are_not_2d():
+    # numpy's matmul would broadcast a 1-d or 3-d operand, and the backward's .T would not match it.
+    for a, b in ((np.ones(3), np.ones((3, 2))), (np.ones((2, 3)), np.ones(3)), (np.ones((2, 2, 3)), np.ones((3, 2)))):
+        with pytest.raises(ValueError, match="2-d"):
+            T.matmul(Tensor(a), Tensor(b))
+
+
 def test_matmul_gradients(rng):
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
