@@ -154,13 +154,12 @@ def _episode_config(cfg, dataset, set_a_seed):
     return config, _resolve_set_a(cfg, dataset, set_a_seed)
 
 
-def _measure_and_write(config, set_a, dataset, out, workers):
-    """Measure one config into `out`/scores.csv and episodes.jsonl; a failed run creates no `out`."""
-    table, episodes = measurer.measure(dataset, set_a, config, workers=workers)
+def _write_measurement(table, episodes, out):
+    """Write a finished measurement to `out`/scores.csv and episodes.jsonl; a failed run creates no `out`."""
     out = _out_dir(out)
     measurer.write_score_csv(table, out / "scores.csv")
     measurer.write_episode_jsonl(episodes, out / "episodes.jsonl")
-    return table, out
+    return out
 
 
 def cmd_measure(args):
@@ -168,7 +167,8 @@ def cmd_measure(args):
     cfg = _apply_common_overrides(_load_config(args.config, MEASURE_DEFAULTS), args)
     dataset = load_dataset(args.data)
     config, set_a = _episode_config(cfg, dataset, cfg["base_seed"])
-    table, out = _measure_and_write(config, set_a, dataset, args.out, cfg["workers"])
+    table, episodes = measurer.measure(dataset, set_a, config, workers=cfg["workers"])
+    out = _write_measurement(table, episodes, args.out)
     cfg["machine"] = asdict(config.machine)
     _write_manifest(out, "measure", cfg, table.config_hash, dataset, time.monotonic() - started)
     print(f"measured {len(table.scores)} images over {table.m_effective}/{config.m} episodes -> {out / 'scores.csv'}")
@@ -294,11 +294,13 @@ def cmd_sweep(args):
         first = digests.index(digest)
         if first != i:
             raise ConfigError(f"sweep values {values[first]!r} and {values[i]!r} are one run (config hash {digest})")
-    out = Path(args.out)  # created, with its parents, by the first run's _measure_and_write
+    out = Path(args.out)  # created, with its parents, by the first run's _write_measurement
     tables = []
     run_payload = []
     for i, (config, set_a) in enumerate(runs):
-        table, _ = _measure_and_write(config, set_a, dataset, out / f"run_{i}", cfg["workers"])
+        # Checked above; measure() would check it, and load its init_checkpoint, a second time.
+        table, episodes = measurer._measure_checked(dataset, set_a, config, cfg["workers"])
+        _write_measurement(table, episodes, out / f"run_{i}")
         label = config.machine.descriptor() if knob == "machine" else values[i]
         run_id = f"{knob}={label}"
         tables.append((run_id, table.scores))

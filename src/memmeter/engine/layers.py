@@ -3,6 +3,10 @@
 Weights use He-uniform initialization (bound sqrt(6 / fan_in)); biases
 start at zero. Every layer exposes forward(Tensor) -> Tensor and
 parameters() -> [(name, Tensor)].
+
+Conv2d, MaxPool2 and ReLU each own a `workspace` dict that their op keeps
+its per-step buffers in, one set per input shape (a training batch and a
+last, smaller batch get one each), so repeated steps reuse the same arrays.
 """
 
 from __future__ import annotations
@@ -49,16 +53,22 @@ class Conv2d:
 
 
 class ReLU:
+    def __init__(self):
+        self.workspace = {}
+
     def forward(self, x):
-        return T.relu(x)
+        return T.relu(x, self.workspace)
 
     def parameters(self):
         return []
 
 
 class MaxPool2:
+    def __init__(self):
+        self.workspace = {}
+
     def forward(self, x):
-        return T.maxpool2(x)
+        return T.maxpool2(x, self.workspace)
 
     def parameters(self):
         return []

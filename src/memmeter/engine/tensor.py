@@ -13,11 +13,16 @@ Backward closures take their output's gradient as an argument and never
 reference their own output node, so graphs are acyclic and a forward
 dropped without backward() is freed by reference counting alone.
 
-Each gradient is written once. An op that makes its input's gradient as a
-new array, and keeps no other reference to it, hands the array over
-(`_accumulate(t, g, owned=True)`) and a first gradient is that array
-itself; a view of another array (the consumer's gradient, a workspace
-buffer) is copied. `_accumulate` says why parameters come out the same.
+Each gradient is written once. An op hands its input's gradient over
+(`_accumulate(t, g, owned=True)`), and a first gradient is that array
+itself, when the array is the op's to give: a new one, or its layer's
+workspace buffer for an interior input. Anything else is copied.
+`_accumulate` says why parameters come out the same.
+
+Training steps are allocation-steady: conv2d, maxpool2 and relu keep
+their large per-step buffers in a dict owned by their layer, one set per
+input shape. The forward takes its shape's set out and the backward puts
+it back, so every step after a shape's first reuses the same arrays.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ class Tensor:
         closure, so a second backward() reaches nothing, and a caller that
         keeps the loss while it builds the next graph (a training loop's
         last loss) keeps that one node alive rather than the whole graph.
+        Interior nodes also drop their gradients, which may be workspace
+        buffers that the next step overwrites; leaves keep theirs.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -55,8 +62,10 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
         for node in order:
-            node._parents = ()
-            node._backward = None
+            if node._backward is not None:  # leaves have neither parents nor a closure
+                node.grad = None  # an interior gradient may be a workspace buffer
+                node._parents = ()
+                node._backward = None
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -86,10 +95,14 @@ def _toposort(root):
 def _accumulate(t, g, owned=False):
     """Add the gradient `g`, shaped like `t`, into `t.grad`.
 
-    `owned=True` promises that the caller made `g` in this call and keeps
-    no other reference to it, so a first gradient takes `g` itself. Any
-    other first gradient is copied as `g + 0.0` into an array laid out like
-    `t.data`, which has the bytes of a zero-filled buffer plus `g`.
+    `owned=True` promises that `g` is the caller's to give, so a first
+    gradient takes `g` itself: a new array the caller keeps no other
+    reference to, or its layer's workspace buffer when `t` is interior
+    (an op's output, `_backward` set), whose gradient backward() drops
+    before a later forward can take the buffer back. A leaf (a parameter,
+    or a caller's input) keeps its gradient, so it never takes a buffer.
+    Any other first gradient is copied as `g + 0.0` into an array laid out
+    like `t.data`, which has the bytes of a zero-filled buffer plus `g`.
 
     The two differ only in the sign of zero: the copy turns -0.0 into
     +0.0, a handed-over array keeps it. Backward ops multiply, add, sum and
@@ -109,6 +122,18 @@ def _accumulate(t, g, owned=False):
         t.grad = g
     else:
         t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+
+
+def _grad_buffer(x, workspace, buffer):
+    """The array an op writes x's gradient into: for an interior x, the workspace
+    `buffer` its forward took (new on the shape's first step), put back at once since
+    only a forward takes it out; for a leaf, a new array that it keeps."""
+    if x._backward is None:
+        return np.empty(x.data.shape)
+    if buffer is None:
+        buffer = np.empty(x.data.shape)
+    workspace[x.data.shape] = buffer
+    return buffer
 
 
 def _node(data, parents, backward):
@@ -167,11 +192,13 @@ def matmul(a, b) -> Tensor:
     return _node(out_data, (a, b), backward)
 
 
-def relu(x) -> Tensor:
+def relu(x, workspace) -> Tensor:
+    """max(x, 0); `workspace` is the layer's dict of input-gradient buffers, keyed by input shape."""
     out_data = np.maximum(x.data, 0.0)
+    buffer = workspace.pop(x.data.shape, None)
 
     def backward(g):
-        _accumulate(x, g * (x.data > 0.0), owned=True)
+        _accumulate(x, np.multiply(g, x.data > 0.0, out=_grad_buffer(x, workspace, buffer)), owned=True)
 
     return _node(out_data, (x,), backward)
 
@@ -238,8 +265,9 @@ def conv2d(x, w, b, workspace) -> Tensor:
     pass) takes its shape's buffers with it, and the next forward of that
     shape allocates them again.
 
-    The backward sums the input gradient in the `dpad` buffer, which the
-    next backward of this shape overwrites, so x.grad is copied out of it.
+    The backward sums the input gradient in the `dpad` buffer and hands its
+    interior over as x.grad when x is interior; a leaf x, which keeps its
+    gradient past the next backward of this shape, gets a copy.
     """
     n, c, h, wd = x.data.shape
     f, _, kh, kw = w.data.shape
@@ -273,13 +301,13 @@ def conv2d(x, w, b, workspace) -> Tensor:
                 for j in range(kw):
                     if i or j:
                         dpad[:, :, i : i + out_h, j : j + out_w] += dcols[:, :, i, j]
-            _accumulate(x, dpad[:, :, 1:-1, 1:-1])
+            _accumulate(x, dpad[:, :, 1:-1, 1:-1], owned=x._backward is not None)  # interior x
         workspace[x.data.shape] = (padded, cols, dpad)
 
     return _node(out_data, (x, w, b), backward)
 
 
-def maxpool2(x) -> Tensor:
+def maxpool2(x, workspace) -> Tensor:
     """2x2 max pooling, stride 2, as the maximum of the four window corners.
 
     The forward takes two pairwise passes, each row's two columns and then
@@ -289,13 +317,15 @@ def maxpool2(x) -> Tensor:
     gradient goes to the first corner, in row-major order, equal to the maximum,
     and a NaN window, equal to none of its corners, sends none. The backward
     turns each window's winning corner into one flat offset into x and writes
-    the whole gradient with a single scatter.
+    the whole gradient with a single scatter, into a zero-filled buffer that
+    `workspace`, the layer's dict keyed by input shape, keeps between steps.
     """
     n, c, h, w = x.data.shape
     h2, w2 = h // 2, w // 2
     pairs = x.data[..., : 2 * h2, : 2 * w2].reshape(n, c, 2 * h2, w2, 2)
     rows = np.maximum(pairs[..., 0], pairs[..., 1]).reshape(n, c, h2, 2, w2)
     out_data = np.maximum(rows[:, :, :, 0], rows[:, :, :, 1])
+    buffer = workspace.pop(x.data.shape, None)
 
     def backward(g):
         c0, c1, c2 = (x.data[..., i : 2 * h2 : 2, j : 2 * w2 : 2] for i, j in ((0, 0), (0, 1), (1, 0)))
@@ -310,7 +340,8 @@ def maxpool2(x) -> Tensor:
         nan = np.isnan(out_data)
         if nan.any():  # no corner equals NaN, so the count sends a NaN window to its last corner
             g = np.where(nan, 0.0, g)
-        dx = np.zeros(x.data.shape)  # C-contiguous, so ravel() is a view
+        dx = _grad_buffer(x, workspace, buffer)  # C-contiguous, so ravel() is a view
+        dx.fill(0.0)
         dx.ravel()[offsets] = g
         _accumulate(x, dx, owned=True)
 

@@ -322,6 +322,11 @@ def measure(dataset, set_a, config: EpisodeConfig, workers: int = 1):
     """
     set_a = list(set_a)
     check_measurement(dataset, set_a, config)
+    return _measure_checked(dataset, set_a, config, workers)
+
+
+def _measure_checked(dataset, set_a, config: EpisodeConfig, workers):
+    """measure() of a set A list that check_measurement has already accepted."""
     workers = min(workers, config.m)
     if workers > 1:
         with multiprocessing.Pool(workers, _init_worker, (dataset, set_a, config)) as pool:

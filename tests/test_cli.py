@@ -261,6 +261,15 @@ def test_measure_runs_its_preflight_check_once(tmp_path, ppm_dataset_dir, monkey
     assert len(calls) == 1
 
 
+def test_sweep_runs_each_preflight_check_once(tmp_path, ppm_dataset_dir, monkeypatch):
+    calls = []
+    check = measurer.check_measurement
+    monkeypatch.setattr(measurer, "check_measurement", lambda *args: calls.append(args) or check(*args))
+    config = measure_config(tmp_path, knob="base_seed", values=[1, 2])
+    assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(tmp_path / "sweep")) == 0
+    assert [args[2].base_seed for args in calls] == [1, 2]
+
+
 @pytest.mark.parametrize(
     "set_a, message",
     [
@@ -1148,11 +1157,12 @@ def test_sweep_consistency_files_are_pinned(tmp_path, ppm_dataset_dir, monkeypat
         3: {"a": 1.0, "b": 0.5, "c": 0.0, "d": 0.5},
     }
 
-    def fake_measure(dataset, set_a, config, workers=1):
+    def fake_measure(dataset, set_a, config, workers):
         table = ScoreTable(tables[config.base_seed], 2, config.machine.descriptor(), f"hash{config.base_seed}", config.base_seed)
         return table, []
 
-    monkeypatch.setattr(measurer, "measure", fake_measure)
+    # sweep checks every sub-run first, then runs each through measure()'s checked half.
+    monkeypatch.setattr(measurer, "_measure_checked", fake_measure)
     config = measure_config(tmp_path, knob="base_seed", values=[1, 2, 3])
     out = tmp_path / "sweep-out"
     assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(out)) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from memmeter.engine import Conv2d, Tensor, build_machine
+from memmeter.engine.layers import MaxPool2, ReLU
 from memmeter.engine import tensor as T
 
 
@@ -55,7 +56,7 @@ def test_backward_frees_the_graph_without_the_cyclic_gc():
     import weakref
 
     p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-    hidden = T.relu(T.mul(p, p))
+    hidden = T.relu(T.mul(p, p), {})
     # Tensor has no __weakref__ slot; its data array lives exactly as long as it.
     interior = weakref.ref(hidden.data)
     loss = T.tensor_sum(hidden)
@@ -70,6 +71,17 @@ def test_backward_frees_the_graph_without_the_cyclic_gc():
         if enabled:
             gc.enable()
     assert np.allclose(p.grad, [2.0, -4.0, 6.0])
+
+
+def test_backward_drops_interior_gradients_and_leaves_keep_theirs():
+    # An interior gradient may be a layer's workspace buffer, which the next step overwrites.
+    p = Tensor(np.array([[[[1.0, -2.0], [3.0, -4.0]]]]), requires_grad=True)
+    hidden = T.mul(p, p)
+    pooled = T.maxpool2(hidden, {})
+    loss = T.tensor_sum(T.relu(pooled, {}))
+    loss.backward()
+    assert hidden.grad is None and pooled.grad is None and loss.grad is None
+    assert np.array_equal(p.grad, [[[[0.0, 0.0], [0.0, -8.0]]]])
 
 
 def test_dropped_forward_is_freed_without_the_cyclic_gc(cnn_spec, rng):
@@ -127,7 +139,7 @@ def test_matmul_gradients(rng):
 
 def test_relu_gradients(rng):
     x = Tensor(rng.normal(size=(5, 7)), requires_grad=True)
-    check_gradients(lambda: T.tensor_sum(T.mul(T.relu(x), T.relu(x))), [x], rng)
+    check_gradients(lambda: T.tensor_sum(T.mul(T.relu(x, {}), T.relu(x, {}))), [x], rng)
 
 
 def test_sigmoid_gradients_and_stability(rng):
@@ -148,12 +160,12 @@ def test_conv2d_gradients(rng):
 
 def test_maxpool_gradients(rng):
     x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
-    check_gradients(lambda: T.tensor_sum(T.mul(T.maxpool2(x), T.maxpool2(x))), [x], rng)
+    check_gradients(lambda: T.tensor_sum(T.mul(T.maxpool2(x, {}), T.maxpool2(x, {}))), [x], rng)
 
 
 def test_maxpool_drops_odd_edges():
     x = Tensor(np.arange(25.0).reshape(1, 1, 5, 5))
-    out = T.maxpool2(x)
+    out = T.maxpool2(x, {})
     assert out.data.shape == (1, 1, 2, 2)
     assert out.data[0, 0, 0, 0] == 6.0  # max of the top-left 2x2 block
 
@@ -166,7 +178,7 @@ def test_maxpool_ties_route_to_first_corner_and_odd_edges_get_no_gradient():
     x[0, 0, 2:4, 2:4] = [[4.0, 5.0], [5.0, 5.0]]  # three-way tie: (2, 3) wins
     x[0, 0, 4, :] = x[0, 0, :, 4] = 9.0  # dropped trailing row and column
     t = Tensor(x, requires_grad=True)
-    out = T.maxpool2(t)
+    out = T.maxpool2(t, {})
     assert np.array_equal(out.data[0, 0], [[1.0, 2.0], [3.0, 5.0]])
     T.tensor_sum(out).backward()
     expected = np.zeros((5, 5))
@@ -204,7 +216,7 @@ def test_maxpool_backward_matches_four_corner_reference(rng):
             n, c, h, w = x.shape
             x[rng.integers(n), rng.integers(c), rng.integers(h - h % 2), rng.integers(w - w % 2)] = np.nan
         t = Tensor(x, requires_grad=True)
-        out = T.maxpool2(t)
+        out = T.maxpool2(t, {})
         g = rng.normal(size=out.data.shape)
         g[rng.random(g.shape) < 0.3] = -0.0
         out_expected, grad_expected = four_corner_maxpool_grad(x, g)
@@ -213,14 +225,28 @@ def test_maxpool_backward_matches_four_corner_reference(rng):
         assert t.grad.tobytes() == grad_expected.tobytes(), (trial, x.shape)
 
 
-def test_conv_input_gradient_keeps_its_bytes_through_the_next_backward(rng):
-    layer = Conv2d(3, 4, rng)
-    x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
-    T.mean(T.mul(layer.forward(x), Tensor(rng.normal(size=(2, 4, 6, 6))))).backward()
+WORKSPACE_LAYERS = {"Conv2d": lambda rng: Conv2d(3, 4, rng), "MaxPool2": lambda rng: MaxPool2(), "ReLU": lambda rng: ReLU()}
+
+
+@pytest.mark.parametrize("kind", sorted(WORKSPACE_LAYERS))
+def test_leaf_input_gradient_keeps_its_bytes_through_the_next_backward(kind, rng):
+    layer = WORKSPACE_LAYERS[kind](rng)
+    shape = (2, 3, 6, 6)
+
+    def step(inp):
+        out = layer.forward(inp)
+        T.mean(T.mul(out, Tensor(rng.normal(size=out.data.shape)))).backward()
+
+    def interior():
+        return T.mul(Tensor(rng.normal(size=shape), requires_grad=True), Tensor(np.full(shape, 0.5)))
+
+    step(interior())  # fills the layer's workspace for this shape
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    step(x)
     kept = x.grad.tobytes()
-    other = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
-    # Reuses the layer's workspace for this shape, with another output gradient.
-    T.mean(T.mul(layer.forward(other), Tensor(rng.normal(size=(2, 4, 6, 6))))).backward()
+    step(interior())  # reuses the workspace, with another input and output gradient
+    other = Tensor(rng.normal(size=shape), requires_grad=True)
+    step(other)
     assert x.grad.tobytes() == kept
     assert other.grad.tobytes() != kept
 
@@ -344,9 +370,10 @@ def _take_grads(machine):
 
 
 def test_pending_forwards_do_not_share_conv_buffers(cnn_spec, rng):
+    # small_cnn holds every workspace layer: Conv2d, MaxPool2 and ReLU.
     first, second = rng.random((4, 3, 12, 12)), rng.random((4, 3, 12, 12))
     shared = build_machine(cnn_spec, 4, seed=8)
-    _rotation_step_loss(shared, first).backward()  # fills the conv workspaces
+    _rotation_step_loss(shared, first).backward()  # fills every workspace
     _take_grads(shared)
     loss_first = _rotation_step_loss(shared, first)
     loss_second = _rotation_step_loss(shared, second)
@@ -358,24 +385,80 @@ def test_pending_forwards_do_not_share_conv_buffers(cnn_spec, rng):
         fresh = build_machine(cnn_spec, 4, seed=8)
         _rotation_step_loss(fresh, batch).backward()
         for got, expected in zip(grads, _take_grads(fresh)):
-            assert np.array_equal(got, expected)
+            assert got.tobytes() == expected.tobytes()
 
 
-def test_forward_only_pass_between_steps_leaves_training_unchanged(cnn_spec, rng):
+def test_two_forwards_summed_into_one_backward_match_fresh_machines(cnn_spec, mlp_spec, rng):
+    for spec in (cnn_spec, mlp_spec):
+        shape = (4, spec.in_channels, spec.height, spec.width)
+        warm, first, second = (rng.random(shape) for _ in range(3))
+        shared = build_machine(spec, 4, seed=8)
+        _rotation_step_loss(shared, warm).backward()  # fills every workspace
+        _take_grads(shared)
+        T.add(_rotation_step_loss(shared, first), _rotation_step_loss(shared, second)).backward()
+        fresh = build_machine(spec, 4, seed=8)
+        T.add(_rotation_step_loss(fresh, first), _rotation_step_loss(fresh, second)).backward()
+        for got, expected in zip(_take_grads(shared), _take_grads(fresh)):
+            assert got.tobytes() == expected.tobytes()
+
+
+def _workspace_arrays(machine):
+    """Every array the machine's layer workspaces hold, by layer name and input shape."""
+    arrays = {}
+    for name, layer in machine.backbone:
+        for shape, buffers in getattr(layer, "workspace", {}).items():
+            arrays[name, shape] = buffers if isinstance(buffers, tuple) else (buffers,)
+    return arrays
+
+
+def test_training_steps_reuse_the_same_workspace_arrays(cnn_spec, rng):
+    # Checked by object identity: page-fault counts depend on the allocator and the heap state.
+    from memmeter.data import ImageTensor
+    from memmeter.engine import SGD, mse_loss
+    from memmeter.engine.losses import rotated_batch
+    from memmeter.measurer import rotation_loss
+    from memmeter.predictor import build_predictor
+
+    images = rng.random((16, 3, 12, 12))
+    model = build_predictor(cnn_spec, seed=2)
+    machine = build_machine(cnn_spec, 4, seed=3)
+    steps = {
+        "predictor": (model.machine, SGD(model.parameters(), lr=0.01, weight_decay=0.0, total_steps=4),
+                      lambda i: mse_loss(model.forward_scores(images[rng.permutation(16)]), rng.random(16))),
+        "rotation": (machine, SGD(machine.parameters(), lr=0.01, total_steps=4),
+                     lambda i: rotation_loss(machine, rotated_batch(ImageTensor(str(i), images[i])))),
+    }
+    for owner, optimizer, loss in steps.values():
+        loss(0).backward()  # warm-up: the first step of a shape makes its buffers
+        optimizer.step()
+        warm = _workspace_arrays(owner)
+        assert {name for name, _ in warm} == {name for name, layer in owner.backbone if hasattr(layer, "workspace")}
+        for i in range(1, 4):
+            loss(i).backward()
+            optimizer.step()
+            now = _workspace_arrays(owner)
+            assert now.keys() == warm.keys()
+            for key, arrays in warm.items():
+                assert all(a is b for a, b in zip(now[key], arrays, strict=True)), key
+
+
+def test_forward_only_pass_between_steps_leaves_training_unchanged(cnn_spec, mlp_spec, rng):
     from memmeter.engine import SGD
 
-    batches = [rng.random((4, 3, 12, 12)) for _ in range(4)]
-    probes = [rng.random((1, 3, 12, 12)), rng.random((4, 3, 12, 12))]
-    finals = []
-    for probing in (False, True):
-        machine = build_machine(cnn_spec, 4, seed=6)
-        optimizer = SGD(machine.parameters(), lr=0.05, total_steps=len(batches))
-        for batch in batches:
-            _rotation_step_loss(machine, batch).backward()
-            optimizer.step()
-            if probing:
-                for probe in probes:
-                    machine.forward(Tensor(probe))  # dropped without backward()
-        finals.append([t.data.copy() for _, t in machine.parameters()])
-    for plain, probed in zip(*finals):
-        assert np.array_equal(plain, probed)
+    for spec in (cnn_spec, mlp_spec):  # conv, pool and relu workspaces; relu's alone
+        shape = (spec.in_channels, spec.height, spec.width)
+        batches = [rng.random((4, *shape)) for _ in range(4)]
+        probes = [rng.random((1, *shape)), rng.random((4, *shape))]
+        finals = []
+        for probing in (False, True):
+            machine = build_machine(spec, 4, seed=6)
+            optimizer = SGD(machine.parameters(), lr=0.05, total_steps=len(batches))
+            for batch in batches:
+                _rotation_step_loss(machine, batch).backward()
+                optimizer.step()
+                if probing:
+                    for probe in probes:
+                        machine.forward(Tensor(probe))  # dropped without backward()
+            finals.append([t.data.copy() for _, t in machine.parameters()])
+        for plain, probed in zip(*finals):
+            assert plain.tobytes() == probed.tobytes()
