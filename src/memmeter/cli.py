@@ -51,7 +51,7 @@ def _from_cfg(config_cls, cfg, **overrides):
     return config_cls(**values)
 
 
-# Keyword arguments are the CLI-only keys. workers None means all available cores.
+# Keyword arguments are the CLI-only keys. workers None means every core this process may run on.
 MEASURE_DEFAULTS = _defaults(measurer.EpisodeConfig, machine={"kind": "small_cnn"}, set_a=None, workers=None)
 TRAIN_DEFAULTS = _defaults(predictor.RegressionConfig, base_seed=MEASURE_DEFAULTS["base_seed"], machine=None)
 
@@ -133,6 +133,13 @@ def _out_dir(path):
     return out
 
 
+def _usable_cores():
+    """The cores this process may run on: its CPU affinity where the platform reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _apply_common_overrides(cfg, args):
     if args.seed is not None:
         cfg["base_seed"] = args.seed
@@ -140,7 +147,7 @@ def _apply_common_overrides(cfg, args):
         if args.workers is not None:
             cfg["workers"] = args.workers
         if cfg["workers"] is None:
-            cfg["workers"] = os.cpu_count() or 1
+            cfg["workers"] = _usable_cores()
         if cfg["workers"] < 1:
             raise ConfigError("workers must be >= 1")
     return cfg
@@ -322,7 +329,7 @@ FLAGS = {
     "--data": {"required": True, "help": "dataset path (.bin file/dir or PPM directory)"},
     "--out": {"required": True, "help": "output directory"},
     "--seed": {"type": int, "help": "override base_seed"},
-    "--workers": {"type": int, "help": "episode parallelism (default: all cores)"},
+    "--workers": {"type": int, "help": "episode parallelism (default: every core this process may run on)"},
     "--scores": {"required": True, "help": "score table CSV from measure"},
     "--attributes": {"help": "attribute CSV from the attributes command"},
     "--merge-csv": {"help": "extra per-image columns to correlate (CSV with image_id)"},

@@ -69,7 +69,11 @@ def load_params(path):
 
 
 def load_into_machine(machine, path):
-    """Load a checkpoint into a machine; names and shapes must match."""
+    """Load a checkpoint into a machine; names and shapes must match.
+
+    Values are copied into the existing parameter arrays, so an optimizer
+    that already owns them trains the loaded values.
+    """
     saved = dict(load_params(path))
     params = machine.parameters()
     names = [n for n, _ in params]
@@ -86,5 +90,6 @@ def load_into_machine(machine, path):
                 f"shape mismatch for {name}: checkpoint {saved[name].shape}, machine {tensor.data.shape}",
                 path=str(path),
             )
-        tensor.data = saved[name].copy()
+    for name, tensor in params:
+        np.copyto(tensor.data, saved[name])
         tensor.grad = None

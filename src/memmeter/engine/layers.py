@@ -5,8 +5,11 @@ start at zero. Every layer exposes forward(Tensor) -> Tensor and
 parameters() -> [(name, Tensor)].
 
 Conv2d, MaxPool2 and ReLU each own a `workspace` dict that their op keeps
-its per-step buffers in, one set per input shape (a training batch and a
-last, smaller batch get one each), so repeated steps reuse the same arrays.
+a plan in per input shape (a training batch and a last, smaller batch get
+one each): its per-step buffers and every view and index array over them,
+so repeated steps reuse the same arrays. Training forwards take their
+plan and the backward returns it; evaluation forwards, inside
+`tensor.no_graph()`, use it in place.
 """
 
 from __future__ import annotations

@@ -19,15 +19,38 @@ itself, when the array is the op's to give: a new one, or its layer's
 workspace buffer for an interior input. Anything else is copied.
 `_accumulate` says why parameters come out the same.
 
-Training steps are allocation-steady: conv2d, maxpool2 and relu keep
-their large per-step buffers in a dict owned by their layer, one set per
-input shape. The forward takes its shape's set out and the backward puts
-it back, so every step after a shape's first reuses the same arrays.
+Training steps are allocation-steady. conv2d, maxpool2 and relu keep
+a plan per input shape in a dict owned by their layer: the buffers of
+that shape plus every view and index array over them, built once, when
+the shape is first seen, and reused by every later step. A forward that
+builds a graph takes its shape's plan out and the backward puts it back,
+so a second forward while the graph is pending gets a plan of its own.
+
+Evaluation passes run inside `no_graph()`. There, ops attach no parents
+or backward closure to their output, and a forward borrows its shape's
+plan in place (storing a new one when the shape has none) rather than
+taking it, so it neither builds a graph nor evicts the training plans.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+
+_graph = True  # False inside no_graph()
+
+
+@contextmanager
+def no_graph():
+    """Run the enclosed forwards as evaluation passes: no graph, and plans borrowed, not taken."""
+    global _graph
+    outer = _graph
+    _graph = False
+    try:
+        yield
+    finally:
+        _graph = outer
 
 
 class Tensor:
@@ -124,21 +147,101 @@ def _accumulate(t, g, owned=False):
         t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
 
 
-def _grad_buffer(x, workspace, buffer):
-    """The array an op writes x's gradient into: for an interior x, the workspace
-    `buffer` its forward took (new on the shape's first step), put back at once since
-    only a forward takes it out; for a leaf, a new array that it keeps."""
+def _plan(workspace, shape, make):
+    """The plan of `shape` in a layer's `workspace`, made by `make()` when it has none.
+
+    A forward that builds a graph takes it out, and its backward puts it back. A forward
+    inside no_graph() reads it in place, and stores a new one there.
+    """
+    if _graph:
+        plan = workspace.pop(shape, None)
+        return make() if plan is None else plan
+    plan = workspace.get(shape)
+    if plan is None:
+        plan = workspace[shape] = make()
+    return plan
+
+
+def _grad_buffer(x, plan):
+    """The array an op writes x's gradient into: for an interior x, `plan.dx`, made by the
+    shape's first such backward; for a leaf, which keeps its gradient, a new array."""
     if x._backward is None:
         return np.empty(x.data.shape)
-    if buffer is None:
-        buffer = np.empty(x.data.shape)
-    workspace[x.data.shape] = buffer
-    return buffer
+    if plan.dx is None:
+        plan.dx = np.empty(x.data.shape)
+    return plan.dx
+
+
+class _GradPlan:
+    """relu's plan: the input-gradient buffer, None until a backward needs it."""
+
+    __slots__ = ("dx",)
+
+    def __init__(self):
+        self.dx = None
+
+
+class _PoolPlan(_GradPlan):
+    """maxpool2's plan for an (n, c, h, w) input: the input-gradient buffer, and each 2x2
+    window's top-left corner as a flat offset into the input."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, shape):
+        super().__init__()
+        n, c, h, w = shape
+        self.base = np.arange(n * c).reshape(n, c, 1, 1) * (h * w) + (
+            (np.arange(h // 2) * (2 * w))[:, None] + np.arange(0, 2 * (w // 2), 2)
+        )
+
+
+class _ConvPlan:
+    """conv2d's plan for an (n, c, h, w) input and a kh x kw kernel.
+
+    For the forward: the padded input buffer, whose zero border is never
+    written, and its interior; the read-only view of every filter window
+    over it; the im2col buffer `cols`, with its (n, c, kh, kw, out_h, out_w)
+    view and its transpose. For the backward, made by the first one: `dpad`,
+    the two strips of it that the first shifted column term misses, the
+    (dpad slice, column slice) pair of every shifted term, and `dx`, the
+    interior of `dpad`, which is the input gradient.
+    """
+
+    __slots__ = ("padded", "interior", "windows", "cols", "cols6", "cols_t", "dpad", "strips", "terms", "dx")
+
+    def __init__(self, shape, kh, kw):
+        n, c, h, w = shape
+        out_h, out_w = h - kh + 3, w - kw + 3
+        self.padded = np.zeros((n, c, h + 2, w + 2))
+        self.interior = self.padded[:, :, 1:-1, 1:-1]
+        self.windows = _windows(self.padded, kh, kw, out_h, out_w)
+        self.cols = np.empty((n, c * kh * kw, out_h * out_w))
+        self.cols6 = self.cols.reshape(n, c, kh, kw, out_h, out_w)
+        self.cols_t = self.cols.transpose(0, 2, 1)
+        self.dpad = None
+
+    def col2im(self):
+        """Sum the column gradients in `cols` into `dpad`; returns its interior, `dx`."""
+        if self.dpad is None:  # first backward for this shape
+            _, _, kh, kw, out_h, out_w = self.cols6.shape
+            dpad = self.dpad = np.empty_like(self.padded)
+            self.strips = (dpad[:, :, out_h:, :], dpad[:, :, :out_h, out_w:])
+            self.terms = [
+                (dpad[:, :, i : i + out_h, j : j + out_w], self.cols6[:, :, i, j]) for i in range(kh) for j in range(kw)
+            ]
+            self.dx = dpad[:, :, 1:-1, 1:-1]
+        # The first shifted term is assigned, not added to zeros; only the strips it misses are zeroed.
+        np.copyto(*self.terms[0])
+        for strip in self.strips:
+            strip.fill(0.0)
+        for dst, src in self.terms[1:]:
+            dst += src
+        return self.dx
 
 
 def _node(data, parents, backward):
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _graph and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -193,12 +296,13 @@ def matmul(a, b) -> Tensor:
 
 
 def relu(x, workspace) -> Tensor:
-    """max(x, 0); `workspace` is the layer's dict of input-gradient buffers, keyed by input shape."""
+    """max(x, 0); `workspace` is the layer's dict of plans, keyed by input shape."""
     out_data = np.maximum(x.data, 0.0)
-    buffer = workspace.pop(x.data.shape, None)
+    plan = _plan(workspace, x.data.shape, _GradPlan)
 
     def backward(g):
-        _accumulate(x, np.multiply(g, x.data > 0.0, out=_grad_buffer(x, workspace, buffer)), owned=True)
+        _accumulate(x, np.multiply(g, x.data > 0.0, out=_grad_buffer(x, plan)), owned=True)
+        workspace[x.data.shape] = plan
 
     return _node(out_data, (x,), backward)
 
@@ -257,52 +361,38 @@ def _windows(padded, kh, kw, out_h, out_w):
 def conv2d(x, w, b, workspace) -> Tensor:
     """Stride-1 cross-correlation of NCHW inputs, zero-padded by one pixel, with OIHW filters.
 
-    `workspace` is a dict, owned by the calling layer, that keeps the pad,
-    im2col and input-gradient buffers between steps, keyed by input shape.
-    The forward takes the buffers out and the backward puts them back when
-    it is done, so a second forward while this graph is pending gets
-    buffers of its own. A forward dropped without backward() (an evaluation
-    pass) takes its shape's buffers with it, and the next forward of that
-    shape allocates them again.
+    `workspace` is a dict, owned by the calling layer, that keeps a
+    `_ConvPlan` per input shape: the pad, im2col and input-gradient buffers
+    and every view over them. A forward that builds a graph takes its
+    shape's plan out and the backward puts it back, so a second forward
+    while this graph is pending gets a plan of its own; one dropped without
+    backward() takes the plan with it. An evaluation forward, inside
+    no_graph(), uses the plan in place.
 
-    The backward sums the input gradient in the `dpad` buffer and hands its
-    interior over as x.grad when x is interior; a leaf x, which keeps its
-    gradient past the next backward of this shape, gets a copy.
+    The backward sums the input gradient in the plan's `dpad` buffer and
+    hands its interior over as x.grad when x is interior; a leaf x, which
+    keeps its gradient past the next backward of this shape, gets a copy.
     """
     n, c, h, wd = x.data.shape
     f, _, kh, kw = w.data.shape
     out_h, out_w = h - kh + 3, wd - kw + 3
-    buffers = workspace.pop(x.data.shape, None)
-    if buffers is None:  # (pad, cols, dpad); the pad's zero border is never written
-        buffers = (np.zeros((n, c, h + 2, wd + 2)), np.empty((n, c * kh * kw, out_h * out_w)), None)
-    padded, cols, dpad = buffers
-    padded[:, :, 1:-1, 1:-1] = x.data
-    np.copyto(cols.reshape(n, c, kh, kw, out_h, out_w), _windows(padded, kh, kw, out_h, out_w))
+    plan = _plan(workspace, x.data.shape, lambda: _ConvPlan(x.data.shape, kh, kw))
+    np.copyto(plan.interior, x.data)
+    np.copyto(plan.cols6, plan.windows)
     w_mat = w.data.reshape(f, c * kh * kw)
-    out_data = np.matmul(w_mat, cols)
+    out_data = np.matmul(w_mat, plan.cols)
     out_data += b.data[:, None]
     out_data = out_data.reshape(n, f, out_h, out_w)
 
     def backward(g):
-        nonlocal dpad
         g = g.reshape(n, f, out_h * out_w)
         _accumulate(b, g.sum(axis=(0, 2)), owned=True)
-        _accumulate(w, np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape), owned=True)
+        _accumulate(w, np.matmul(g, plan.cols_t).sum(axis=0).reshape(w.data.shape), owned=True)
         if x.requires_grad:
             # The weight gradient was the last use of cols; its buffer takes their gradient.
-            dcols = np.matmul(w_mat.T, g, out=cols).reshape(n, c, kh, kw, out_h, out_w)
-            if dpad is None:  # first backward for this shape
-                dpad = np.empty_like(padded)
-            # The first shifted term is assigned, not added to zeros; only the strips it misses are zeroed.
-            dpad[:, :, :out_h, :out_w] = dcols[:, :, 0, 0]
-            dpad[:, :, out_h:, :] = 0.0
-            dpad[:, :, :out_h, out_w:] = 0.0
-            for i in range(kh):
-                for j in range(kw):
-                    if i or j:
-                        dpad[:, :, i : i + out_h, j : j + out_w] += dcols[:, :, i, j]
-            _accumulate(x, dpad[:, :, 1:-1, 1:-1], owned=x._backward is not None)  # interior x
-        workspace[x.data.shape] = (padded, cols, dpad)
+            np.matmul(w_mat.T, g, out=plan.cols)
+            _accumulate(x, plan.col2im(), owned=x._backward is not None)  # interior x
+        workspace[x.data.shape] = plan
 
     return _node(out_data, (x, w, b), backward)
 
@@ -317,32 +407,32 @@ def maxpool2(x, workspace) -> Tensor:
     gradient goes to the first corner, in row-major order, equal to the maximum,
     and a NaN window, equal to none of its corners, sends none. The backward
     turns each window's winning corner into one flat offset into x and writes
-    the whole gradient with a single scatter, into a zero-filled buffer that
-    `workspace`, the layer's dict keyed by input shape, keeps between steps.
+    the whole gradient with a single scatter, into a zero-filled buffer.
+    `workspace`, the layer's dict keyed by input shape, keeps that buffer and
+    the windows' corner offsets between steps, in a `_PoolPlan`.
     """
     n, c, h, w = x.data.shape
     h2, w2 = h // 2, w // 2
     pairs = x.data[..., : 2 * h2, : 2 * w2].reshape(n, c, 2 * h2, w2, 2)
     rows = np.maximum(pairs[..., 0], pairs[..., 1]).reshape(n, c, h2, 2, w2)
     out_data = np.maximum(rows[:, :, :, 0], rows[:, :, :, 1])
-    buffer = workspace.pop(x.data.shape, None)
+    plan = _plan(workspace, x.data.shape, lambda: _PoolPlan(x.data.shape))
 
     def backward(g):
         c0, c1, c2 = (x.data[..., i : 2 * h2 : 2, j : 2 * w2 : 2] for i, j in ((0, 0), (0, 1), (1, 0)))
-        # Each window's top-left corner as a flat offset into x, plus the winner's offset from it:
+        # Each window's top-left corner, from the plan, plus the winner's offset from it:
         # 0, 1, w or w + 1, counted in integer arithmetic from the corners before it that lose.
-        offsets = np.arange(n * c).reshape(n, c, 1, 1) * (h * w) + (
-            (np.arange(h2) * (2 * w))[:, None] + np.arange(0, 2 * w2, 2)
-        )
         past0 = c0 != out_data
         past1 = past0 & (c1 != out_data)
-        offsets += past0 + (w - 1) * past1 + (past1 & (c2 != out_data))
+        offsets = past0 + (w - 1) * past1 + (past1 & (c2 != out_data))
+        offsets += plan.base
         nan = np.isnan(out_data)
         if nan.any():  # no corner equals NaN, so the count sends a NaN window to its last corner
             g = np.where(nan, 0.0, g)
-        dx = _grad_buffer(x, workspace, buffer)  # C-contiguous, so ravel() is a view
+        dx = _grad_buffer(x, plan)  # C-contiguous, so ravel() is a view
         dx.fill(0.0)
         dx.ravel()[offsets] = g
+        workspace[x.data.shape] = plan
         _accumulate(x, dx, owned=True)
 
     return _node(out_data, (x,), backward)

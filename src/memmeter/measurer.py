@@ -28,6 +28,7 @@ from . import report
 from .data import sample_episode_sets
 from .engine import SGD, Tensor, build_machine, load_into_machine, softmax_cross_entropy
 from .engine.losses import rotated_batch
+from .engine.tensor import no_graph
 from .engine.machine import MachineSpec
 from .errors import ConfigError, DataFormatError, MeasurementError
 from .metrics import rms_calibration_error
@@ -141,9 +142,10 @@ def rotation_accuracy(machine, images, mode) -> float:
     """Top-1 accuracy over all four rotations of every image, no updates."""
     labels = ROTATION_LABELS[mode]
     correct = 0
-    for image in images:
-        logits = machine.forward(Tensor(rotated_batch(image))).data
-        correct += int((logits.argmax(axis=1) == labels).sum())
+    with no_graph():
+        for image in images:
+            logits = machine.forward(Tensor(rotated_batch(image))).data
+            correct += int((logits.argmax(axis=1) == labels).sum())
     return correct / (4 * len(images))
 
 
@@ -184,7 +186,8 @@ def stage_b_epoch(machine, seen_images, unseen_images, optimizer, rng):
 
 def _probabilities(machine, images) -> np.ndarray:
     """(N, 2) softmax rows of the seen/unseen head, one image per forward pass."""
-    logits = np.stack([machine.forward(Tensor(image.pixels[None])).data[0] for image in images])
+    with no_graph():
+        logits = np.stack([machine.forward(Tensor(image.pixels[None])).data[0] for image in images])
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
     return shifted / shifted.sum(axis=1, keepdims=True)
 

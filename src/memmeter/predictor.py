@@ -18,6 +18,7 @@ import numpy as np
 from . import metrics
 from .engine import SGD, Tensor, build_machine, load_into_machine, mse_loss, save_params
 from .engine import tensor as T
+from .engine.tensor import no_graph
 from .engine.machine import MachineSpec, parse_machine_spec
 from .data import augment_for_regression
 from .errors import ConfigError, DataFormatError
@@ -60,7 +61,8 @@ class PredictorModel:
 
     def predict_batch(self, images) -> np.ndarray:
         # One image per forward pass so results never depend on batching.
-        return np.array([float(self.forward_scores(img.pixels[None]).data[0]) for img in images])
+        with no_graph():
+            return np.array([float(self.forward_scores(img.pixels[None]).data[0]) for img in images])
 
     def parameters(self):
         return self.machine.parameters()

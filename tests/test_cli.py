@@ -155,6 +155,20 @@ def test_measure_workers_do_not_change_outputs(tmp_path, ppm_dataset_dir):
     assert (serial / "scores.csv").read_bytes() == (parallel / "scores.csv").read_bytes()
 
 
+@pytest.mark.parametrize("affinity,expected", [({3}, 1), ({0, 2, 5}, 3), (None, 8)])
+def test_default_workers_count_the_cores_the_process_may_run_on(monkeypatch, affinity, expected):
+    # None: a platform without sched_getaffinity, where os.cpu_count() decides.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    if affinity is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+    args = argparse.Namespace(seed=None, workers=None)
+    assert cli._apply_common_overrides({"workers": None}, args)["workers"] == expected
+    args.workers = 2
+    assert cli._apply_common_overrides({"workers": None}, args)["workers"] == 2
+
+
 def test_measure_n_too_large_exits_3_without_outputs(tmp_path, ppm_dataset_dir, capsys):
     config = measure_config(tmp_path, n=10)
     out = tmp_path / "run"

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from memmeter.engine import Tensor, build_machine, load_into_machine, load_params, save_params
+from memmeter.engine import SGD, Tensor, build_machine, load_into_machine, load_params, save_params
+from memmeter.engine.losses import softmax_cross_entropy
 from memmeter.engine.machine import MachineSpec
 from memmeter.errors import ConfigError, DataFormatError
 
@@ -153,6 +154,39 @@ def test_checkpoint_roundtrip(tmp_path, cnn_spec, rng):
     assert np.array_equal(
         machine.forward(Tensor(x)).data, other.forward(Tensor(x)).data
     )
+
+
+def test_checkpoint_loaded_after_the_optimizer_is_built_trains_like_one_loaded_before(tmp_path, cnn_spec, rng):
+    path = tmp_path / "machine.mmt1"
+    save_params(build_machine(cnn_spec, 4, seed=33).parameters(), path)
+    batches = [rng.random((4, 3, 12, 12)) for _ in range(3)]
+
+    def train(load_first):
+        machine = build_machine(cnn_spec, 4, seed=99)
+        if load_first:
+            load_into_machine(machine, path)
+        optimizer = SGD(machine.parameters(), lr=0.05, total_steps=len(batches))
+        if not load_first:
+            load_into_machine(machine, path)
+        for batch in batches:
+            softmax_cross_entropy(machine.forward(Tensor(batch)), [0, 1, 2, 3]).backward()
+            optimizer.step()
+        return [t.data.tobytes() for _, t in machine.parameters()]
+
+    assert train(load_first=False) == train(load_first=True)
+
+
+def test_checkpoint_load_keeps_every_parameter_array(tmp_path, cnn_spec):
+    path = tmp_path / "machine.mmt1"
+    save_params(build_machine(cnn_spec, 4, seed=33).parameters(), path)
+    for with_optimizer in (False, True):
+        machine = build_machine(cnn_spec, 4, seed=99)
+        if with_optimizer:
+            SGD(machine.parameters(), lr=0.05, total_steps=1)
+        arrays = [t.data for _, t in machine.parameters()]
+        load_into_machine(machine, path)
+        assert all(t.data is a for (_, t), a in zip(machine.parameters(), arrays, strict=True))
+        assert [t.data.tobytes() for _, t in machine.parameters()] == [a.tobytes() for _, a in load_params(path)]
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -94,3 +94,41 @@ def test_step_is_bitwise_equal_to_the_temporaries_formula(weight_decay):
             vel += weight_decay * data
         data -= lr * vel
         assert np.array_equal(p.data, data)
+
+
+def test_flat_step_is_bitwise_equal_to_the_per_parameter_loop():
+    # SGD updates every parameter through one flat array; the reference updates each array alone.
+    rng = np.random.default_rng(11)
+    shapes = [(4, 3, 3, 3), (4,), (36, 5), (5,)]
+    starts = [rng.normal(size=shape) for shape in shapes]
+    params = [(str(i), Tensor(start.copy(), requires_grad=True)) for i, start in enumerate(starts)]
+    opt = SGD(params, lr=0.05, momentum=0.9, weight_decay=1e-4, total_steps=10)
+    data = [start.copy() for start in starts]
+    vel = [np.zeros_like(start) for start in starts]
+    for step in range(10):
+        grads = [rng.normal(size=shape) for shape in shapes]
+        for (_, tensor), grad in zip(params, grads):
+            tensor.grad = grad.copy()
+        opt.step()
+        lr = cosine_lr(0.05, step, 10)
+        for d, v, grad in zip(data, vel, grads):
+            v *= 0.9
+            v += grad
+            v += 1e-4 * d
+            d -= lr * v
+        for (_, tensor), d, v, velocity in zip(params, data, vel, opt.velocity):
+            assert tensor.data.tobytes() == d.tobytes()
+            assert velocity.tobytes() == v.tobytes()
+            assert tensor.grad is None
+
+
+def test_sgd_trains_its_parameters_in_place():
+    params = [("a", Tensor(np.ones((2, 3)), requires_grad=True)), ("b", Tensor(np.ones(4), requires_grad=True))]
+    opt = SGD(params, lr=0.1, momentum=0.0, weight_decay=0.0, total_steps=2)
+    arrays = [tensor.data for _, tensor in params]
+    for _ in range(2):
+        for _, tensor in params:
+            tensor.grad = np.ones_like(tensor.data)
+        opt.step()
+    assert all(tensor.data is a for (_, tensor), a in zip(params, arrays))
+    assert np.allclose(params[0][1].data, 1.0 - 0.1 - cosine_lr(0.1, 1, 2))

@@ -10,18 +10,29 @@ import ast
 import importlib.util
 from pathlib import Path
 
-from memmeter import measurer
+import numpy as np
+
+from memmeter import measurer, predictor
+from memmeter.data import ImageTensor
+from memmeter.engine import SGD, build_machine, mse_loss
+from memmeter.engine import tensor as T
+from memmeter.engine.losses import rotated_batch
+from memmeter.engine.machine import MachineSpec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 REP = PERFBENCH / "rep.py"
 
 
-def test_perfbench_tracer_installs_and_restores():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    tracer = module.Tracer()
+    return module
+
+
+def test_perfbench_tracer_installs_and_restores():
+    tracer = _load_tracer().Tracer()
     try:
         tracer.install()
         assert hasattr(measurer.run_episode, "__wrapped__")
@@ -44,3 +55,35 @@ def test_perfbench_step_sites_all_exist():
     for owner, name in (pair.elts for pair in pairs):
         resolved = eval(compile(ast.Expression(owner), str(REP), "eval"), namespace)
         assert name.value in vars(resolved), f"STEP_SITES names {ast.unparse(owner)}.{name.value}, which is gone"
+
+
+def test_perfbench_tracer_records_both_spans_of_every_timed_engine_op():
+    # A traced run fails when an op it times records no forward or no backward span; a
+    # training node left without its backward closure must fail here first.
+    module = _load_tracer()
+    timed = sorted({span for span in module.PER_CALL_US.values() if span.endswith((".fwd", ".bwd"))})
+    spec = MachineSpec(kind="small_cnn", in_channels=3, height=12, width=12)
+    rng = np.random.default_rng(3)
+    image = ImageTensor("probe", rng.random((3, 12, 12)))
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        machine = build_machine(spec, 4, seed=1)
+        optimizer = SGD(machine.parameters(), lr=0.01, total_steps=1)
+        measurer.rotation_loss(machine, rotated_batch(image)).backward()  # one stage-(a) step
+        optimizer.step()
+        model = predictor.build_predictor(spec, seed=2)
+        optimizer = SGD(model.parameters(), lr=0.01, weight_decay=0.0, total_steps=1)
+        mse_loss(model.forward_scores(rng.random((2, 3, 12, 12))), rng.random(2)).backward()
+        optimizer.step()
+        trained = {span[0] for span in tracer.spans}
+        before = len(tracer.spans)
+        measurer.rotation_accuracy(machine, [image], "four_way")  # evaluation passes
+        model.predict_batch([image])
+        evaluated = {span[0] for span in tracer.spans[before:]}
+    finally:
+        tracer.restore()
+    assert not hasattr(T.conv2d, "__wrapped__")
+    assert [span for span in timed if span not in trained] == []
+    assert {"engine.conv2d.fwd", "engine.sigmoid.fwd"} <= evaluated
+    assert not any(name.endswith(".bwd") for name in evaluated)

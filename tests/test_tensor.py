@@ -402,12 +402,26 @@ def test_two_forwards_summed_into_one_backward_match_fresh_machines(cnn_spec, ml
             assert got.tobytes() == expected.tobytes()
 
 
+def _plan_arrays(value):
+    """Every array a workspace plan holds, in a fixed order: its buffers, the views over
+    them and its index arrays, looking inside plan objects, tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in _plan_arrays(item)]
+    if value is None:
+        return []
+    slots = [name for cls in type(value).__mro__ for name in vars(cls).get("__slots__", ())]
+    assert slots, f"not a plan: {value!r}"
+    return [a for name in slots for a in _plan_arrays(getattr(value, name, None))]
+
+
 def _workspace_arrays(machine):
     """Every array the machine's layer workspaces hold, by layer name and input shape."""
     arrays = {}
     for name, layer in machine.backbone:
-        for shape, buffers in getattr(layer, "workspace", {}).items():
-            arrays[name, shape] = buffers if isinstance(buffers, tuple) else (buffers,)
+        for shape, plan in getattr(layer, "workspace", {}).items():
+            arrays[name, shape] = _plan_arrays(plan)
     return arrays
 
 
@@ -433,6 +447,16 @@ def test_training_steps_reuse_the_same_workspace_arrays(cnn_spec, rng):
         optimizer.step()
         warm = _workspace_arrays(owner)
         assert {name for name, _ in warm} == {name for name, layer in owner.backbone if hasattr(layer, "workspace")}
+        for (name, _), arrays in warm.items():
+            layer = dict(owner.backbone)[name]
+            # conv: the padded input, its interior, the filter windows, cols and its two views; the
+            # backward adds dpad, its two zeroed strips, a (dpad, cols) slice pair per kernel tap and
+            # dx, except in conv0, whose input needs no gradient. pool: the gradient buffer and the
+            # integer window offsets. relu: the gradient buffer.
+            expected = {Conv2d: 6 if name == "conv0" else 6 + 4 + 2 * 9, MaxPool2: 2, ReLU: 1}[type(layer)]
+            assert len(arrays) == expected, (name, len(arrays))
+            if isinstance(layer, MaxPool2):
+                assert any(a.dtype.kind == "i" for a in arrays), name
         for i in range(1, 4):
             loss(i).backward()
             optimizer.step()
@@ -450,15 +474,98 @@ def test_forward_only_pass_between_steps_leaves_training_unchanged(cnn_spec, mlp
         batches = [rng.random((4, *shape)) for _ in range(4)]
         probes = [rng.random((1, *shape)), rng.random((4, *shape))]
         finals = []
-        for probing in (False, True):
+        for probing in (None, "graph", "evaluation"):
             machine = build_machine(spec, 4, seed=6)
             optimizer = SGD(machine.parameters(), lr=0.05, total_steps=len(batches))
             for batch in batches:
                 _rotation_step_loss(machine, batch).backward()
                 optimizer.step()
-                if probing:
-                    for probe in probes:
+                for probe in probes if probing else ():
+                    if probing == "graph":
                         machine.forward(Tensor(probe))  # dropped without backward()
-            finals.append([t.data.copy() for _, t in machine.parameters()])
-        for plain, probed in zip(*finals):
-            assert plain.tobytes() == probed.tobytes()
+                    else:
+                        with T.no_graph():
+                            machine.forward(Tensor(probe))
+            finals.append([t.data.tobytes() for _, t in machine.parameters()])
+        assert finals[0] == finals[1] == finals[2]
+
+
+# --- evaluation passes: no_graph() ------------------------------------------------
+
+EVAL_CASES = [(kind, batch) for kind in ("small_cnn", "mlp") for batch in (1, 4)]
+
+
+def _eval_case(request, kind, batch, rng):
+    """A machine of `kind`, trained one step on a batch of `batch`, and two more such batches."""
+    from memmeter.engine import SGD
+    from memmeter.engine.losses import softmax_cross_entropy
+
+    spec = request.getfixturevalue("cnn_spec" if kind == "small_cnn" else "mlp_spec")
+    machine = build_machine(spec, 4, seed=21)
+    batches = [rng.random((batch, spec.in_channels, spec.height, spec.width)) for _ in range(3)]
+    labels = [i % 4 for i in range(batch)]
+
+    def loss(m, x):
+        return softmax_cross_entropy(m.forward(Tensor(x)), labels)
+
+    loss(machine, batches[0]).backward()
+    SGD(machine.parameters(), lr=0.05, total_steps=1).step()
+    return spec, machine, batches[1:], loss
+
+
+@pytest.mark.parametrize("kind,batch", EVAL_CASES)
+def test_evaluation_forward_has_the_bytes_of_a_graph_building_one_and_no_graph(kind, batch, request, rng):
+    spec, machine, (x, _), _ = _eval_case(request, kind, batch, rng)
+    cold = build_machine(spec, 4, seed=21)  # no plans yet: the evaluation forward makes them
+    for m in (machine, cold):
+        with T.no_graph():
+            evaluated = m.forward(Tensor(x))
+        built = m.forward(Tensor(x))
+        assert evaluated.data.tobytes() == built.data.tobytes()
+        assert evaluated._backward is None and evaluated._parents == () and not evaluated.requires_grad
+        assert built._backward is not None
+
+
+@pytest.mark.parametrize("kind,batch", EVAL_CASES)
+def test_evaluation_forwards_keep_every_workspace_array(kind, batch, request, rng):
+    _, machine, (x, y), _ = _eval_case(request, kind, batch, rng)
+    trained = _workspace_arrays(machine)
+    assert trained
+    for probe in (x, y, x):
+        with T.no_graph():
+            machine.forward(Tensor(probe))
+        now = _workspace_arrays(machine)
+        assert now.keys() == trained.keys()
+        for key, arrays in trained.items():
+            assert all(a is b for a, b in zip(now[key], arrays, strict=True)), key
+
+
+@pytest.mark.parametrize("kind,batch", EVAL_CASES)
+def test_evaluation_forward_while_a_training_graph_is_pending(kind, batch, request, rng):
+    spec, machine, (x, probe), loss = _eval_case(request, kind, batch, rng)
+    fresh = build_machine(spec, 4, seed=21)
+    for (_, mine), (_, theirs) in zip(machine.parameters(), fresh.parameters()):
+        np.copyto(theirs.data, mine.data)
+    pending = loss(machine, x)
+    with T.no_graph():
+        machine.forward(Tensor(probe))  # the same shape as the pending graph's
+    pending.backward()
+    loss(fresh, x).backward()
+    for got, expected in zip(_take_grads(machine), _take_grads(fresh)):
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind,batch", EVAL_CASES)
+def test_no_graph_is_restored_when_its_body_raises(kind, batch, request, rng):
+    from memmeter.errors import ConfigError
+
+    _, machine, (x, _), _ = _eval_case(request, kind, batch, rng)
+    with pytest.raises(ConfigError):
+        with T.no_graph():
+            machine.forward(Tensor(x[:, :, 1:]))  # the wrong input shape
+    assert machine.forward(Tensor(x))._backward is not None
+    with T.no_graph():
+        with T.no_graph():
+            pass
+        assert machine.forward(Tensor(x))._backward is None
+    assert machine.forward(Tensor(x))._backward is not None
