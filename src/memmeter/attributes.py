@@ -7,6 +7,7 @@ All attributes are computed on native-resolution pixels.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -72,27 +73,49 @@ def hsv_stats(image) -> tuple:
     return mean_hue, float(saturation.mean()), float(mx.mean())
 
 
-def _block_average(arr: np.ndarray) -> np.ndarray:
-    """Halve resolution by averaging 2x2 blocks; odd edges keep partial blocks."""
-    h, w = arr.shape
+@lru_cache(maxsize=64)
+def _block_plan(shape):
+    """`_block_average`'s block starts along each axis and pixel count per block."""
+    h, w = shape
     rows = np.arange(0, h, 2)
     cols = np.arange(0, w, 2)
-    sums = np.add.reduceat(np.add.reduceat(arr, rows, axis=0), cols, axis=1)
     counts = np.minimum(2, h - rows)[:, None] * np.minimum(2, w - cols)[None, :]
+    for array in (rows, cols, counts):
+        array.flags.writeable = False  # the cache hands the same arrays to every call
+    return rows, cols, counts
+
+
+def _block_average(arr: np.ndarray) -> np.ndarray:
+    """Halve resolution by averaging 2x2 blocks; odd edges keep partial blocks."""
+    rows, cols, counts = _block_plan(arr.shape)
+    sums = np.add.reduceat(np.add.reduceat(arr, rows, axis=0), cols, axis=1)
     return sums / counts
+
+
+# Where each gap lands: every gap counts for both pixels of its pair, the one
+# below (right of) it and the one above (left of) it.
+_GAP_TARGETS = (np.s_[1:], np.s_[:-1], np.s_[:, 1:], np.s_[:, :-1])
+
+
+@lru_cache(maxsize=64)
+def _neighbor_count(shape):
+    """How many 4-neighbors each pixel of an image of this shape has."""
+    count = np.zeros(shape)
+    for target in _GAP_TARGETS:
+        count[target] += 1
+    count.flags.writeable = False
+    return count
 
 
 def _mean_local_contrast(linear: np.ndarray) -> float:
     """Average over pixels of the mean absolute luminance gap to 4-neighbors."""
     lum = 100.0 * np.sqrt(linear)
     vertical, horizontal = np.abs(np.diff(lum, axis=0)), np.abs(np.diff(lum, axis=1))
-    diff_sum, neighbor_count = np.zeros(lum.shape), np.zeros(lum.shape)
-    # Each gap counts for both pixels of its pair; adding up, down, left, right fixes the rounding.
-    for target, gaps in ((np.s_[1:], vertical), (np.s_[:-1], vertical),
-                         (np.s_[:, 1:], horizontal), (np.s_[:, :-1], horizontal)):
+    diff_sum = np.zeros(lum.shape)
+    # Adding up, down, left, right in this order fixes the rounding.
+    for target, gaps in zip(_GAP_TARGETS, (vertical, vertical, horizontal, horizontal)):
         diff_sum[target] += gaps
-        neighbor_count[target] += 1
-    return float((diff_sum / neighbor_count).mean())
+    return float((diff_sum / _neighbor_count(lum.shape)).mean())
 
 
 def global_contrast(image) -> float:

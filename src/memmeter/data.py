@@ -1,13 +1,16 @@
 """Image ingestion, rotation transforms, episode sampling, augmentations.
 
-Images are channel-major float64 arrays with values in [0, 1], checked where
-they enter the program, once over a Dataset's read-only (N, C, H, W) array
-(every loader builds a Dataset), and where they leave it, in `write_ppm`. An
-ImageTensor is a plain (id, pixels) record; the row views a Dataset hands out
-and augmented copies of them are not checked again. Rotations are exact
-counterclockwise pixel permutations. `load_dataset` alone picks a path's
-on-disk format: CIFAR-10 binary batches (1 label byte + 3072 pixel bytes per
-record), or binary PPM (P6, maxval <= 255), optionally with a manifest CSV
+Images are channel-major float64 arrays with values in [0, 1]. A Dataset holds
+its images as the samples its loader read, 8-bit for both file formats, with
+one scale per image, and hands each image out as a read-only float64 array
+`samples / scale`, converted when it is asked for. Pixels are checked where
+they enter the program, once over a Dataset's samples (every loader builds a
+Dataset), and where they leave it, in `write_ppm`. An ImageTensor is a plain
+(id, pixels) record; the images a Dataset hands out and augmented copies of
+them are not checked again. Rotations are exact counterclockwise pixel
+permutations. `load_dataset` alone picks a path's on-disk format: CIFAR-10
+binary batches (1 label byte + 3072 pixel bytes per record, scale 255), or
+binary PPM (P6, maxval <= 255, scale maxval), optionally with a manifest CSV
 "id,filename[,label]". A path of neither format is a ConfigError; a file that
 does not parse is a DataFormatError naming it. Class labels are not kept: the
 CIFAR label byte and the manifest's label column are allowed and ignored
@@ -48,21 +51,33 @@ class ImageTensor:
 class Dataset:
     """Immutable ordered collection of uniformly shaped images.
 
-    Row k of `pixels` is image `ids[k]`; `image()` and iteration give
-    ImageTensor views of the rows. The array is taken over as it is, memory
-    order included, and made read-only.
+    Image `ids[k]` is `samples[k] / scale[k]`: the loaders keep the 8-bit
+    samples they read, with the file's maxval (255 for CIFAR) as the scale,
+    and an array of [0, 1] pixels is its own samples at the default scale
+    1.0, whose division is exact. `image()` and iteration convert one image
+    at a time into a new read-only float64 array with the samples' memory
+    order. The samples are taken over as they are and made read-only.
     """
 
-    def __init__(self, ids, pixels, source=""):
+    def __init__(self, ids, samples, scale=1.0, source=""):
         self.ids = list(ids)
         if not self.ids:
             raise ConfigError("dataset is empty")
-        pixels = np.asarray(pixels, dtype=np.float64)
-        if pixels.ndim != 4 or len(pixels) != len(self.ids):
-            raise ConfigError(f"{len(self.ids)} ids need pixels of shape ({len(self.ids)}, C, H, W), got {pixels.shape}")
-        check_pixels(pixels, "dataset")
-        pixels.flags.writeable = False
-        self.pixels = pixels
+        samples = np.asarray(samples)
+        if samples.ndim != 4 or len(samples) != len(self.ids):
+            raise ConfigError(f"{len(self.ids)} ids need samples of shape ({len(self.ids)}, C, H, W), got {samples.shape}")
+        scale = np.full(len(self.ids), scale, dtype=np.float64)
+        lo, hi = samples.min(axis=(1, 2, 3)), samples.max(axis=(1, 2, 3))
+        bad = ~((0 <= lo) & (hi <= scale) & (0 < scale) & (scale < np.inf))  # also true where any is NaN
+        if bad.any():
+            row = int(np.argmax(bad))
+            if not np.isfinite(samples[row]).all():
+                raise ConfigError(f"dataset: image {self.ids[row]!r} has non-finite pixel values")
+            raise ConfigError(
+                f"dataset: image {self.ids[row]!r} has samples [{lo[row]}, {hi[row]}] outside [0, {scale[row]}]"
+            )
+        samples.flags.writeable = False
+        self.samples, self.scale = samples, scale
         self._rows = {image_id: row for row, image_id in enumerate(self.ids)}
         if len(self._rows) != len(self.ids):
             raise ConfigError("duplicate image ids in dataset")
@@ -75,14 +90,19 @@ class Dataset:
         return image_id in self._rows
 
     def __iter__(self):
-        return map(ImageTensor, self.ids, self.pixels)
+        return map(ImageTensor, self.ids, map(self._pixels, range(len(self.ids))))
 
     @property
     def dims(self):
-        return self.pixels.shape[1:]
+        return self.samples.shape[1:]
 
     def image(self, image_id: str) -> ImageTensor:
-        return ImageTensor(image_id, self.pixels[self._rows[image_id]])
+        return ImageTensor(image_id, self._pixels(self._rows[image_id]))
+
+    def _pixels(self, row):
+        pixels = self.samples[row] / self.scale[row]
+        pixels.flags.writeable = False
+        return pixels
 
 
 # --- rotations -------------------------------------------------------------
@@ -160,14 +180,19 @@ def load_cifar_binary(path) -> Dataset:
         ids += [f"{file.name}#{index}" for index in range(len(batches[-1]))]
     if not ids:
         raise DataFormatError("no CIFAR records in .bin files", path=str(path))
-    records = np.concatenate(batches)
-    pixels = records[:, 1:].astype(np.float64).reshape(-1, *CIFAR_SHAPE)
-    pixels /= 255.0
-    return Dataset(ids, pixels, source=str(path))
+    records = batches[0] if len(batches) == 1 else np.concatenate(batches)
+    return Dataset(ids, records[:, 1:].reshape(-1, *CIFAR_SHAPE), scale=255.0, source=str(path))
 
 
 def read_ppm(path) -> np.ndarray:
     """Decode one binary P6 PPM (maxval <= 255) into (3, H, W) pixels."""
+    raster, maxval = _read_ppm_samples(path)
+    return raster / maxval
+
+
+def _read_ppm_samples(path):
+    """One binary P6 PPM's (3, H, W) uint8 samples, a channel-last view of
+    the file's bytes, and its maxval."""
     path = Path(path)
     blob = path.read_bytes()
     # "P6", then width, height and maxval, each after whitespace or comments
@@ -190,7 +215,7 @@ def read_ppm(path) -> np.ndarray:
     if maxval < 255 and raster.max() > maxval:
         first = int(np.argmax(raster > maxval))
         raise DataFormatError(f"sample {raster[first]} above maxval {maxval}", path=str(path), offset=start + first)
-    return raster.reshape(height, width, 3).transpose(2, 0, 1).astype(np.float64) / maxval
+    return raster.reshape(height, width, 3).transpose(2, 0, 1), maxval
 
 
 def write_ppm(image: ImageTensor, path):
@@ -233,13 +258,14 @@ def load_ppm_dir(path) -> Dataset:
         entries = [(file.stem, file) for file in sorted(path.glob("*.ppm"))]
         if not entries:
             raise DataFormatError("no .ppm files in directory", path=str(path))
-    rasters = [read_ppm(file) for _, file in entries]
+    rasters, maxvals = zip(*(_read_ppm_samples(file) for _, file in entries))
     for (_, file), raster in zip(entries, rasters):
         if raster.shape != rasters[0].shape:
             raise DataFormatError(f"shape {raster.shape} differs from the dataset's {rasters[0].shape}", path=str(file))
-    # np.stack keeps read_ppm's channel-last memory order. attributes.grayscale's
-    # tensordot rounds differently on a channel-first copy, so that would change attributes.
-    return Dataset([image_id for image_id, _ in entries], np.stack(rasters), source=str(path))
+    # np.stack keeps the rasters' channel-last memory order, and so does the division
+    # that hands an image out, as in read_ppm. attributes.grayscale's tensordot rounds
+    # differently on a channel-first copy, so that would change attributes.
+    return Dataset([image_id for image_id, _ in entries], np.stack(rasters), scale=maxvals, source=str(path))
 
 
 def load_dataset(path) -> Dataset:

@@ -144,16 +144,26 @@ def train_predictor(score_table, dataset, config: RegressionConfig, spec=None, s
 
 
 def predict(model, images) -> dict:
-    """Deterministic forward pass over images, no augmentation."""
-    images = list(images)
-    values = model.predict_batch(images)
-    return {img.id: float(v) for img, v in zip(images, values)}
+    """Deterministic forward pass over images, no augmentation.
+
+    Reads `images` once and keeps none of them, so a Dataset's images are
+    converted one at a time.
+    """
+    ids = []
+
+    def recorded():
+        for image in images:
+            ids.append(image.id)
+            yield image
+
+    values = model.predict_batch(recorded())
+    return dict(zip(ids, values.tolist()))
 
 
 def evaluate_predictor(model, score_table, dataset, test_ids):
     """Spearman correlation between predicted and measured scores."""
     test_ids = list(test_ids)
-    predicted = predict(model, [dataset.image(i) for i in test_ids])
+    predicted = predict(model, map(dataset.image, test_ids))
     rho = metrics.spearman(
         [predicted[i] for i in test_ids], [score_table.scores[i] for i in test_ids]
     )

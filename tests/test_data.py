@@ -1,6 +1,7 @@
 """Rotations, episode sampling, loaders, and regression augmentations."""
 
 import hashlib
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -132,6 +133,10 @@ def cifar_blob(records):
     return b"".join(chunks)
 
 
+def stacked_pixels(dataset):
+    return np.stack([dataset.image(i).pixels for i in dataset.ids])
+
+
 def test_cifar_record_arithmetic(tmp_path):
     path = tmp_path / "batch.bin"
     path.write_bytes(cifar_blob([(3, 0), (7, 255), (1, 128)]))
@@ -151,7 +156,7 @@ def test_loaded_pixels_match_pinned_digests(tmp_path):
         (tmp_path / name).write_bytes(rng.integers(0, 256, (records, 3073), dtype=np.uint8).tobytes())
     cifar = load_cifar_binary(tmp_path)
     assert cifar.ids == [f"a.bin#{i}" for i in range(5)] + [f"b.bin#{i}" for i in range(3)]
-    assert hashlib.sha256(cifar.pixels.tobytes()).hexdigest() == (
+    assert hashlib.sha256(stacked_pixels(cifar).tobytes()).hexdigest() == (
         "8d572d348c24cc2ea77bb785f1b50bad12ef466492045b93ded792053b6e591e"
     )
     rng = make_rng("ppm-digest")
@@ -162,12 +167,62 @@ def test_loaded_pixels_match_pinned_digests(tmp_path):
         (ppm_dir / f"{name}.ppm").write_bytes(f"P6\n12 12\n{maxval}\n".encode() + raster.tobytes())
     ppm = load_ppm_dir(ppm_dir)
     assert ppm.ids == ["full", "low"] and ppm.dims == (3, 12, 12)
-    assert hashlib.sha256(ppm.pixels.tobytes()).hexdigest() == (
+    assert hashlib.sha256(stacked_pixels(ppm).tobytes()).hexdigest() == (
         "786163e92ab17a90ab11170b683007a1e5e5afeb09ae2ccc69606b9c5ea75672"
     )
-    # Rows keep read_ppm's memory order, which the BLAS-backed grayscale rounds by.
+    # Images keep read_ppm's memory order, which the BLAS-backed grayscale rounds by.
     for image in ppm:
         assert np.array_equal(grayscale(image.pixels), grayscale(read_ppm(ppm_dir / f"{image.id}.ppm")))
+
+
+def ppm_of_every_sample(path, maxval):
+    """A 1-row PPM whose pixel k has k in all three channels, for k = 0..maxval."""
+    raster = np.repeat(np.arange(maxval + 1, dtype=np.uint8), 3)
+    path.write_bytes(f"P6\n{maxval + 1} 1\n{maxval}\n".encode() + raster.tobytes())
+
+
+def exact_fractions(maxval):
+    return np.array([np.float64(k) / maxval for k in range(maxval + 1)])
+
+
+@pytest.mark.parametrize("maxval", [255, 100, 1])
+def test_every_sample_value_converts_to_its_exact_fraction(tmp_path, maxval):
+    ppm_of_every_sample(tmp_path / "all.ppm", maxval)
+    expected = exact_fractions(maxval).view(np.uint64)
+    for pixels in (read_ppm(tmp_path / "all.ppm"), load_ppm_dir(tmp_path).image("all").pixels):
+        assert pixels.dtype == np.float64
+        for channel in pixels[:, 0]:
+            assert np.array_equal(channel.view(np.uint64), expected)
+    if maxval == 255:
+        samples = np.resize(np.arange(256, dtype=np.uint8), 3072)
+        (tmp_path / "all.bin").write_bytes(bytes([0]) + samples.tobytes())
+        pixels = load_cifar_binary(tmp_path / "all.bin").image("all.bin#0").pixels
+        assert np.array_equal(pixels.ravel().view(np.uint64), expected[samples])
+
+
+def test_ppm_images_keep_read_ppms_strides(tmp_path, rng):
+    for index in range(3):
+        write_ppm(random_image(f"p{index}", rng, size=5), tmp_path / f"p{index}.ppm")
+    dataset = load_ppm_dir(tmp_path)
+    strides = read_ppm(tmp_path / "p0.ppm").strides
+    assert strides[0] == 8  # channel-last
+    assert [image.pixels.strides for image in dataset] == [strides] * 3
+    assert dataset.image("p1").pixels.strides == strides
+
+
+def test_loaded_datasets_hold_one_byte_per_sample(tmp_path, rng):
+    (tmp_path / "a.bin").write_bytes(rng.integers(0, 256, 40 * 3073, dtype=np.uint8).tobytes())
+    ppm_dir = tmp_path / "ppm"
+    ppm_dir.mkdir()
+    for index in range(40):
+        write_ppm(random_image(f"p{index:02d}", rng, size=32), ppm_dir / f"p{index:02d}.ppm")
+    for dataset in (load_cifar_binary(tmp_path / "a.bin"), load_ppm_dir(ppm_dir)):
+        samples = len(dataset) * int(np.prod(dataset.dims))
+        assert dataset.samples.dtype == np.uint8 and dataset.samples.nbytes == samples
+        # What measure() ships to a pool worker.
+        assert len(pickle.dumps(dataset)) <= 1.1 * samples
+        copy = pickle.loads(pickle.dumps(dataset))
+        assert np.array_equal(stacked_pixels(copy), stacked_pixels(dataset))
 
 
 def test_cifar_truncated_record_reports_offset(tmp_path):
@@ -329,15 +384,31 @@ def test_image_pixels_must_be_in_unit_range():
         Dataset(["a", "b"], pixels)
 
 
-def test_dataset_images_are_read_only_views(rng):
+def test_samples_must_lie_within_their_images_scale():
+    samples = np.full((2, 1, 2, 2), 100, dtype=np.uint8)
+    dataset = Dataset(["a", "b"], samples, scale=[255, 100])
+    assert dataset.image("b").pixels.max() == 1.0
+    samples = samples.copy()
+    samples[1, 0, 0, 1] = 101
+    with pytest.raises(ConfigError, match=r"image 'b' has samples \[100, 101\] outside \[0, 100.0\]"):
+        Dataset(["a", "b"], samples, scale=[255, 100])
+    for scale in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ConfigError, match="outside"):
+            Dataset(["a", "b"], np.zeros((2, 1, 2, 2)), scale=[1.0, scale])
+
+
+def test_dataset_images_are_read_only(rng):
     dataset = make_dataset(3, rng)
-    image = dataset.image("img001")
-    assert np.shares_memory(image.pixels, dataset.pixels)
-    with pytest.raises(ValueError, match="read-only"):
-        image.pixels[0, 0, 0] = 0.5
-    augmented = augment_for_regression(image, 0)
+    before = stacked_pixels(dataset)
+    for image in (dataset.image("img001"), *dataset):
+        assert image.pixels.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            image.pixels[0, 0, 0] = 0.5
+    augmented = augment_for_regression(dataset.image("img001"), 0)
     augmented.pixels[0, 0, 0] = 0.5
-    assert not np.shares_memory(augmented.pixels, dataset.pixels)
+    with pytest.raises(ValueError, match="read-only"):
+        dataset.samples[1, 0, 0, 0] = 0.5
+    assert np.array_equal(stacked_pixels(dataset), before)
 
 
 def test_pixels_are_not_checked_again_after_the_dataset_is_built(monkeypatch):

@@ -363,7 +363,8 @@ def test_measure_rejects_small_dataset(small_dataset, small_spec):
 
 
 def test_check_measurement_rejects_small_dataset_first(small_dataset, small_spec):
-    eleven = Dataset(small_dataset.ids[:11], small_dataset.pixels[:11], source="eleven")
+    ids = small_dataset.ids[:11]
+    eleven = Dataset(ids, np.stack([small_dataset.image(i).pixels for i in ids]), source="eleven")
     # set A is bad too, but the dataset size is checked before it
     with pytest.raises(DataFormatError, match="^eleven: dataset holds 11 images but the protocol needs 12"):
         check_measurement(eleven, ["nope"], quick_config(small_spec))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from memmeter import measurer, predictor
+from memmeter import attributes, measurer, predictor
 from memmeter.data import ImageTensor
 from memmeter.engine import SGD, build_machine, mse_loss
 from memmeter.engine import tensor as T
@@ -87,3 +87,17 @@ def test_perfbench_tracer_records_both_spans_of_every_timed_engine_op():
     assert [span for span in timed if span not in trained] == []
     assert {"engine.conv2d.fwd", "engine.sigmoid.fwd"} <= evaluated
     assert not any(name.endswith(".bwd") for name in evaluated)
+
+
+def test_perfbench_tracer_records_the_attribute_spans():
+    # Traced runs and --smoke read these spans by name; compute_attributes must keep
+    # calling hsv_stats and global_contrast through the module, where the tracer patches them.
+    module = _load_tracer()
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        attributes.compute_attributes(ImageTensor("probe", np.random.default_rng(4).random((3, 12, 12))))
+        recorded = {span[0] for span in tracer.spans}
+    finally:
+        tracer.restore()
+    assert {"attributes.compute_attributes", "attributes.global_contrast", "attributes.hsv_stats"} <= recorded

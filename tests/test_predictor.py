@@ -1,11 +1,13 @@
 """Score regressor: training convergence, prediction contracts, evaluation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import synth
+from memmeter.data import Dataset
 from memmeter.engine.machine import MachineSpec
 from memmeter.errors import ConfigError
 from memmeter.measurer import ScoreTable
@@ -144,6 +146,23 @@ class OracleModel:
     def predict_batch(self, images):
         values = np.array([self.mapping[img.id] for img in images])
         return 1.0 - values if self.flip else values
+
+
+def test_predict_over_a_pool_holds_one_converted_image_at_a_time():
+    count, shape = 200, (3, 32, 32)
+    rng = make_rng("predict-pool")
+    dataset = Dataset([f"p{i:03d}" for i in range(count)], rng.integers(0, 256, (count, *shape), dtype=np.uint8),
+                      scale=255.0)
+    # An MLP's forward allocates far less than one image, so the peak is what predict keeps.
+    model = build_predictor(MachineSpec(kind="mlp", in_channels=3, height=32, width=32, hidden=(8,)), seed=1)
+    tracemalloc.start()
+    try:
+        predictions = predict(model, dataset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(predictions) == dataset.ids
+    assert peak < 10 * 8 * int(np.prod(shape))
 
 
 def test_evaluate_oracle_lookup_is_perfect(scored_fixture):
