@@ -2,19 +2,20 @@
 
 Images are channel-major float64 arrays with values in [0, 1]. A Dataset holds
 its images as the samples its loader read, 8-bit for both file formats, with
-one scale per image, and hands each image out as a read-only float64 array
-`samples / scale`, converted when it is asked for. Pixels are checked where
-they enter the program, once over a Dataset's samples (every loader builds a
-Dataset), and where they leave it, in `write_ppm`. An ImageTensor is a plain
-(id, pixels) record; the images a Dataset hands out and augmented copies of
-them are not checked again. Rotations are exact counterclockwise pixel
-permutations. `load_dataset` alone picks a path's on-disk format: CIFAR-10
-binary batches (1 label byte + 3072 pixel bytes per record, scale 255), or
-binary PPM (P6, maxval <= 255, scale maxval), optionally with a manifest CSV
-"id,filename[,label]". A path of neither format is a ConfigError; a file that
-does not parse is a DataFormatError naming it. Class labels are not kept: the
-CIFAR label byte and the manifest's label column are allowed and ignored
-(`analyze --labels` reads its own table).
+one scale per image, converted to `samples / scale` when asked for: an image
+as a read-only array, a training batch as one writable array that
+`augment_for_regression` changes in place. One range rule, every sample finite
+and in [0, scale] of its image, checks pixels where they enter the program,
+over a Dataset's samples (every loader builds one), and where they leave it,
+in `write_ppm` at scale 1.0. An ImageTensor is a plain (id, pixels) record;
+what a Dataset hands out is not checked again. Rotations are exact
+counterclockwise pixel permutations. `load_dataset` alone picks a path's
+on-disk format: CIFAR-10 binary batches (1 label byte + 3072 pixel bytes per
+record, scale 255), or binary PPM (P6, maxval <= 255, scale maxval),
+optionally with a manifest CSV "id,filename[,label]". A path of neither format
+is a ConfigError; a file that does not parse is a DataFormatError naming it.
+Class labels are not kept: the CIFAR label byte and the manifest's label
+column are allowed and ignored (`analyze --labels` reads its own table).
 """
 
 from __future__ import annotations
@@ -33,13 +34,15 @@ CIFAR_RECORD_BYTES = 3073
 CIFAR_SHAPE = (3, 32, 32)
 
 
-def check_pixels(pixels: np.ndarray, owner: str):
-    """Raise ConfigError unless every value is finite and in [0, 1]."""
-    lo, hi = pixels.min(), pixels.max()
-    if not 0.0 <= lo <= hi <= 1.0:  # also false when either is NaN
-        if not np.isfinite(pixels).all():
-            raise ConfigError(f"{owner}: non-finite pixel values")
-        raise ConfigError(f"{owner}: pixel range [{lo}, {hi}] outside [0, 1]")
+def _check_samples(ids, samples, scale):
+    """Raise ConfigError naming the first image `ids[k]` not in [0, scale[k]], 0 < scale[k] < inf."""
+    lo, hi = samples.min(axis=(1, 2, 3)), samples.max(axis=(1, 2, 3))
+    bad = ~((0 <= lo) & (hi <= scale) & (0 < scale) & (scale < np.inf))  # also true where any is NaN
+    if bad.any():
+        row = int(np.argmax(bad))
+        if not np.isfinite(samples[row]).all():
+            raise ConfigError(f"image {ids[row]!r} has non-finite pixel values")
+        raise ConfigError(f"image {ids[row]!r} has samples [{lo[row]}, {hi[row]}] outside [0, {scale[row]}]")
 
 
 @dataclass
@@ -55,7 +58,8 @@ class Dataset:
     samples they read, with the file's maxval (255 for CIFAR) as the scale,
     and an array of [0, 1] pixels is its own samples at the default scale
     1.0, whose division is exact. `image()` and iteration convert one image
-    at a time into a new read-only float64 array with the samples' memory
+    at a time into a new read-only float64 array, and `batch()` converts
+    several into one new writable array; both keep the samples' memory
     order. The samples are taken over as they are and made read-only.
     """
 
@@ -67,15 +71,7 @@ class Dataset:
         if samples.ndim != 4 or len(samples) != len(self.ids):
             raise ConfigError(f"{len(self.ids)} ids need samples of shape ({len(self.ids)}, C, H, W), got {samples.shape}")
         scale = np.full(len(self.ids), scale, dtype=np.float64)
-        lo, hi = samples.min(axis=(1, 2, 3)), samples.max(axis=(1, 2, 3))
-        bad = ~((0 <= lo) & (hi <= scale) & (0 < scale) & (scale < np.inf))  # also true where any is NaN
-        if bad.any():
-            row = int(np.argmax(bad))
-            if not np.isfinite(samples[row]).all():
-                raise ConfigError(f"dataset: image {self.ids[row]!r} has non-finite pixel values")
-            raise ConfigError(
-                f"dataset: image {self.ids[row]!r} has samples [{lo[row]}, {hi[row]}] outside [0, {scale[row]}]"
-            )
+        _check_samples(self.ids, samples, scale)
         samples.flags.writeable = False
         self.samples, self.scale = samples, scale
         self._rows = {image_id: row for row, image_id in enumerate(self.ids)}
@@ -99,10 +95,18 @@ class Dataset:
     def image(self, image_id: str) -> ImageTensor:
         return ImageTensor(image_id, self._pixels(self._rows[image_id]))
 
+    def batch(self, ids) -> np.ndarray:
+        """The images `ids`, in order, as one new writable (k, C, H, W) array."""
+        return self._convert([self._rows[image_id] for image_id in ids])
+
     def _pixels(self, row):
-        pixels = self.samples[row] / self.scale[row]
+        pixels = self._convert(row)
         pixels.flags.writeable = False
         return pixels
+
+    def _convert(self, rows):
+        # One row or a list of rows; either way the result keeps the samples' memory order.
+        return self.samples[rows] / self.scale[rows, None, None, None]
 
 
 # --- rotations -------------------------------------------------------------
@@ -126,10 +130,6 @@ def rotate_pixels(pixels: np.ndarray, quarter_turns: int, out=None) -> np.ndarra
         return pixels.copy()
     out[...] = pixels
     return out
-
-
-def hflip_pixels(pixels: np.ndarray) -> np.ndarray:
-    return pixels[:, :, ::-1].copy()
 
 
 # --- episode sampling ------------------------------------------------------
@@ -223,7 +223,7 @@ def write_ppm(image: ImageTensor, path):
     channels, height, width = image.pixels.shape
     if channels != 3:
         raise ConfigError(f"PPM output needs 3 channels, image {image.id!r} has {channels}")
-    check_pixels(image.pixels, f"image {image.id!r}")  # the uint8 cast would wrap silently
+    _check_samples([image.id], image.pixels[None], np.ones(1))  # the uint8 cast would wrap silently
     raster = np.floor(image.pixels * 255.0 + 0.5).astype(np.uint8).transpose(1, 2, 0)
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + raster.tobytes(order="C"))
@@ -302,15 +302,16 @@ def _sample_erase_rect(rng, height, width):
     return y0, y0 + eh, x0, x0 + ew
 
 
-def augment_for_regression(image: ImageTensor, seed: int) -> ImageTensor:
-    """Seed-deterministic horizontal flip and noise-filled random erasing.
+def augment_for_regression(pixels: np.ndarray, seed: int):
+    """Seed-deterministic horizontal flip and noise-filled random erasing of
+    one image's (C, H, W) pixels, in place.
 
     Draw order is fixed: flip coin, erase coin, then erase parameters.
     """
     rng = make_rng(seed)
-    pixels = hflip_pixels(image.pixels) if rng.random() < 0.5 else image.pixels.copy()
+    if rng.random() < 0.5:
+        pixels[...] = pixels[:, :, ::-1]
     if rng.random() < 0.5:
         channels, height, width = pixels.shape
         y0, y1, x0, x1 = _sample_erase_rect(rng, height, width)
         pixels[:, y0:y1, x0:x1] = rng.random((channels, y1 - y0, x1 - x0))
-    return ImageTensor(image.id, pixels)

@@ -38,7 +38,7 @@ def save_params(params, path):
 
 
 def load_params(path):
-    """Read a checkpoint back as [(name, ndarray)]."""
+    """Read a checkpoint back as [(name, ndarray)]; each name appears once."""
     path = Path(path)
     blob = path.read_bytes()
     if blob[:4] != MAGIC:
@@ -60,6 +60,8 @@ def load_params(path):
             name = take(name_len, "name").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataFormatError("name is not UTF-8", path=str(path), offset=pos - name_len + exc.start) from None
+        if any(name == seen for seen, _ in out):
+            raise DataFormatError(f"parameter {name!r} appears twice", path=str(path), offset=pos - name_len)
         (rank,) = _U32.unpack(take(4, "rank"))
         shape = tuple(_U32.unpack(take(4, "dim"))[0] for _ in range(rank))
         raw = take(math.prod(shape) * 8, f"values of {name}")

@@ -125,15 +125,10 @@ def train_predictor(score_table, dataset, config: RegressionConfig, spec=None, s
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             chunk = [train_ids[i] for i in order[start : start + config.batch_size]]
-            images = []
-            for image_id in chunk:
-                image = dataset.image(image_id)
-                if config.augment:
-                    image = augment_for_regression(
-                        image, derive_seed(seed, "augment", epoch, image_id)
-                    )
-                images.append(image.pixels)
-            batch = np.stack(images)
+            batch = dataset.batch(chunk)
+            if config.augment:
+                for pixels, image_id in zip(batch, chunk):
+                    augment_for_regression(pixels, derive_seed(seed, "augment", epoch, image_id))
             targets = np.array([score_table.scores[i] for i in chunk])
             loss = mse_loss(model.forward_scores(batch), targets)
             loss.backward()
@@ -146,18 +141,10 @@ def train_predictor(score_table, dataset, config: RegressionConfig, spec=None, s
 def predict(model, images) -> dict:
     """Deterministic forward pass over images, no augmentation.
 
-    Reads `images` once and keeps none of them, so a Dataset's images are
-    converted one at a time.
+    Predicts one image at a time and keeps none of them, so a Dataset's
+    images are converted one at a time.
     """
-    ids = []
-
-    def recorded():
-        for image in images:
-            ids.append(image.id)
-            yield image
-
-    values = model.predict_batch(recorded())
-    return dict(zip(ids, values.tolist()))
+    return {image.id: float(model.predict_batch([image])[0]) for image in images}
 
 
 def evaluate_predictor(model, score_table, dataset, test_ids):

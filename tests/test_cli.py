@@ -315,11 +315,13 @@ MMT1_SIZE_OVERFLOW = (
     b"MMT1" + (10).to_bytes(4, "little") + b"fc0.weight" + (3).to_bytes(4, "little")
     + b"".join(dim.to_bytes(4, "little") for dim in (2**31, 2**31, 4))
 )
+MMT1_NAME_TWICE = b"MMT1" + 2 * ((2).to_bytes(4, "little") + b"fc" + (0).to_bytes(4, "little") + bytes(8))
 BAD_CHECKPOINTS = pytest.mark.parametrize(
     "blob, message",
     [(MMT1_NAME_NOT_UTF8, "name is not UTF-8 (byte offset 10)"),
-     (MMT1_SIZE_OVERFLOW, "truncated checkpoint while reading values of fc0.weight (byte offset 34)")],
-    ids=["name-not-utf8", "size-overflow"],
+     (MMT1_SIZE_OVERFLOW, "truncated checkpoint while reading values of fc0.weight (byte offset 34)"),
+     (MMT1_NAME_TWICE, "parameter 'fc' appears twice (byte offset 26)")],
+    ids=["name-not-utf8", "size-overflow", "name-twice"],
 )
 
 

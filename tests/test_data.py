@@ -14,7 +14,6 @@ from memmeter.data import (
     ImageTensor,
     _sample_erase_rect,
     augment_for_regression,
-    hflip_pixels,
     load_cifar_binary,
     load_ppm_dir,
     read_ppm,
@@ -404,18 +403,33 @@ def test_dataset_images_are_read_only(rng):
         assert image.pixels.dtype == np.float64
         with pytest.raises(ValueError, match="read-only"):
             image.pixels[0, 0, 0] = 0.5
-    augmented = augment_for_regression(dataset.image("img001"), 0)
-    augmented.pixels[0, 0, 0] = 0.5
+    batch = dataset.batch(["img002", "img001", "img002"])
+    assert batch.dtype == np.float64 and batch.flags.writeable
+    assert batch.tobytes() == before[[2, 1, 2]].tobytes()
+    batch[...] = 0.5
+    augment_for_regression(batch[1], 0)
     with pytest.raises(ValueError, match="read-only"):
         dataset.samples[1, 0, 0, 0] = 0.5
     assert np.array_equal(stacked_pixels(dataset), before)
 
 
+def test_batch_keeps_the_samples_memory_order_and_stacked_image_bits(tmp_path):
+    rng = make_rng("batch-order")
+    for name, maxval in (("full", 255), ("low", 100), ("one", 1)):
+        raster = rng.integers(0, maxval + 1, (5, 5, 3), dtype=np.uint8)
+        (tmp_path / f"{name}.ppm").write_bytes(f"P6\n5 5\n{maxval}\n".encode() + raster.tobytes())
+    dataset = load_ppm_dir(tmp_path)
+    ids = ["one", "full", "low", "full"]
+    batch = dataset.batch(ids)
+    assert batch.tobytes() == np.stack([dataset.image(i).pixels for i in ids]).tobytes()
+    assert batch.strides[1:] == dataset.image("low").pixels.strides  # channel-last, as read
+
+
 def test_pixels_are_not_checked_again_after_the_dataset_is_built(monkeypatch):
-    # Views of a checked dataset and the augmented copies made from them need no check.
+    # Images and batches of a checked dataset, and the batches augmented in place, need no check.
     dataset = ramp_dataset(count=16, size=6)
     calls = []
-    monkeypatch.setattr(data, "check_pixels", lambda *args: calls.append(args))
+    monkeypatch.setattr(data, "_check_samples", lambda *args: calls.append(args))
     spec = MachineSpec(kind="mlp", in_channels=3, height=6, width=6, hidden=(8,))
     config = EpisodeConfig(machine=spec, n=4, m=2, epochs_a=1, epochs_b=1, accuracy_gate=0.01)
     table, _ = measure(dataset, dataset.ids[:4], config, workers=1)
@@ -434,41 +448,48 @@ def find_seed(predicate, limit=500):
     raise AssertionError("no seed found")
 
 
+def augmented(pixels, seed):
+    out = pixels.copy()
+    augment_for_regression(out, seed)
+    return out
+
+
 def test_augment_identity_when_both_coins_miss(rng):
-    image = random_image("a", rng)
+    pixels = random_image("a", rng).pixels
 
     def both_miss(seed):
         r = make_rng(seed)
         return r.random() >= 0.5 and r.random() >= 0.5
 
     seed = find_seed(both_miss)
-    out = augment_for_regression(image, seed)
-    assert np.array_equal(out.pixels, image.pixels)
-    assert out.pixels is not image.pixels  # caller never shares the buffer
+    assert augmented(pixels, seed).tobytes() == pixels.tobytes()
+
+
+def flip_only(seed):
+    r = make_rng(seed)
+    return r.random() < 0.5 and r.random() >= 0.5
 
 
 def test_augment_flip_only_matches_hflip(rng):
-    image = random_image("a", rng)
-
-    def flip_only(seed):
-        r = make_rng(seed)
-        return r.random() < 0.5 and r.random() >= 0.5
-
-    seed = find_seed(flip_only)
-    out = augment_for_regression(image, seed)
-    assert np.array_equal(out.pixels, hflip_pixels(image.pixels))
+    pixels = random_image("a", rng).pixels
+    assert augmented(pixels, find_seed(flip_only)).tobytes() == pixels[:, :, ::-1].tobytes()
+    # In place on a batch row: the flip overlaps its own source, and the other rows stay.
+    batch = np.stack([pixels, pixels[::-1]])
+    augment_for_regression(batch[0], find_seed(flip_only))
+    assert batch[0].tobytes() == pixels[:, :, ::-1].tobytes()
+    assert batch[1].tobytes() == pixels[::-1].tobytes()
 
 
 def test_flip_of_flip_is_identity(rng):
-    image = random_image("a", rng)
-    assert np.array_equal(hflip_pixels(hflip_pixels(image.pixels)), image.pixels)
+    pixels = random_image("a", rng).pixels
+    seed = find_seed(flip_only)
+    assert augmented(augmented(pixels, seed), seed).tobytes() == pixels.tobytes()
 
 
 def test_augment_is_seed_deterministic(rng):
-    image = random_image("a", rng)
-    one = augment_for_regression(image, 123)
-    two = augment_for_regression(image, 123)
-    assert np.array_equal(one.pixels, two.pixels)
+    pixels = random_image("a", rng).pixels
+    for seed in range(20):
+        assert augmented(pixels, seed).tobytes() == augmented(pixels, seed).tobytes()
 
 
 def test_erase_rect_always_inside_image():

@@ -196,6 +196,21 @@ def test_checkpoint_bad_magic(tmp_path):
         load_params(path)
 
 
+def test_checkpoint_that_names_a_parameter_twice_is_refused(tmp_path):
+    # Loading it would let the last block win silently.
+    machine = build_machine(MachineSpec(kind="linear", in_channels=1, height=2, width=2), 2, seed=1)
+    path = tmp_path / "twice.mmt1"
+    save_params(machine.parameters(), path)
+    head = dict(machine.parameters())["head.weight"].data
+    save_params([("head.weight", np.full_like(head, 7.0))], tmp_path / "extra.mmt1")
+    path.write_bytes(path.read_bytes() + (tmp_path / "extra.mmt1").read_bytes()[4:])
+    before = [t.data.copy() for _, t in machine.parameters()]
+    for load in (load_params, lambda p: load_into_machine(machine, p)):
+        with pytest.raises(DataFormatError, match=r"parameter 'head.weight' appears twice.*byte offset"):
+            load(path)
+    assert all(np.array_equal(t.data, b) for (_, t), b in zip(machine.parameters(), before, strict=True))
+
+
 def test_checkpoint_truncation_reports_offset(tmp_path, cnn_spec):
     machine = build_machine(cnn_spec, 4, seed=1)
     path = tmp_path / "machine.mmt1"

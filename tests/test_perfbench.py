@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from memmeter import attributes, measurer, predictor
-from memmeter.data import ImageTensor
+from memmeter.data import Dataset, ImageTensor
 from memmeter.engine import SGD, build_machine, mse_loss
 from memmeter.engine import tensor as T
 from memmeter.engine.losses import rotated_batch
 from memmeter.engine.machine import MachineSpec
+from memmeter.measurer import ScoreTable
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -101,3 +102,23 @@ def test_perfbench_tracer_records_the_attribute_spans():
     finally:
         tracer.restore()
     assert {"attributes.compute_attributes", "attributes.global_contrast", "attributes.hsv_stats"} <= recorded
+
+
+def test_perfbench_tracer_records_the_training_spans():
+    # Traced regress runs read these spans by name: train_predictor must keep calling
+    # augment_for_regression where the tracer patches it, on full batch-16 forwards.
+    module = _load_tracer()
+    rng = np.random.default_rng(5)
+    ids = [f"t{i:02d}" for i in range(24)]
+    dataset = Dataset(ids, rng.integers(0, 256, (24, 3, 8, 8), dtype=np.uint8), scale=255.0)
+    table = ScoreTable(scores=dict(zip(ids, rng.random(24))), m_effective=4, machine="x", config_hash="h", base_seed=0)
+    spec = MachineSpec(kind="small_cnn", in_channels=3, height=8, width=8)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        predictor.train_predictor(table, dataset, predictor.RegressionConfig(epochs=1, test_fraction=0.25), spec=spec)
+        recorded = [span[0] for span in tracer.spans]
+    finally:
+        tracer.restore()
+    assert recorded.count("data.augment_for_regression") == 18
+    assert "predictor.forward_scores.batch16" in recorded

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import synth
-from memmeter.data import Dataset
+from memmeter.data import Dataset, _sample_erase_rect, augment_for_regression, load_ppm_dir
+from memmeter.engine import SGD, mse_loss, save_params
 from memmeter.engine.machine import MachineSpec
 from memmeter.errors import ConfigError
 from memmeter.measurer import ScoreTable
@@ -22,7 +23,7 @@ from memmeter.predictor import (
     split_ids,
     train_predictor,
 )
-from memmeter.rng import make_rng
+from memmeter.rng import derive_seed, make_rng
 
 
 def table_for(scores):
@@ -163,6 +164,75 @@ def test_predict_over_a_pool_holds_one_converted_image_at_a_time():
         tracemalloc.stop()
     assert list(predictions) == dataset.ids
     assert peak < 10 * 8 * int(np.prod(shape))
+
+
+def oracle_pools(tmp_path, count=16, size=8):
+    """A PPM pool with mixed maxvals, whose samples are channel-last, and a uint8 pool at scale 255."""
+    rng = make_rng("oracle-pools")
+    for index in range(count):
+        maxval = (255, 100, 37, 1)[index % 4]
+        raster = rng.integers(0, maxval + 1, (size, size, 3), dtype=np.uint8)
+        (tmp_path / f"p{index:02d}.ppm").write_bytes(f"P6\n{size} {size}\n{maxval}\n".encode() + raster.tobytes())
+    samples = rng.integers(0, 256, (count, 3, size, size), dtype=np.uint8)
+    return load_ppm_dir(tmp_path), Dataset([f"u{i:02d}" for i in range(count)], samples, scale=255.0)
+
+
+def reference_batch(dataset, chunk, seed, epoch, augment):
+    """A training batch built image by image: image(), the flip or a copy, the erase, then np.stack."""
+    images = []
+    for image_id in chunk:
+        pixels = dataset.image(image_id).pixels
+        if augment:
+            rng = make_rng(derive_seed(seed, "augment", epoch, image_id))
+            pixels = pixels[:, :, ::-1].copy() if rng.random() < 0.5 else pixels.copy()
+            if rng.random() < 0.5:
+                channels, height, width = pixels.shape
+                y0, y1, x0, x1 = _sample_erase_rect(rng, height, width)
+                pixels[:, y0:y1, x0:x1] = rng.random((channels, y1 - y0, x1 - x0))
+        images.append(pixels)
+    return np.stack(images)
+
+
+def reference_training(table, dataset, config, spec, seed):
+    """train_predictor's schedule, fed reference_batch."""
+    model = build_predictor(spec, derive_seed(seed, "predictor-init"))
+    train_ids, _ = split_ids(table.scores, config)
+    steps = config.epochs * -(-len(train_ids) // config.batch_size)
+    optimizer = SGD(model.parameters(), lr=config.lr, weight_decay=0.0, total_steps=steps)
+    shuffle_rng = make_rng(derive_seed(seed, "predictor-shuffle"))
+    for epoch in range(config.epochs):
+        order = shuffle_rng.permutation(len(train_ids))
+        for start in range(0, len(order), config.batch_size):
+            chunk = [train_ids[i] for i in order[start : start + config.batch_size]]
+            batch = reference_batch(dataset, chunk, seed, epoch, config.augment)
+            mse_loss(model.forward_scores(batch), np.array([table.scores[i] for i in chunk])).backward()
+            optimizer.step()
+    return model
+
+
+def test_training_batches_match_the_per_image_construction(tmp_path):
+    for dataset in oracle_pools(tmp_path):
+        for seed in (0, 1, 7, 23):
+            chunk = [dataset.ids[i] for i in make_rng("oracle-chunk", seed).permutation(len(dataset))[:5]]
+            for epoch, augment in ((0, False), (0, True), (3, True)):
+                batch = dataset.batch(chunk)
+                if augment:
+                    for pixels, image_id in zip(batch, chunk):
+                        augment_for_regression(pixels, derive_seed(seed, "augment", epoch, image_id))
+                assert batch.tobytes() == reference_batch(dataset, chunk, seed, epoch, augment).tobytes()
+
+
+def test_training_on_batches_writes_the_reference_checkpoint(tmp_path):
+    for dataset in oracle_pools(tmp_path):
+        scores = dict(zip(dataset.ids, make_rng("oracle-scores").uniform(0.1, 0.9, len(dataset))))
+        spec = MachineSpec(kind="small_cnn", in_channels=3, height=8, width=8)
+        for augment in (False, True):
+            config = RegressionConfig(epochs=2, batch_size=4, split_seed=3, augment=augment)
+            save_predictor(train_predictor(table_for(scores), dataset, config, spec=spec, seed=11).model,
+                           tmp_path / "predictor.mmt1")
+            save_params(reference_training(table_for(scores), dataset, config, spec, seed=11).parameters(),
+                        tmp_path / "reference.mmt1")
+            assert (tmp_path / "predictor.mmt1").read_bytes() == (tmp_path / "reference.mmt1").read_bytes()
 
 
 def test_evaluate_oracle_lookup_is_perfect(scored_fixture):
