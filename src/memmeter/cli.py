@@ -252,7 +252,7 @@ def cmd_train_predictor(args):
     table = measurer.read_score_csv(args.scores)
     dataset = load_dataset(args.data)
     reg_config = _from_cfg(predictor.RegressionConfig, cfg)
-    spec = _machine_spec(cfg["machine"], dataset) if cfg["machine"] else None
+    spec = _machine_spec(cfg["machine"], dataset) if cfg["machine"] is not None else None
     result = predictor.train_predictor(table, dataset, reg_config, spec=spec, seed=cfg["base_seed"])
     out = _out_dir(args.out)
     predictor.save_predictor(result.model, out / "predictor.mmt1")

@@ -2,20 +2,23 @@
 
 Images are channel-major float64 arrays with values in [0, 1]. A Dataset holds
 its images as the samples its loader read, 8-bit for both file formats, with
-one scale per image, converted to `samples / scale` when asked for: an image
-as a read-only array, a training batch as one writable array that
-`augment_for_regression` changes in place. One range rule, every sample finite
-and in [0, scale] of its image, checks pixels where they enter the program,
-over a Dataset's samples (every loader builds one), and where they leave it,
-in `write_ppm` at scale 1.0. An ImageTensor is a plain (id, pixels) record;
-what a Dataset hands out is not checked again. Rotations are exact
-counterclockwise pixel permutations. `load_dataset` alone picks a path's
-on-disk format: CIFAR-10 binary batches (1 label byte + 3072 pixel bytes per
-record, scale 255), or binary PPM (P6, maxval <= 255, scale maxval),
-optionally with a manifest CSV "id,filename[,label]". A path of neither format
-is a ConfigError; a file that does not parse is a DataFormatError naming it.
-Class labels are not kept: the CIFAR label byte and the manifest's label
-column are allowed and ignored (`analyze --labels` reads its own table).
+one scale per image, converted to `samples / scale` when asked for: one image
+as a read-only array in an ImageTensor, a plain (id, pixels) record, for the
+callers that go image by image (attributes, predict, write_ppm); several as
+one writable (k, C, H, W) array, for a predictor training batch, which
+`augment_for_regression` changes in place, and for an episode's images, which
+the measurer's stages take as slices. One range rule, every sample finite and
+in [0, scale] of its image, checks pixels where they enter the program, over a
+Dataset's samples (every loader builds one), and where they leave it, in
+`write_ppm` at scale 1.0; what a Dataset hands out is not checked again.
+Rotations are exact counterclockwise pixel permutations. `load_dataset` alone
+picks a path's on-disk format: CIFAR-10 binary batches (1 label byte + 3072
+pixel bytes per record, scale 255), or binary PPM (P6, maxval <= 255, scale
+maxval), optionally with a manifest CSV "id,filename[,label]". A path of
+neither format is a ConfigError; a file that does not parse is a
+DataFormatError naming it. Class labels are not kept: the CIFAR label byte and
+the manifest's label column are allowed and ignored (`analyze --labels` reads
+its own table).
 """
 
 from __future__ import annotations

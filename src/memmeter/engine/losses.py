@@ -1,8 +1,8 @@
 """Losses only: softmax cross-entropy on class labels, and mean squared error.
 
 The memory game's classes and losses live in `memmeter.measurer`. `rotated_batch`
-is a data transform, kept here because the benchmark's tracer patches it as
-`losses.rotated_batch`; it moves next to `data.rotate_pixels` with the tracer.
+is a data transform of one image's pixels, kept here because the benchmark's tracer
+patches it as `losses.rotated_batch`; it moves next to `data.rotate_pixels` with it.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     return T._node(np.asarray(loss), (logits,), backward)
 
 
-def rotated_batch(image) -> np.ndarray:
-    """Stack of the four quarter-turn rotations of one image, NCHW, written once each."""
+def rotated_batch(pixels: np.ndarray) -> np.ndarray:
+    """Stack of the four quarter-turn rotations of one image's (C, H, W) pixels, NCHW, written once each."""
     from ..data import rotate_pixels
 
-    pixels = image.pixels
     batch = np.empty((4, *pixels.shape), dtype=pixels.dtype)
     for k in range(4):
         rotate_pixels(pixels, k, out=batch[k])

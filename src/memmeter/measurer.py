@@ -127,33 +127,35 @@ def config_digest(config: EpisodeConfig, set_a) -> str:
 
 
 # --- stages ------------------------------------------------------------------
+# Images come as rows of one (k, C, H, W) pixel array that run_episode converts
+# once; ids come along only where a verdict or the calibration tie-break needs them.
 
 def rotation_loss(machine, rotations, mode="four_way") -> Tensor:
-    """Mean cross-entropy over an image's four rotated copies, `rotated_batch(image)`."""
+    """Mean cross-entropy over an image's four rotated copies, `rotated_batch(pixels)`."""
     return softmax_cross_entropy(machine.forward(Tensor(rotations)), ROTATION_LABELS[mode])
 
 
-def seen_loss(machine, image, label: int) -> Tensor:
-    """2-way cross-entropy of one image against its class, SEEN_CLASS or UNSEEN_CLASS."""
-    return softmax_cross_entropy(machine.forward(Tensor(image.pixels[None])), (label,))
+def seen_loss(machine, pixels, label: int) -> Tensor:
+    """2-way cross-entropy of one image's (C, H, W) pixels against its class, SEEN_CLASS or UNSEEN_CLASS."""
+    return softmax_cross_entropy(machine.forward(Tensor(pixels[None])), (label,))
 
 
-def rotation_accuracy(machine, images, mode) -> float:
+def rotation_accuracy(machine, pixels, mode) -> float:
     """Top-1 accuracy over all four rotations of every image, no updates."""
     labels = ROTATION_LABELS[mode]
     correct = 0
     with no_graph():
-        for image in images:
+        for image in pixels:
             logits = machine.forward(Tensor(rotated_batch(image))).data
             correct += int((logits.argmax(axis=1) == labels).sum())
-    return correct / (4 * len(images))
+    return correct / (4 * len(pixels))
 
 
-def stage_a(machine, images, config: EpisodeConfig, shuffle_seed: int) -> float:
-    """Observe: train rotation prediction over a seeded shuffle of the seen pool.
+def stage_a(machine, pixels, config: EpisodeConfig, shuffle_seed: int) -> float:
+    """Observe: train rotation prediction over a seeded shuffle of the seen pool's rows.
 
     Batch size is one image (its four rotated copies form one step); the
-    cosine schedule spans all epochs_a * len(images) steps. Returns the
+    cosine schedule spans all epochs_a * len(pixels) steps. Returns the
     final rotation accuracy over the same pool. Rotations are built per
     step, not held for the stage, which at n=500 on 32x32 images would
     cost about 100 MB per worker.
@@ -163,20 +165,20 @@ def stage_a(machine, images, config: EpisodeConfig, shuffle_seed: int) -> float:
         lr=config.lr_a,
         momentum=config.momentum,
         weight_decay=config.weight_decay,
-        total_steps=config.epochs_a * len(images),
+        total_steps=config.epochs_a * len(pixels),
     )
     rng = make_rng(shuffle_seed)
     for _ in range(config.epochs_a):
-        for index in rng.permutation(len(images)):
-            loss = rotation_loss(machine, rotated_batch(images[index]), config.pretext_mode)
+        for index in rng.permutation(len(pixels)):
+            loss = rotation_loss(machine, rotated_batch(pixels[index]), config.pretext_mode)
             loss.backward()
             optimizer.step()
-    return rotation_accuracy(machine, images, config.pretext_mode)
+    return rotation_accuracy(machine, pixels, config.pretext_mode)
 
 
-def stage_b_epoch(machine, seen_images, unseen_images, optimizer, rng):
-    """Discriminate: one seen-vs-unseen pass over a seeded shuffle of B and C."""
-    labeled = [(img, SEEN_CLASS) for img in seen_images] + [(img, UNSEEN_CLASS) for img in unseen_images]
+def stage_b_epoch(machine, seen_pixels, unseen_pixels, optimizer, rng):
+    """Discriminate: one seen-vs-unseen pass over a seeded shuffle of the rows of B and C."""
+    labeled = [(image, SEEN_CLASS) for image in seen_pixels] + [(image, UNSEEN_CLASS) for image in unseen_pixels]
     for index in rng.permutation(len(labeled)):
         image, label = labeled[index]
         loss = seen_loss(machine, image, label)
@@ -184,35 +186,33 @@ def stage_b_epoch(machine, seen_images, unseen_images, optimizer, rng):
         optimizer.step()
 
 
-def _probabilities(machine, images) -> np.ndarray:
+def _probabilities(machine, pixels) -> np.ndarray:
     """(N, 2) softmax rows of the seen/unseen head, one image per forward pass."""
     with no_graph():
-        logits = np.stack([machine.forward(Tensor(image.pixels[None])).data[0] for image in images])
+        logits = np.stack([machine.forward(Tensor(image[None])).data[0] for image in pixels])
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
     return shifted / shifted.sum(axis=1, keepdims=True)
 
 
-def stage_c(machine, a_images, config: EpisodeConfig, calib_seen=(), calib_unseen=()):
+def stage_c(machine, a_ids, a_pixels, config: EpisodeConfig, calib_ids=(), calib_pixels=()):
     """Detect: verdicts over set A plus the episode's calibration error.
 
     No gradient updates. An image's verdict is the argmax class, so a tie
     counts as seen. seen_only mode scores calibration on A itself (every
-    image truly seen); held_out mode scores it on the reserved seen/unseen
-    mix instead.
+    image truly seen); held_out mode scores it on the reserves instead,
+    `calib_ids` and their pixels: the seen reserve, then the unseen one.
     """
-    a_probs = _probabilities(machine, a_images)
-    a_calls = a_probs.argmax(axis=1)
+    a_probs = _probabilities(machine, a_pixels)
     verdicts = {
-        image.id: "seen" if call == SEEN_CLASS else "unseen" for image, call in zip(a_images, a_calls)
+        image_id: "seen" if call == SEEN_CLASS else "unseen" for image_id, call in zip(a_ids, a_probs.argmax(axis=1))
     }
     if config.calibration_mode == "seen_only":
-        images, probs, truth = a_images, a_probs, np.full(len(a_images), SEEN_CLASS)
+        ids, probs, truth = a_ids, a_probs, np.full(len(a_ids), SEEN_CLASS)
     else:
-        images = list(calib_seen) + list(calib_unseen)
-        probs = _probabilities(machine, images)
-        truth = np.array([SEEN_CLASS] * len(calib_seen) + [UNSEEN_CLASS] * len(calib_unseen))
+        ids, probs = calib_ids, _probabilities(machine, calib_pixels)
+        truth = np.repeat([SEEN_CLASS, UNSEEN_CLASS], config.calibration_reserve)
     correct = (probs.argmax(axis=1) == truth).astype(np.float64)
-    error = rms_calibration_error(probs.max(axis=1), correct, [image.id for image in images])
+    error = rms_calibration_error(probs.max(axis=1), correct, ids)
     return verdicts, error
 
 
@@ -224,13 +224,13 @@ def select_epoch(calibration_trace) -> int:
 # --- episodes ----------------------------------------------------------------
 
 def run_episode(dataset, set_a, config: EpisodeConfig, episode_index: int) -> EpisodeResult:
+    """One episode on one conversion of its images, whose rows are A, B, the seen and unseen reserves, then C."""
     episode_seed = derive_seed(config.base_seed, "episode", episode_index)
     sets = sample_episode_sets(dataset, set_a, config.n, episode_seed, reserve=config.calibration_reserve)
-    a_images = [dataset.image(i) for i in sets.set_a]
-    b_images = [dataset.image(i) for i in sets.set_b]
-    c_images = [dataset.image(i) for i in sets.set_c]
-    calib_seen = [dataset.image(i) for i in sets.calib_seen]
-    calib_unseen = [dataset.image(i) for i in sets.calib_unseen]
+    n, reserve = config.n, config.calibration_reserve
+    ids = sets.set_a + sets.set_b + sets.calib_seen + sets.calib_unseen + sets.set_c
+    pixels = dataset.batch(ids)
+    calib = slice(2 * n, 2 * n + 2 * reserve)  # the seen reserve, then the unseen one
 
     machine = build_machine(
         config.machine, config.head_width_a, derive_seed(config.base_seed, "init", episode_index)
@@ -240,12 +240,8 @@ def run_episode(dataset, set_a, config: EpisodeConfig, episode_index: int) -> Ep
 
     # Everything trained in stage (a) counts as seen, including any
     # held-out calibration reserve.
-    accuracy = stage_a(
-        machine,
-        a_images + b_images + calib_seen,
-        config,
-        derive_seed(config.base_seed, "shuffle", episode_index, "a"),
-    )
+    shuffle_seed = derive_seed(config.base_seed, "shuffle", episode_index, "a")
+    accuracy = stage_a(machine, pixels[: 2 * n + reserve], config, shuffle_seed)
     if accuracy < config.accuracy_gate:
         log.warning(
             "episode %d discarded: stage (a) accuracy %.3f below gate %.2f",
@@ -261,14 +257,14 @@ def run_episode(dataset, set_a, config: EpisodeConfig, episode_index: int) -> Ep
         lr=config.lr_b,
         momentum=config.momentum,
         weight_decay=config.weight_decay,
-        total_steps=config.epochs_b * (len(b_images) + len(c_images)),
+        total_steps=config.epochs_b * 2 * n,
     )
     shuffle_rng = make_rng(derive_seed(config.base_seed, "shuffle", episode_index, "b"))
     trace = []
     verdicts_by_epoch = []
     for _ in range(config.epochs_b):
-        stage_b_epoch(machine, b_images, c_images, optimizer, shuffle_rng)
-        verdicts, calibration = stage_c(machine, a_images, config, calib_seen, calib_unseen)
+        stage_b_epoch(machine, pixels[n : 2 * n], pixels[-n:], optimizer, shuffle_rng)
+        verdicts, calibration = stage_c(machine, sets.set_a, pixels[:n], config, ids[calib], pixels[calib])
         trace.append(calibration)
         verdicts_by_epoch.append(verdicts)
     chosen = select_epoch(trace)

@@ -59,10 +59,11 @@ class PredictorModel:
         logits = self.machine.forward(Tensor(batch))
         return T.sigmoid(T.reshape(logits, (batch.shape[0],)))
 
-    def predict_batch(self, images) -> np.ndarray:
-        # One image per forward pass so results never depend on batching.
+    def predict_batch(self, pixels: np.ndarray) -> np.ndarray:
+        """Scores of a (k, C, H, W) array's images, one image per forward pass
+        so that results never depend on batching."""
         with no_graph():
-            return np.array([float(self.forward_scores(img.pixels[None]).data[0]) for img in images])
+            return np.array([float(self.forward_scores(image[None]).data[0]) for image in pixels])
 
     def parameters(self):
         return self.machine.parameters()
@@ -144,7 +145,7 @@ def predict(model, images) -> dict:
     Predicts one image at a time and keeps none of them, so a Dataset's
     images are converted one at a time.
     """
-    return {image.id: float(model.predict_batch([image])[0]) for image in images}
+    return {image.id: float(model.predict_batch(image.pixels[None])[0]) for image in images}
 
 
 def evaluate_predictor(model, score_table, dataset, test_ids):

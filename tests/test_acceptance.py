@@ -137,12 +137,12 @@ def test_gradient_correctness():
         check(lambda: mse_loss(model.forward_scores(batch), y), [t for _, t in model.parameters()], 120)
 
         # rotation and seen/unseen losses over a machine
-        image = synth.random_image("fd", np.random.default_rng(3), size=8)
+        pixels = synth.random_image("fd", np.random.default_rng(3), size=8).pixels
         rot_machine = build_machine(spec, 4, seed=4)
-        rotations = rotated_batch(image)
+        rotations = rotated_batch(pixels)
         check(lambda: rotation_loss(rot_machine, rotations), [t for _, t in rot_machine.parameters()], 60)
         seen_machine = build_machine(spec, 2, seed=5)
-        check(lambda: seen_loss(seen_machine, image, SEEN_CLASS), [t for _, t in seen_machine.parameters()], 60)
+        check(lambda: seen_loss(seen_machine, pixels, SEEN_CLASS), [t for _, t in seen_machine.parameters()], 60)
 
         # input gradients through every standalone op
         for op in (lambda a: T.relu(a, {}), T.sigmoid, lambda a: T.maxpool2(a, {})):
@@ -333,7 +333,7 @@ def test_predictor_sanity():
         assert train_rho >= 0.95, f"overfit train correlation was {train_rho:.3f}"
 
         test_ids = result.test_ids
-        assert evaluate_predictor(OracleModel(scores), table, dataset, test_ids) == 1.0
+        assert evaluate_predictor(OracleModel(dataset, scores), table, dataset, test_ids) == 1.0
 
         null_dataset, _ = synth.brightness_scored_images(count=100, seed=21, size=8)
         rng = make_rng("acceptance-null")

@@ -1242,6 +1242,21 @@ def test_train_predictor_with_under_three_test_ids_exits_2_before_training(tmp_p
     assert not (out / "predictor.mmt1").exists()
 
 
+@pytest.mark.parametrize("machine", [{}, [], 0, False, ""], ids=json.dumps)
+def test_train_predictor_with_empty_machine_exits_2_without_outputs(tmp_path, machine, capsys):
+    # Only a missing or null machine key means "the default small_cnn", as in measure.
+    dataset, scores = synth.brightness_scored_images(count=20, seed=17, size=6)
+    data_dir = synth.write_ppm_dataset(dataset, tmp_path / "data")
+    measurer.write_score_csv(ScoreTable(scores, 10, "fixture", "h", 0), tmp_path / "scores.csv")
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"epochs": 1, "machine": machine}))
+    out = tmp_path / "trained"
+    argv = ["--config", str(config), "--scores", str(tmp_path / "scores.csv"), "--data", str(data_dir)]
+    assert run_cli("train-predictor", *argv, "--out", str(out)) == 2
+    assert 'machine config must be an object with a "kind" field' in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_predict_before_train_is_explicit_error(tmp_path, ppm_dataset_dir, capsys):
     code = run_cli(
         "predict", "--model", str(tmp_path / "missing.mmt1"), "--data", str(ppm_dataset_dir), "--out", str(tmp_path / "o")

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from memmeter.data import ImageTensor
 from memmeter.engine import Tensor, build_machine
 from memmeter.engine import tensor as T
 from memmeter.engine.losses import mse_loss, rotated_batch, softmax_cross_entropy
@@ -117,14 +116,14 @@ class UniformMachine:
 
 
 def test_rotation_loss_uniform_logits_is_ln4(rng):
-    image = random_image("img", rng)
-    loss = rotation_loss(UniformMachine(4), rotated_batch(image), "four_way")
+    pixels = random_image("img", rng).pixels
+    loss = rotation_loss(UniformMachine(4), rotated_batch(pixels), "four_way")
     assert float(loss.data) == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 def test_rotation_loss_binary_uniform_is_ln2(rng):
-    image = random_image("img", rng)
-    loss = rotation_loss(UniformMachine(2), rotated_batch(image), "binary")
+    pixels = random_image("img", rng).pixels
+    loss = rotation_loss(UniformMachine(2), rotated_batch(pixels), "binary")
     assert float(loss.data) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
@@ -144,15 +143,14 @@ class BiasedMachine:
 
 
 def test_rotation_loss_drops_below_ln4_with_correct_margin(rng):
-    image = random_image("img", rng)
-    loss = rotation_loss(BiasedMachine(4, margin=2.0), rotated_batch(image), "four_way")
+    pixels = random_image("img", rng).pixels
+    loss = rotation_loss(BiasedMachine(4, margin=2.0), rotated_batch(pixels), "four_way")
     assert float(loss.data) < math.log(4.0)
 
 
 def test_rotation_loss_matches_four_separate_passes(cnn_spec, rng):
     machine = build_machine(cnn_spec, 4, seed=21)
-    image = random_image("img", rng, size=12)
-    batch = rotated_batch(image)
+    batch = rotated_batch(random_image("img", rng, size=12).pixels)
     combined = float(rotation_loss(machine, batch, "four_way").data)
     separate = []
     for k in range(4):
@@ -164,14 +162,14 @@ def test_rotation_loss_matches_four_separate_passes(cnn_spec, rng):
 @pytest.mark.parametrize("channels", [1, 3])
 @pytest.mark.parametrize("size", [1, 5, 12])
 def test_rotated_batch_has_the_bytes_of_np_rot90(channels, size, rng):
-    image = ImageTensor("img", rng.random((channels, size, size)))
-    expected = np.stack([np.rot90(image.pixels, k, axes=(1, 2)) for k in range(4)])
-    assert rotated_batch(image).tobytes() == expected.tobytes()
+    pixels = rng.random((channels, size, size))
+    expected = np.stack([np.rot90(pixels, k, axes=(1, 2)) for k in range(4)])
+    assert rotated_batch(pixels).tobytes() == expected.tobytes()
 
 
 def test_seen_loss_uniform_is_ln2(rng):
-    image = random_image("img", rng)
-    assert float(seen_loss(UniformMachine(2), image, SEEN_CLASS).data) == pytest.approx(
+    pixels = random_image("img", rng).pixels
+    assert float(seen_loss(UniformMachine(2), pixels, SEEN_CLASS).data) == pytest.approx(
         math.log(2.0), abs=1e-12
     )
 
@@ -183,16 +181,16 @@ def test_seen_loss_confident_correct_approaches_zero(rng):
         def forward(self, x):
             return Tensor(np.array([[50.0, -50.0]]))
 
-    assert float(seen_loss(Confident(), random_image("img", rng), SEEN_CLASS).data) == pytest.approx(
+    assert float(seen_loss(Confident(), random_image("img", rng).pixels, SEEN_CLASS).data) == pytest.approx(
         0.0, abs=1e-12
     )
 
 
 def test_seen_loss_composes_cross_entropy(mlp_spec, rng):
     machine = build_machine(mlp_spec, 2, seed=8)
-    image = random_image("img", rng, size=6)
-    direct = softmax_cross_entropy(machine.forward(Tensor(image.pixels[None])), [UNSEEN_CLASS])
-    assert float(seen_loss(machine, image, UNSEEN_CLASS).data) == pytest.approx(
+    pixels = random_image("img", rng, size=6).pixels
+    direct = softmax_cross_entropy(machine.forward(Tensor(pixels[None])), [UNSEEN_CLASS])
+    assert float(seen_loss(machine, pixels, UNSEEN_CLASS).data) == pytest.approx(
         float(direct.data), abs=1e-12
     )
 

@@ -87,7 +87,6 @@ def test_small_cnn_has_conv_and_pool(cnn_spec):
 
 
 def test_pool_before_relu_trains_bitwise_like_relu_before_pool(cnn_spec, rng):
-    from memmeter.data import ImageTensor
     from memmeter.engine import SGD, mse_loss
     from memmeter.engine.losses import rotated_batch
     from memmeter.measurer import rotation_loss
@@ -109,7 +108,7 @@ def test_pool_before_relu_trains_bitwise_like_relu_before_pool(cnn_spec, rng):
                 machine.backbone[pool], machine.backbone[act] = machine.backbone[act], machine.backbone[pool]
         optimizer = SGD(machine.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4, total_steps=50)
         for step in range(50):
-            rotation_loss(machine, rotated_batch(ImageTensor(str(step), images[step % 16]))).backward()
+            rotation_loss(machine, rotated_batch(images[step % 16])).backward()
             optimizer.step()
         machine.replace_head(1, seed=4)
         model = PredictorModel(machine)

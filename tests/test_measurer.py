@@ -85,22 +85,21 @@ def test_stage_a_learns_separable_rotations():
     for i in range(8):
         pixels = np.zeros((3, 8, 8))
         pixels[:, :4, :] = 1.0
-        noise = np.clip(pixels + rng.normal(0, 0.02, pixels.shape), 0, 1)
-        images.append(synth.ImageTensor(f"hh{i}", noise))
+        images.append(np.clip(pixels + rng.normal(0, 0.02, pixels.shape), 0, 1))
     spec = MachineSpec(kind="small_cnn", in_channels=3, height=8, width=8)
     config = quick_config(spec, n=2, epochs_a=25)
     machine = build_machine(spec, 4, seed=1)
-    accuracy = stage_a(machine, images, config, shuffle_seed=5)
+    accuracy = stage_a(machine, np.stack(images), config, shuffle_seed=5)
     assert accuracy == 1.0
 
 
 def test_stage_a_same_seed_is_bitwise_identical(small_dataset, small_spec):
     config = quick_config(small_spec, epochs_a=3)
-    images = [small_dataset.image(i) for i in small_dataset.ids[:6]]
+    pixels = small_dataset.batch(small_dataset.ids[:6])
     finals = []
     for _ in range(2):
         machine = build_machine(small_spec, 4, seed=42)
-        stage_a(machine, images, config, shuffle_seed=7)
+        stage_a(machine, pixels, config, shuffle_seed=7)
         finals.append([t.data.copy() for _, t in machine.parameters()])
     for left, right in zip(*finals):
         assert np.array_equal(left, right)
@@ -110,21 +109,20 @@ def test_stage_a_rotates_each_image_per_step(monkeypatch, small_dataset, small_s
     rotated = []
 
     def counting_rotated_batch(image):
-        rotated.append(image.id)
+        rotated.append(image.tobytes())
         return rotated_batch(image)
 
     monkeypatch.setattr(measurer, "rotated_batch", counting_rotated_batch)
     config = quick_config(small_spec, n=3, m=1, epochs_a=3, accuracy_gate=0.01)
-    images = [small_dataset.image(i) for i in small_dataset.ids[:6]]
-    stage_a(build_machine(small_spec, 4, seed=1), images, config, shuffle_seed=2)
+    pixels = small_dataset.batch(small_dataset.ids[:6])
+    stage_a(build_machine(small_spec, 4, seed=1), pixels, config, shuffle_seed=2)
     # once per training step, then once more for the final accuracy
-    assert sorted(rotated) == sorted([image.id for image in images] * (config.epochs_a + 1))
+    assert sorted(rotated) == sorted([image.tobytes() for image in pixels] * (config.epochs_a + 1))
 
 
 def test_rotation_accuracy_counts_all_four_rotations(small_dataset, small_spec):
     machine = build_machine(small_spec, 4, seed=1)
-    images = [small_dataset.image(i) for i in small_dataset.ids[:3]]
-    accuracy = rotation_accuracy(machine, images, "four_way")
+    accuracy = rotation_accuracy(machine, small_dataset.batch(small_dataset.ids[:3]), "four_way")
     assert 0.0 <= accuracy <= 1.0
     assert (accuracy * 12) == int(accuracy * 12)  # 3 images x 4 rotations
 
@@ -135,8 +133,8 @@ def test_stage_b_zero_lr_leaves_parameters_unchanged(small_dataset, small_spec):
     machine = build_machine(small_spec, 2, seed=1)
     before = [t.data.copy() for _, t in machine.parameters()]
     optimizer = SGD(machine.parameters(), lr=0.0, total_steps=100)
-    images = [small_dataset.image(i) for i in small_dataset.ids]
-    stage_b_epoch(machine, images[:4], images[4:8], optimizer, make_rng(1))
+    pixels = small_dataset.batch(small_dataset.ids)
+    stage_b_epoch(machine, pixels[:4], pixels[4:8], optimizer, make_rng(1))
     for original, (_, tensor) in zip(before, machine.parameters()):
         assert np.array_equal(original, tensor.data)
 
@@ -146,8 +144,8 @@ def test_stage_b_learns_visually_disjoint_sets():
     spec = MachineSpec(kind="small_cnn", in_channels=3, height=8, width=8)
     config = quick_config(spec, n=4, epochs_b=8, lr_b=0.02)
     machine = build_machine(spec, 2, seed=2)
-    seen = [dataset.image(i) for i in dataset.ids[:4]]
-    unseen = [dataset.image(i) for i in dataset.ids[8:12]]
+    seen = dataset.batch(dataset.ids[:4])
+    unseen = dataset.batch(dataset.ids[8:12])
     optimizer = SGD(machine.parameters(), lr=config.lr_b, total_steps=config.epochs_b * 8)
     rng = make_rng(9)
     for _ in range(config.epochs_b):
@@ -184,8 +182,8 @@ class FixedLogitsMachine:
 def test_stage_c_confident_seen_machine(small_dataset, small_spec):
     config = quick_config(small_spec)
     machine = FixedLogitsMachine(small_spec, [60.0, -60.0])
-    images = [small_dataset.image(i) for i in small_dataset.ids[:4]]
-    verdicts, calibration = stage_c(machine, images, config)
+    ids = small_dataset.ids[:4]
+    verdicts, calibration = stage_c(machine, ids, small_dataset.batch(ids), config)
     assert all(v == "seen" for v in verdicts.values())
     assert calibration == pytest.approx(0.0, abs=1e-12)
 
@@ -193,8 +191,8 @@ def test_stage_c_confident_seen_machine(small_dataset, small_spec):
 def test_stage_c_uniform_machine_tie_breaks_to_seen(small_dataset, small_spec):
     config = quick_config(small_spec)
     machine = FixedLogitsMachine(small_spec, [0.0, 0.0])
-    images = [small_dataset.image(i) for i in small_dataset.ids[:4]]
-    verdicts, calibration = stage_c(machine, images, config)
+    ids = small_dataset.ids[:4]
+    verdicts, calibration = stage_c(machine, ids, small_dataset.batch(ids), config)
     assert all(v == "seen" for v in verdicts.values())  # class 0 = seen on ties
     # all confidences 0.5, all "correct": |0.5 - 1.0| = 0.5 in every bin
     assert calibration == pytest.approx(0.5, abs=1e-12)
@@ -203,21 +201,23 @@ def test_stage_c_uniform_machine_tie_breaks_to_seen(small_dataset, small_spec):
 def test_stage_c_is_pure(small_dataset, small_spec):
     config = quick_config(small_spec)
     machine = build_machine(small_spec, 2, seed=4)
-    images = [small_dataset.image(i) for i in small_dataset.ids[:4]]
-    first = stage_c(machine, images, config)
-    second = stage_c(machine, images, config)
+    ids = small_dataset.ids[:4]
+    pixels = small_dataset.batch(ids)
+    first = stage_c(machine, ids, pixels, config)
+    second = stage_c(machine, ids, pixels, config)
     assert first[0] == second[0]
     assert first[1] == second[1]
 
 
 def test_stage_c_held_out_uses_reserves(small_dataset, small_spec):
-    config = quick_config(small_spec, calibration_mode="held_out", n=5)
+    config = quick_config(small_spec, calibration_mode="held_out", n=10)
+    assert config.calibration_reserve == 2
     machine = FixedLogitsMachine(small_spec, [60.0, -60.0])
-    a_images = [small_dataset.image(i) for i in small_dataset.ids[:4]]
-    seen = [small_dataset.image(i) for i in small_dataset.ids[4:6]]
-    unseen = [small_dataset.image(i) for i in small_dataset.ids[6:8]]
-    _, calibration = stage_c(machine, a_images, config, seen, unseen)
-    # machine says "seen" with conf 1 for everything: the unseen half is wrong
+    a_ids, calib_ids = small_dataset.ids[:4], small_dataset.ids[4:8]
+    _, calibration = stage_c(
+        machine, a_ids, small_dataset.batch(a_ids), config, calib_ids, small_dataset.batch(calib_ids)
+    )
+    # machine says "seen" with conf 1 for everything: the unseen half, the last two, is wrong
     assert calibration == pytest.approx(np.sqrt(0.5), abs=1e-9)
 
 
@@ -246,10 +246,10 @@ def test_run_episode_verdicts_come_from_chosen_epoch(small_dataset, small_spec, 
     calls = {"count": 0}
     rigged = [0.5, 0.1, 0.4]
 
-    def fake_stage_c(machine, a_images, cfg, calib_seen=(), calib_unseen=()):
+    def fake_stage_c(machine, a_ids, a_pixels, cfg, calib_ids=(), calib_pixels=()):
         index = calls["count"]
         calls["count"] += 1
-        return {img.id: ("seen" if index == 1 else "unseen") for img in a_images}, rigged[index]
+        return {image_id: ("seen" if index == 1 else "unseen") for image_id in a_ids}, rigged[index]
 
     monkeypatch.setattr(measurer, "stage_c", fake_stage_c)
     result = run_episode(small_dataset, small_dataset.ids[:4], config, episode_index=0)
@@ -272,19 +272,71 @@ def test_gate_failure_skips_stages_b_and_c(small_dataset, small_spec, monkeypatc
     assert result.chosen_epoch == 0
 
 
-def test_set_a_never_enters_stage_b(small_dataset, small_spec, monkeypatch):
-    config = quick_config(small_spec, epochs_a=1, accuracy_gate=0.01, m=2)
-    set_a = set(small_dataset.ids[:4])
+def episode_pool(count=36):
+    """Pairwise-distinct 6x6 ramps, so a stage's rows can be traced back to their ids by content."""
+    rng = make_rng("episode-pool")
+    dataset = synth.stack_dataset([synth.ramp_image(f"e{i:02d}", rng, size=6) for i in range(count)])
+    assert len({image.pixels.tobytes() for image in dataset}) == count
+    return dataset
+
+
+def test_set_a_never_enters_stage_b(small_spec, monkeypatch):
+    dataset = episode_pool()
+    set_a = dataset.ids[:10]
+    a_rows = {dataset.image(i).pixels.tobytes() for i in set_a}
     trained = []
     original = measurer.stage_b_epoch
 
     def logging_stage_b(machine, seen, unseen, optimizer, rng):
-        trained.extend(img.id for img in seen + unseen)
+        trained.extend(image.tobytes() for image in (*seen, *unseen))
         return original(machine, seen, unseen, optimizer, rng)
 
     monkeypatch.setattr(measurer, "stage_b_epoch", logging_stage_b)
-    measure(small_dataset, sorted(set_a), config, workers=1)
-    assert trained and not (set(trained) & set_a)
+    for mode in ("seen_only", "held_out"):
+        trained.clear()
+        config = quick_config(small_spec, n=10, epochs_a=1, accuracy_gate=0.01, calibration_mode=mode)
+        measure(dataset, set_a, config, workers=1)
+        assert len(trained) == 2 * config.n * config.epochs_b * config.m
+        assert not (set(trained) & a_rows)
+
+
+@pytest.mark.parametrize("calibration_mode", ["seen_only", "held_out"])
+def test_run_episode_hands_each_stage_its_sets_from_one_conversion(small_spec, monkeypatch, calibration_mode):
+    # run_episode converts A, B, the seen reserve, the unseen reserve and C in one batch and
+    # slices it: a wrong offset would hand a stage another set's rows.
+    dataset = episode_pool()
+    config = quick_config(small_spec, n=10, m=1, epochs_b=2, calibration_mode=calibration_mode)
+    calls = {}
+    for name in ("sample_episode_sets", "stage_a", "stage_b_epoch", "stage_c"):
+        def recording(*args, _name=name, _original=getattr(measurer, name), **kwargs):
+            value = 1.0 if _name == "stage_a" else _original(*args, **kwargs)  # stage (a) passes untrained
+            calls.setdefault(_name, []).append((args, value))
+            return value
+
+        monkeypatch.setattr(measurer, name, recording)
+    batches = []
+    real_batch = Dataset.batch
+    monkeypatch.setattr(Dataset, "batch", lambda self, ids: batches.append(ids) or real_batch(self, ids))
+    monkeypatch.setattr(Dataset, "image", None)  # the episode converts no image on its own
+    run_episode(dataset, dataset.ids[:10], config, 0)
+    monkeypatch.undo()
+
+    def rows(ids):
+        return dataset.batch(list(ids)).tobytes()
+
+    ((_, sets),) = calls["sample_episode_sets"]
+    assert len(batches) == 1
+    assert len(sets.calib_seen) == len(sets.calib_unseen) == config.calibration_reserve
+    ((stage_a_args, _),) = calls["stage_a"]
+    assert stage_a_args[1].tobytes() == rows(sets.set_a + sets.set_b + sets.calib_seen)
+    assert len(calls["stage_b_epoch"]) == len(calls["stage_c"]) == config.epochs_b
+    for (_, seen_pixels, unseen_pixels, *_), _ in calls["stage_b_epoch"]:
+        assert seen_pixels.tobytes() == rows(sets.set_b)
+        assert unseen_pixels.tobytes() == rows(sets.set_c)
+    for (_, a_ids, a_pixels, _, calib_ids, calib_pixels), _ in calls["stage_c"]:
+        assert tuple(a_ids) == sets.set_a and a_pixels.tobytes() == rows(sets.set_a)
+        assert tuple(calib_ids) == sets.calib_seen + sets.calib_unseen
+        assert calib_pixels.tobytes() == rows(calib_ids)
 
 
 # --- measure aggregation ----------------------------------------------------------------
@@ -303,10 +355,7 @@ def test_measure_stubbed_all_seen_gives_ones(small_dataset, small_spec, monkeypa
     monkeypatch.setattr(
         measurer,
         "stage_c",
-        lambda machine, a_images, cfg, calib_seen=(), calib_unseen=(): (
-            {img.id: "seen" for img in a_images},
-            0.0,
-        ),
+        lambda machine, a_ids, a_pixels, cfg, calib_ids=(), calib_pixels=(): ({image_id: "seen" for image_id in a_ids}, 0.0),
     )
     table, _ = measure(small_dataset, small_dataset.ids[:4], config)
     assert all(score == 1.0 for score in table.scores.values())

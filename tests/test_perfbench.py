@@ -11,6 +11,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from memmeter import attributes, measurer, predictor
 from memmeter.data import Dataset, ImageTensor
@@ -65,13 +66,13 @@ def test_perfbench_tracer_records_both_spans_of_every_timed_engine_op():
     timed = sorted({span for span in module.PER_CALL_US.values() if span.endswith((".fwd", ".bwd"))})
     spec = MachineSpec(kind="small_cnn", in_channels=3, height=12, width=12)
     rng = np.random.default_rng(3)
-    image = ImageTensor("probe", rng.random((3, 12, 12)))
+    pixels = rng.random((1, 3, 12, 12))
     tracer = module.Tracer()
     try:
         tracer.install()
         machine = build_machine(spec, 4, seed=1)
         optimizer = SGD(machine.parameters(), lr=0.01, total_steps=1)
-        measurer.rotation_loss(machine, rotated_batch(image)).backward()  # one stage-(a) step
+        measurer.rotation_loss(machine, rotated_batch(pixels[0])).backward()  # one stage-(a) step
         optimizer.step()
         model = predictor.build_predictor(spec, seed=2)
         optimizer = SGD(model.parameters(), lr=0.01, weight_decay=0.0, total_steps=1)
@@ -79,8 +80,8 @@ def test_perfbench_tracer_records_both_spans_of_every_timed_engine_op():
         optimizer.step()
         trained = {span[0] for span in tracer.spans}
         before = len(tracer.spans)
-        measurer.rotation_accuracy(machine, [image], "four_way")  # evaluation passes
-        model.predict_batch([image])
+        measurer.rotation_accuracy(machine, pixels, "four_way")  # evaluation passes
+        model.predict_batch(pixels)
         evaluated = {span[0] for span in tracer.spans[before:]}
     finally:
         tracer.restore()
@@ -122,3 +123,27 @@ def test_perfbench_tracer_records_the_training_spans():
         tracer.restore()
     assert recorded.count("data.augment_for_regression") == 18
     assert "predictor.forward_scores.batch16" in recorded
+
+
+@pytest.mark.parametrize("calibration_mode", ["seen_only", "held_out"])
+def test_perfbench_tracer_records_the_episode_spans(calibration_mode):
+    # Traced measure runs read these spans by name, and tag each episode's spans from
+    # run_episode's positional episode_index.
+    module = _load_tracer()
+    rng = np.random.default_rng(6)
+    ids = [f"e{i:02d}" for i in range(20)]
+    dataset = Dataset(ids, rng.integers(0, 256, (20, 3, 6, 6), dtype=np.uint8), scale=255.0)
+    spec = MachineSpec(kind="mlp", in_channels=3, height=6, width=6, hidden=(8,))
+    config = measurer.EpisodeConfig(machine=spec, n=5, m=2, epochs_a=1, epochs_b=1, accuracy_gate=0.01,
+                                    calibration_mode=calibration_mode)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        measurer.measure(dataset, ids[:5], config, workers=1)
+        spans = list(tracer.spans)
+    finally:
+        tracer.restore()
+    recorded = {span[0] for span in spans}
+    assert {f"measurer.{name}" for name in ("stage_a", "rotation_accuracy", "stage_b_epoch", "stage_c")} <= recorded
+    assert {"data.sample_episode_sets", "data.rotate_pixels", "metrics.rms_calibration_error"} <= recorded
+    assert [span[4] for span in spans if span[0] == "measurer.run_episode"] == ["episode0", "episode1"]

@@ -131,21 +131,21 @@ def test_predict_is_deterministic_and_order_invariant(scored_fixture):
 def test_batch_prediction_equals_per_image(scored_fixture):
     dataset, _ = scored_fixture
     model = build_predictor(MachineSpec(kind="small_cnn", in_channels=3, height=8, width=8), seed=3)
-    images = list(dataset)[:10]
-    batched = model.predict_batch(images)
-    single = np.array([model.predict_batch([img])[0] for img in images])
+    pixels = dataset.batch(dataset.ids[:10])
+    batched = model.predict_batch(pixels)
+    single = np.array([model.predict_batch(image[None])[0] for image in pixels])
     assert np.array_equal(batched, single)
 
 
 class OracleModel:
-    """Lookup stub satisfying the predict_batch protocol."""
+    """Lookup stub satisfying the predict_batch protocol: each image's score, found by its pixels."""
 
-    def __init__(self, mapping, flip=False):
-        self.mapping = mapping
+    def __init__(self, dataset, scores, flip=False):
+        self.mapping = {dataset.image(image_id).pixels.tobytes(): score for image_id, score in scores.items()}
         self.flip = flip
 
-    def predict_batch(self, images):
-        values = np.array([self.mapping[img.id] for img in images])
+    def predict_batch(self, pixels):
+        values = np.array([self.mapping[image.tobytes()] for image in pixels])
         return 1.0 - values if self.flip else values
 
 
@@ -239,14 +239,14 @@ def test_evaluate_oracle_lookup_is_perfect(scored_fixture):
     dataset, scores = scored_fixture
     table = table_for(scores)
     test_ids = sorted(scores)[:20]
-    assert evaluate_predictor(OracleModel(scores), table, dataset, test_ids) == 1.0
-    assert evaluate_predictor(OracleModel(scores, flip=True), table, dataset, test_ids) == -1.0
+    assert evaluate_predictor(OracleModel(dataset, scores), table, dataset, test_ids) == 1.0
+    assert evaluate_predictor(OracleModel(dataset, scores, flip=True), table, dataset, test_ids) == -1.0
 
 
 def test_evaluate_needs_test_ids(scored_fixture):
     dataset, scores = scored_fixture
     with pytest.raises(ValueError, match="at least 3"):
-        evaluate_predictor(OracleModel(scores), table_for(scores), dataset, [])
+        evaluate_predictor(OracleModel(dataset, scores), table_for(scores), dataset, [])
 
 
 def test_untrained_model_is_null_against_random_scores():
@@ -272,8 +272,8 @@ def test_save_load_roundtrip(tmp_path, scored_fixture):
     path = tmp_path / "predictor.mmt1"
     save_predictor(model, path)
     loaded = load_predictor(path)
-    images = list(dataset)[:5]
-    assert np.array_equal(model.predict_batch(images), loaded.predict_batch(images))
+    pixels = dataset.batch(dataset.ids[:5])
+    assert np.array_equal(model.predict_batch(pixels), loaded.predict_batch(pixels))
 
 
 def test_load_accepts_sidecar_with_relu_activation_key(tmp_path, scored_fixture):
@@ -288,8 +288,8 @@ def test_load_accepts_sidecar_with_relu_activation_key(tmp_path, scored_fixture)
     sidecar.write_text(json.dumps(dict(meta, activation="relu"), sort_keys=True, indent=2))
     loaded = load_predictor(path)
     assert loaded.spec == model.spec
-    images = list(dataset)[:5]
-    assert np.array_equal(model.predict_batch(images), loaded.predict_batch(images))
+    pixels = dataset.batch(dataset.ids[:5])
+    assert np.array_equal(model.predict_batch(pixels), loaded.predict_batch(pixels))
 
 
 def test_load_missing_model_is_explicit(tmp_path):

@@ -262,7 +262,6 @@ def _zero_fill_accumulate(t, g, owned=False):
 
 @pytest.mark.parametrize("kind", ["linear", "mlp", "small_cnn"])
 def test_handed_over_gradients_train_bitwise_like_zero_filled_ones(kind, monkeypatch, rng):
-    from memmeter.data import ImageTensor
     from memmeter.engine import SGD, mse_loss
     from memmeter.engine.losses import rotated_batch
     from memmeter.measurer import SEEN_CLASS, UNSEEN_CLASS, rotation_loss, seen_loss
@@ -286,12 +285,12 @@ def test_handed_over_gradients_train_bitwise_like_zero_filled_ones(kind, monkeyp
         machine = build_machine(spec, 4, seed=3)
         optimizer = SGD(machine.parameters(), lr=0.05, total_steps=50)
         for step in range(50):
-            rotation_loss(machine, rotated_batch(ImageTensor(str(step), images[step % 16]))).backward()
+            rotation_loss(machine, rotated_batch(images[step % 16])).backward()
             optimizer.step()
         machine.replace_head(2, seed=4)
         optimizer = SGD(machine.parameters(), lr=0.05, total_steps=20)
         for step in range(20):
-            seen_loss(machine, ImageTensor(str(step), images[step % 16]), (SEEN_CLASS, UNSEEN_CLASS)[step % 2]).backward()
+            seen_loss(machine, images[step % 16], (SEEN_CLASS, UNSEEN_CLASS)[step % 2]).backward()
             optimizer.step()
         machine.replace_head(1, seed=5)
         model = PredictorModel(machine)
@@ -427,7 +426,6 @@ def _workspace_arrays(machine):
 
 def test_training_steps_reuse_the_same_workspace_arrays(cnn_spec, rng):
     # Checked by object identity: page-fault counts depend on the allocator and the heap state.
-    from memmeter.data import ImageTensor
     from memmeter.engine import SGD, mse_loss
     from memmeter.engine.losses import rotated_batch
     from memmeter.measurer import rotation_loss
@@ -440,7 +438,7 @@ def test_training_steps_reuse_the_same_workspace_arrays(cnn_spec, rng):
         "predictor": (model.machine, SGD(model.parameters(), lr=0.01, weight_decay=0.0, total_steps=4),
                       lambda i: mse_loss(model.forward_scores(images[rng.permutation(16)]), rng.random(16))),
         "rotation": (machine, SGD(machine.parameters(), lr=0.01, total_steps=4),
-                     lambda i: rotation_loss(machine, rotated_batch(ImageTensor(str(i), images[i])))),
+                     lambda i: rotation_loss(machine, rotated_batch(images[i]))),
     }
     for owner, optimizer, loss in steps.values():
         loss(0).backward()  # warm-up: the first step of a shape makes its buffers
