@@ -4,12 +4,12 @@ Weights use He-uniform initialization (bound sqrt(6 / fan_in)); biases
 start at zero. Every layer exposes forward(Tensor) -> Tensor and
 parameters() -> [(name, Tensor)].
 
-Conv2d, MaxPool2 and ReLU each own a `workspace` dict that their op keeps
-a plan in per input shape (a training batch and a last, smaller batch get
-one each): its per-step buffers and every view and index array over them,
-so repeated steps reuse the same arrays. Training forwards take their
-plan and the backward returns it; evaluation forwards, inside
-`tensor.no_graph()`, use it in place.
+Conv2d and MaxPool2 each own a `workspace` dict that their op keeps a
+plan in per input shape (a training batch and a last, smaller batch get
+one each): its per-step buffers and every view over them. Training
+forwards take their plan and the backward returns it; evaluation
+forwards, inside `tensor.no_graph()`, use it in place. ReLU keeps
+nothing: its backward masks its output's gradient in place.
 """
 
 from __future__ import annotations
@@ -56,11 +56,8 @@ class Conv2d:
 
 
 class ReLU:
-    def __init__(self):
-        self.workspace = {}
-
     def forward(self, x):
-        return T.relu(x, self.workspace)
+        return T.relu(x)
 
     def parameters(self):
         return []

@@ -15,16 +15,17 @@ dropped without backward() is freed by reference counting alone.
 
 Each gradient is written once. An op hands its input's gradient over
 (`_accumulate(t, g, owned=True)`), and a first gradient is that array
-itself, when the array is the op's to give: a new one, or its layer's
-workspace buffer for an interior input. Anything else is copied.
-`_accumulate` says why parameters come out the same.
+itself when it is the op's to give: a new one or, for an interior input,
+its layer's workspace buffer or the output's own gradient. Anything
+else is copied; `_accumulate` says why parameters come out the same.
 
-Training steps are allocation-steady. conv2d, maxpool2 and relu keep
-a plan per input shape in a dict owned by their layer: the buffers of
-that shape plus every view and index array over them, built once, when
-the shape is first seen, and reused by every later step. A forward that
-builds a graph takes its shape's plan out and the backward puts it back,
-so a second forward while the graph is pending gets a plan of its own.
+Training steps are allocation-steady. Only conv2d and maxpool2 keep a
+plan per input shape, in a dict owned by their layer: the buffers of
+that shape and every view over them, built when the shape is first
+seen and reused by every later step; relu masks its output's gradient
+in place. A forward that builds a graph takes its shape's plan out and
+the backward puts it back, so a second forward while the graph is
+pending gets a plan of its own.
 
 Evaluation passes run inside `no_graph()`. There, ops attach no parents
 or backward closure to their output, and a forward borrows its shape's
@@ -35,6 +36,7 @@ taking it, so it neither builds a graph nor evicts the training plans.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,7 +75,8 @@ class Tensor:
         keeps the loss while it builds the next graph (a training loop's
         last loss) keeps that one node alive rather than the whole graph.
         Interior nodes also drop their gradients, which may be workspace
-        buffers that the next step overwrites; leaves keep theirs.
+        buffers that the next step overwrites, or an output's gradient that
+        relu masked in place and handed to its input; leaves keep theirs.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -120,10 +123,11 @@ def _accumulate(t, g, owned=False):
 
     `owned=True` promises that `g` is the caller's to give, so a first
     gradient takes `g` itself: a new array the caller keeps no other
-    reference to, or its layer's workspace buffer when `t` is interior
-    (an op's output, `_backward` set), whose gradient backward() drops
-    before a later forward can take the buffer back. A leaf (a parameter,
-    or a caller's input) keeps its gradient, so it never takes a buffer.
+    reference to or, when `t` is interior (an op's output, `_backward`
+    set), its layer's workspace buffer or the op output's own gradient:
+    backward() drops interior gradients before a later forward can take
+    the buffer back. A leaf (a parameter, or a caller's input) keeps its
+    gradient, so it never takes either.
     Any other first gradient is copied as `g + 0.0` into an array laid out
     like `t.data`, which has the bytes of a zero-filled buffer plus `g`.
 
@@ -162,37 +166,15 @@ def _plan(workspace, shape, make):
     return plan
 
 
-def _grad_buffer(x, plan):
-    """The array an op writes x's gradient into: for an interior x, `plan.dx`, made by the
-    shape's first such backward; for a leaf, which keeps its gradient, a new array."""
-    if x._backward is None:
-        return np.empty(x.data.shape)
-    if plan.dx is None:
-        plan.dx = np.empty(x.data.shape)
-    return plan.dx
-
-
-class _GradPlan:
-    """relu's plan: the input-gradient buffer, None until a backward needs it."""
-
-    __slots__ = ("dx",)
-
-    def __init__(self):
-        self.dx = None
-
-
-class _PoolPlan(_GradPlan):
-    """maxpool2's plan for an (n, c, h, w) input: the input-gradient buffer, and each 2x2
-    window's top-left corner as a flat offset into the input."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, shape):
-        super().__init__()
-        n, c, h, w = shape
-        self.base = np.arange(n * c).reshape(n, c, 1, 1) * (h * w) + (
-            (np.arange(h // 2) * (2 * w))[:, None] + np.arange(0, 2 * (w // 2), 2)
-        )
+@lru_cache(maxsize=64)
+def _pool_corners(shape):
+    """Each 2x2 window's top-left corner, as a flat offset into an (n, c, h, w) input."""
+    n, c, h, w = shape
+    corners = np.arange(n * c).reshape(n, c, 1, 1) * (h * w) + (
+        (np.arange(h // 2) * (2 * w))[:, None] + np.arange(0, 2 * (w // 2), 2)
+    )
+    corners.flags.writeable = False  # the cache hands the same array to every call
+    return corners
 
 
 class _ConvPlan:
@@ -295,14 +277,12 @@ def matmul(a, b) -> Tensor:
     return _node(out_data, (a, b), backward)
 
 
-def relu(x, workspace) -> Tensor:
-    """max(x, 0); `workspace` is the layer's dict of plans, keyed by input shape."""
+def relu(x) -> Tensor:
+    """max(x, 0). The backward masks g in place for an interior x; a leaf x gets a masked copy."""
     out_data = np.maximum(x.data, 0.0)
-    plan = _plan(workspace, x.data.shape, _GradPlan)
 
     def backward(g):
-        _accumulate(x, np.multiply(g, x.data > 0.0, out=_grad_buffer(x, plan)), owned=True)
-        workspace[x.data.shape] = plan
+        _accumulate(x, np.multiply(g, x.data > 0.0, out=None if x._backward is None else g), owned=True)
 
     return _node(out_data, (x,), backward)
 
@@ -338,6 +318,7 @@ def mean(x) -> Tensor:
 
 
 def tensor_sum(x) -> Tensor:
+    # No program path sums a tensor; the benchmark's tracer wraps every op in its TENSOR_OPS by name.
     out_data = np.asarray(x.data.sum())
 
     def backward(g):
@@ -407,32 +388,32 @@ def maxpool2(x, workspace) -> Tensor:
     gradient goes to the first corner, in row-major order, equal to the maximum,
     and a NaN window, equal to none of its corners, sends none. The backward
     turns each window's winning corner into one flat offset into x and writes
-    the whole gradient with a single scatter, into a zero-filled buffer.
-    `workspace`, the layer's dict keyed by input shape, keeps that buffer and
-    the windows' corner offsets between steps, in a `_PoolPlan`.
+    the whole gradient with a single scatter, into a zero-filled buffer:
+    for an interior x, the one that `workspace`, the layer's dict keyed by
+    input shape, keeps between steps; a leaf x gets an array of its own.
     """
     n, c, h, w = x.data.shape
     h2, w2 = h // 2, w // 2
     pairs = x.data[..., : 2 * h2, : 2 * w2].reshape(n, c, 2 * h2, w2, 2)
     rows = np.maximum(pairs[..., 0], pairs[..., 1]).reshape(n, c, h2, 2, w2)
     out_data = np.maximum(rows[:, :, :, 0], rows[:, :, :, 1])
-    plan = _plan(workspace, x.data.shape, lambda: _PoolPlan(x.data.shape))
+    dx = _plan(workspace, x.data.shape, lambda: np.empty(x.data.shape))
 
     def backward(g):
         c0, c1, c2 = (x.data[..., i : 2 * h2 : 2, j : 2 * w2 : 2] for i, j in ((0, 0), (0, 1), (1, 0)))
-        # Each window's top-left corner, from the plan, plus the winner's offset from it:
+        # Each window's top-left corner plus the winner's offset from it:
         # 0, 1, w or w + 1, counted in integer arithmetic from the corners before it that lose.
         past0 = c0 != out_data
         past1 = past0 & (c1 != out_data)
         offsets = past0 + (w - 1) * past1 + (past1 & (c2 != out_data))
-        offsets += plan.base
+        offsets += _pool_corners(x.data.shape)
         nan = np.isnan(out_data)
         if nan.any():  # no corner equals NaN, so the count sends a NaN window to its last corner
             g = np.where(nan, 0.0, g)
-        dx = _grad_buffer(x, plan)  # C-contiguous, so ravel() is a view
-        dx.fill(0.0)
-        dx.ravel()[offsets] = g
-        workspace[x.data.shape] = plan
-        _accumulate(x, dx, owned=True)
+        workspace[x.data.shape] = dx
+        grad = dx if x._backward is not None else np.empty(x.data.shape)
+        grad.fill(0.0)  # C-contiguous, so ravel() is a view
+        grad.ravel()[offsets] = g
+        _accumulate(x, grad, owned=True)
 
     return _node(out_data, (x,), backward)

@@ -83,6 +83,8 @@ class EpisodeConfig:
             )
         if self.calibration_mode == "held_out" and self.calibration_reserve == 0:
             raise ConfigError("held_out calibration reserves n // 5 images, so n must be at least 5")
+        for name in ("lr_a", "lr_b", "momentum", "weight_decay", "accuracy_gate"):  # 0 and 0.0 hash alike
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def head_width_a(self) -> int:

@@ -1397,6 +1397,8 @@ def test_sweep_values_that_make_one_run_are_usage_error(tmp_path, ppm_dataset_di
     cases = [
         ("machine", [{"kind": "linear"}, {"kind": "linear", "fc_width": 32}], {"pretext_mode": "binary"}),
         ("base_seed", [1, 2, 1], {}),
+        ("accuracy_gate", [1, 1.0], {}),  # one protocol, however the float is written
+        ("weight_decay", [0, 0.0], {}),
     ]
     for knob, values, base in cases:
         config = measure_config(tmp_path, knob=knob, values=values, **base)

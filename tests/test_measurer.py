@@ -76,6 +76,19 @@ def test_config_rejects_rates_that_are_not_finite_and_nonnegative(small_spec, ke
         quick_config(small_spec, **{key: value})
 
 
+def test_config_digest_does_not_depend_on_how_a_float_is_written(small_spec):
+    from typing import get_type_hints
+
+    floats = [name for name, kind in get_type_hints(EpisodeConfig).items() if kind is float]
+    assert floats
+    for name in floats:
+        whole = 1 if name == "accuracy_gate" else 0  # accuracy_gate must be in (0, 1]
+        as_int, as_float = (quick_config(small_spec, **{name: value}) for value in (whole, float(whole)))
+        assert type(getattr(as_int, name)) is float, name
+        assert measurer.config_digest(as_int, ["a"]) == measurer.config_digest(as_float, ["a"]), name
+        assert measurer.config_digest(as_int, ["a"]) != measurer.config_digest(quick_config(small_spec), ["a"]), name
+
+
 # --- stage (a) -------------------------------------------------------------------
 
 def test_stage_a_learns_separable_rotations():

@@ -56,7 +56,7 @@ def test_backward_frees_the_graph_without_the_cyclic_gc():
     import weakref
 
     p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-    hidden = T.relu(T.mul(p, p), {})
+    hidden = T.relu(T.mul(p, p))
     # Tensor has no __weakref__ slot; its data array lives exactly as long as it.
     interior = weakref.ref(hidden.data)
     loss = T.tensor_sum(hidden)
@@ -74,11 +74,12 @@ def test_backward_frees_the_graph_without_the_cyclic_gc():
 
 
 def test_backward_drops_interior_gradients_and_leaves_keep_theirs():
-    # An interior gradient may be a layer's workspace buffer, which the next step overwrites.
+    # An interior gradient may be a layer's workspace buffer, which the next step overwrites,
+    # or an output's gradient that relu masked in place.
     p = Tensor(np.array([[[[1.0, -2.0], [3.0, -4.0]]]]), requires_grad=True)
     hidden = T.mul(p, p)
     pooled = T.maxpool2(hidden, {})
-    loss = T.tensor_sum(T.relu(pooled, {}))
+    loss = T.tensor_sum(T.relu(pooled))
     loss.backward()
     assert hidden.grad is None and pooled.grad is None and loss.grad is None
     assert np.array_equal(p.grad, [[[[0.0, 0.0], [0.0, -8.0]]]])
@@ -139,7 +140,56 @@ def test_matmul_gradients(rng):
 
 def test_relu_gradients(rng):
     x = Tensor(rng.normal(size=(5, 7)), requires_grad=True)
-    check_gradients(lambda: T.tensor_sum(T.mul(T.relu(x, {}), T.relu(x, {}))), [x], rng)
+    check_gradients(lambda: T.tensor_sum(T.mul(T.relu(x), T.relu(x))), [x], rng)
+
+
+def test_relu_gradients_when_its_output_has_two_consumers(rng):
+    # The output's gradient is one consumer's array plus the other's term; relu masks that sum in place.
+    x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 7)), requires_grad=True)
+    v = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+
+    def loss():
+        out = T.relu(T.matmul(x, w))
+        return T.add(T.tensor_sum(T.matmul(out, v)), T.mean(T.mul(out, out)))
+
+    check_gradients(loss, [x, w, v], rng)
+
+
+def test_relu_gradients_when_its_interior_input_has_two_consumers(rng):
+    # Each relu masks its own output's gradient; the second adds into the array the first handed over.
+    x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 7)), requires_grad=True)
+
+    def loss():
+        hidden = T.matmul(x, w)
+        return T.add(T.tensor_sum(T.mul(T.relu(hidden), T.relu(hidden))), T.mean(T.mul(hidden, hidden)))
+
+    check_gradients(loss, [x, w], rng)
+
+
+def test_relu_hands_its_output_gradient_to_an_interior_input(monkeypatch, rng):
+    accumulate = T._accumulate
+    held = {}
+
+    def watched(t, g, owned=False):
+        accumulate(t, g, owned)
+        held.setdefault(id(t), []).append((g, t.grad))
+
+    monkeypatch.setattr(T, "_accumulate", watched)
+    leaf = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    hidden = T.mul(leaf, Tensor(np.full((4, 6), 2.0)))
+    inner, outer = T.relu(hidden), T.relu(leaf)
+    column = Tensor(np.ones((6, 1)))
+    T.add(T.tensor_sum(T.matmul(inner, column)), T.tensor_sum(T.matmul(outer, column))).backward()
+    ((_, inner_grad),) = held[id(inner)]
+    ((given, hidden_grad),) = held[id(hidden)]
+    assert given is inner_grad and hidden_grad is inner_grad  # the output's own array, masked in place
+    assert np.array_equal(hidden_grad, np.where(hidden.data > 0.0, 1.0, 0.0))
+    ((_, outer_grad),) = held[id(outer)]
+    leaf_grads = [grad for _, grad in held[id(leaf)]]
+    assert all(grad is not outer_grad for grad in leaf_grads)  # a leaf keeps an array of its own
+    assert np.array_equal(leaf.grad, np.where(leaf.data > 0.0, 1.0, 0.0) + 2.0 * hidden_grad)
 
 
 def test_sigmoid_gradients_and_stability(rng):
@@ -225,22 +275,36 @@ def test_maxpool_backward_matches_four_corner_reference(rng):
         assert t.grad.tobytes() == grad_expected.tobytes(), (trial, x.shape)
 
 
-WORKSPACE_LAYERS = {"Conv2d": lambda rng: Conv2d(3, 4, rng), "MaxPool2": lambda rng: MaxPool2(), "ReLU": lambda rng: ReLU()}
+def test_pool_corners_are_one_read_only_array_per_shape():
+    shape = (2, 3, 5, 7)
+    corners = T._pool_corners(shape)
+    assert T._pool_corners(shape) is corners
+    assert T._pool_corners((2, 3, 5, 6)) is not corners
+    assert not corners.flags.writeable
+    with pytest.raises(ValueError):
+        corners[0, 0, 0, 0] = 1
+    expected = [np.ravel_multi_index((n, c, 2 * i, 2 * j), shape) for n, c, i, j in np.ndindex(2, 3, 2, 3)]
+    assert corners.shape == (2, 3, 2, 3) and corners.ravel().tolist() == expected
 
 
-@pytest.mark.parametrize("kind", sorted(WORKSPACE_LAYERS))
+# Layers whose backward hands an interior x an array that is reused: a workspace buffer, or ReLU's output gradient.
+HANDING_LAYERS = {"Conv2d": lambda rng: Conv2d(3, 4, rng), "MaxPool2": lambda rng: MaxPool2(), "ReLU": lambda rng: ReLU()}
+
+
+@pytest.mark.parametrize("kind", sorted(HANDING_LAYERS))
 def test_leaf_input_gradient_keeps_its_bytes_through_the_next_backward(kind, rng):
-    layer = WORKSPACE_LAYERS[kind](rng)
+    layer = HANDING_LAYERS[kind](rng)
+    tail = Conv2d(4 if kind == "Conv2d" else 3, 2, rng)  # hands the layer's output a workspace buffer
     shape = (2, 3, 6, 6)
 
     def step(inp):
-        out = layer.forward(inp)
+        out = tail.forward(layer.forward(inp))
         T.mean(T.mul(out, Tensor(rng.normal(size=out.data.shape)))).backward()
 
     def interior():
         return T.mul(Tensor(rng.normal(size=shape), requires_grad=True), Tensor(np.full(shape, 0.5)))
 
-    step(interior())  # fills the layer's workspace for this shape
+    step(interior())  # fills the layer's workspace for this shape, if it has one
     x = Tensor(rng.normal(size=shape), requires_grad=True)
     step(x)
     kept = x.grad.tobytes()
@@ -369,7 +433,7 @@ def _take_grads(machine):
 
 
 def test_pending_forwards_do_not_share_conv_buffers(cnn_spec, rng):
-    # small_cnn holds every workspace layer: Conv2d, MaxPool2 and ReLU.
+    # small_cnn holds both workspace layers, Conv2d and MaxPool2, and ReLU hands arrays between them.
     first, second = rng.random((4, 3, 12, 12)), rng.random((4, 3, 12, 12))
     shared = build_machine(cnn_spec, 4, seed=8)
     _rotation_step_loss(shared, first).backward()  # fills every workspace
@@ -402,8 +466,8 @@ def test_two_forwards_summed_into_one_backward_match_fresh_machines(cnn_spec, ml
 
 
 def _plan_arrays(value):
-    """Every array a workspace plan holds, in a fixed order: its buffers, the views over
-    them and its index arrays, looking inside plan objects, tuples and lists."""
+    """Every array a workspace plan holds, in a fixed order: its buffers and the views
+    over them, looking inside plan objects, tuples and lists."""
     if isinstance(value, np.ndarray):
         return [value]
     if isinstance(value, (tuple, list)):
@@ -445,16 +509,16 @@ def test_training_steps_reuse_the_same_workspace_arrays(cnn_spec, rng):
         optimizer.step()
         warm = _workspace_arrays(owner)
         assert {name for name, _ in warm} == {name for name, layer in owner.backbone if hasattr(layer, "workspace")}
-        for (name, _), arrays in warm.items():
+        assert not any(hasattr(layer, "workspace") for _, layer in owner.backbone if isinstance(layer, ReLU))
+        for (name, shape), arrays in warm.items():
             layer = dict(owner.backbone)[name]
             # conv: the padded input, its interior, the filter windows, cols and its two views; the
             # backward adds dpad, its two zeroed strips, a (dpad, cols) slice pair per kernel tap and
-            # dx, except in conv0, whose input needs no gradient. pool: the gradient buffer and the
-            # integer window offsets. relu: the gradient buffer.
-            expected = {Conv2d: 6 if name == "conv0" else 6 + 4 + 2 * 9, MaxPool2: 2, ReLU: 1}[type(layer)]
+            # dx, except in conv0, whose input needs no gradient. pool: the gradient buffer alone.
+            expected = {Conv2d: 6 if name == "conv0" else 6 + 4 + 2 * 9, MaxPool2: 1}[type(layer)]
             assert len(arrays) == expected, (name, len(arrays))
             if isinstance(layer, MaxPool2):
-                assert any(a.dtype.kind == "i" for a in arrays), name
+                assert arrays[0].shape == shape and arrays[0].dtype == np.float64, name
         for i in range(1, 4):
             loss(i).backward()
             optimizer.step()
@@ -467,7 +531,7 @@ def test_training_steps_reuse_the_same_workspace_arrays(cnn_spec, rng):
 def test_forward_only_pass_between_steps_leaves_training_unchanged(cnn_spec, mlp_spec, rng):
     from memmeter.engine import SGD
 
-    for spec in (cnn_spec, mlp_spec):  # conv, pool and relu workspaces; relu's alone
+    for spec in (cnn_spec, mlp_spec):  # conv and pool workspaces; none
         shape = (spec.in_channels, spec.height, spec.width)
         batches = [rng.random((4, *shape)) for _ in range(4)]
         probes = [rng.random((1, *shape)), rng.random((4, *shape))]
@@ -528,7 +592,10 @@ def test_evaluation_forward_has_the_bytes_of_a_graph_building_one_and_no_graph(k
 def test_evaluation_forwards_keep_every_workspace_array(kind, batch, request, rng):
     _, machine, (x, y), _ = _eval_case(request, kind, batch, rng)
     trained = _workspace_arrays(machine)
-    assert trained
+    if kind == "mlp":  # relu, its only op between the layers, keeps no workspace
+        assert trained == {} and not any(hasattr(layer, "workspace") for _, layer in machine.backbone)
+    else:
+        assert trained
     for probe in (x, y, x):
         with T.no_graph():
             machine.forward(Tensor(probe))
