@@ -41,8 +41,6 @@ class Linear:
 
 class Conv2d:
     def __init__(self, in_channels, out_channels, rng):
-        self.in_channels = in_channels
-        self.out_channels = out_channels
         shape = (out_channels, in_channels, 3, 3)
         self.weight = Tensor(he_uniform(shape, in_channels * 9, rng), requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)

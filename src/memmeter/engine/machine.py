@@ -1,9 +1,10 @@
 """Machine construction: a backbone feature extractor plus a swappable head.
 
 Three desk-scale machine kinds are supported:
-  linear    -- flatten straight into the classification head
+  linear    -- an mlp with no hidden layers: flatten straight into the head
   mlp       -- flatten, then one or more dense+relu blocks
   small_cnn -- conv3x3/pool/relu twice, then a dense+relu block
+`_build_backbone` works out every width as it builds, the head's input too.
 
 small_cnn pools before its relu: max and relu commute exactly, in values
 and in gradients (a window with a positive maximum has the same winning
@@ -47,29 +48,13 @@ class MachineSpec:
         if self.kind == "small_cnn":
             if len(self.conv_channels) < 1:
                 raise ConfigError("small_cnn needs at least one conv stage")
-            if self.feature_width() < 1:
+            if min(self.height, self.width) < 2 ** len(self.conv_channels):
                 raise ConfigError(
                     f"{self.height}x{self.width} input collapses under "
                     f"{len(self.conv_channels)} pooling stages"
                 )
         if any(w < 1 for w in self.hidden) or any(c < 1 for c in self.conv_channels) or self.fc_width < 1:
             raise ConfigError("layer widths must be positive")
-
-    def flat_inputs(self) -> int:
-        return self.in_channels * self.height * self.width
-
-    def feature_width(self) -> int:
-        """Width of the flattened features the head sees."""
-        if self.kind == "linear":
-            return self.flat_inputs()
-        if self.kind == "mlp":
-            return self.hidden[-1]
-        h, w = self.height, self.width
-        for _ in self.conv_channels:
-            h, w = h // 2, w // 2  # same-pad conv keeps size, pool halves
-        if h < 1 or w < 1:
-            return 0
-        return self.fc_width
 
     def descriptor(self) -> str:
         """Short comma-free identity string recorded in score tables."""
@@ -98,17 +83,9 @@ def parse_machine_spec(machine_cfg, **defaults) -> MachineSpec:
 
 
 def _build_backbone(spec, rng):
+    """The backbone's (name, layer) list and the width of the features it outputs."""
     layers = []
-    if spec.kind == "linear":
-        layers.append(("flatten", Flatten()))
-    elif spec.kind == "mlp":
-        layers.append(("flatten", Flatten()))
-        width = spec.flat_inputs()
-        for i, hidden in enumerate(spec.hidden):
-            layers.append((f"fc{i}", Linear(width, hidden, rng)))
-            layers.append((f"act{i}", ReLU()))
-            width = hidden
-    else:
+    if spec.kind == "small_cnn":
         channels = spec.in_channels
         h, w = spec.height, spec.width
         for i, out_ch in enumerate(spec.conv_channels):
@@ -116,11 +93,18 @@ def _build_backbone(spec, rng):
             layers.append((f"pool{i}", MaxPool2()))
             layers.append((f"convact{i}", ReLU()))
             channels = out_ch
-            h, w = h // 2, w // 2
+            h, w = h // 2, w // 2  # same-pad conv keeps size, pool halves
         layers.append(("flatten", Flatten()))
         layers.append(("fc", Linear(channels * h * w, spec.fc_width, rng)))
         layers.append(("fcact", ReLU()))
-    return layers
+        return layers, spec.fc_width
+    layers.append(("flatten", Flatten()))
+    width = spec.in_channels * spec.height * spec.width
+    for i, hidden in enumerate(spec.hidden):
+        layers.append((f"fc{i}", Linear(width, hidden, rng)))
+        layers.append((f"act{i}", ReLU()))
+        width = hidden
+    return layers, width
 
 
 class Machine:
@@ -157,11 +141,10 @@ class Machine:
 
     def replace_head(self, width: int, seed: int):
         """Install a freshly initialized head; backbone stays untouched."""
-        self.head = Linear(self.spec.feature_width(), width, make_rng(seed))
+        self.head = Linear(self.head.in_features, width, make_rng(seed))
 
 
 def build_machine(spec: MachineSpec, head_width: int, seed: int) -> Machine:
     rng = make_rng(seed)
-    backbone = _build_backbone(spec, rng)
-    head = Linear(spec.feature_width(), head_width, rng)
-    return Machine(spec, backbone, head)
+    backbone, width = _build_backbone(spec, rng)
+    return Machine(spec, backbone, Linear(width, head_width, rng))

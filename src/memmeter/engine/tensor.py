@@ -70,13 +70,14 @@ class Tensor:
     def backward(self):
         """Populate grad on every tracked ancestor of a scalar output.
 
-        Consumes the graph: every node drops its parents and its backward
-        closure, so a second backward() reaches nothing, and a caller that
-        keeps the loss while it builds the next graph (a training loop's
-        last loss) keeps that one node alive rather than the whole graph.
-        Interior nodes also drop their gradients, which may be workspace
-        buffers that the next step overwrites, or an output's gradient that
-        relu masked in place and handed to its input; leaves keep theirs.
+        Consumes the graph as it walks it: each interior node drops its
+        parents, closure and gradient once its closure has run, as its
+        consumers ran before it and nothing reads it again. A second
+        backward() reaches nothing, and a caller that keeps the loss while
+        it builds the next graph (a training loop's last loss) keeps that
+        one node alive. The dropped gradients may be workspace buffers
+        that the next step overwrites, or an output's gradient that relu
+        masked in place and handed to its input; leaves keep theirs.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -85,10 +86,9 @@ class Tensor:
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-        for node in order:
             if node._backward is not None:  # leaves have neither parents nor a closure
+                if node.grad is not None:
+                    node._backward(node.grad)
                 node.grad = None  # an interior gradient may be a workspace buffer
                 node._parents = ()
                 node._backward = None

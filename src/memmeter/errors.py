@@ -1,6 +1,7 @@
 """Exception taxonomy shared by the toolkit and mapped to CLI exit codes, and the
 type check that config values pass before they are used."""
 
+import sys
 import types
 import typing
 
@@ -36,8 +37,8 @@ def check_types(values, annotations, what):
 
     `annotations` maps keys to types (int, float, bool, str, list, dict,
     tuple[int, ...], X | None, classes); keys it lacks are not checked. As in
-    JSON, a float key takes an int; an int key takes neither a float nor a
-    bool, and a tuple key takes a list.
+    JSON, a float key takes an int that a float can hold; an int key takes
+    neither a float nor a bool, and a tuple key takes a list.
     """
     for key, value in values.items():
         expected = annotations.get(key)
@@ -55,4 +56,6 @@ def _has_type(value, expected):
         return isinstance(value, (list, tuple)) and all(_has_type(v, item) for v in value)
     if isinstance(value, bool):
         return expected is bool
-    return isinstance(value, (int, float) if expected is float else expected)
+    if expected is float and isinstance(value, int):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, expected)

@@ -1,4 +1,4 @@
-"""Pixel-based score regressor: a small CNN with a sigmoid output head.
+"""Pixel-based score regressor: a small-CNN `Machine` with a 1-wide sigmoid head.
 
 Trains against measured scores with mean squared error. The training
 settings of RegressionConfig (50 epochs, lr 0.01, batch 16 by default)
@@ -19,7 +19,7 @@ from . import metrics
 from .engine import SGD, Tensor, build_machine, load_into_machine, mse_loss, save_params
 from .engine import tensor as T
 from .engine.tensor import no_graph
-from .engine.machine import MachineSpec, parse_machine_spec
+from .engine.machine import Machine, MachineSpec, parse_machine_spec
 from .data import augment_for_regression
 from .errors import ConfigError, DataFormatError
 from .rng import derive_seed, make_rng
@@ -45,18 +45,16 @@ class RegressionConfig:
             raise ConfigError("test_fraction must be in (0, 1)")
 
 
-class PredictorModel:
-    """Machine with a 1-wide head; outputs squash through a sigmoid."""
+class PredictorModel(Machine):
+    """A Machine with a 1-wide head whose outputs squash through a sigmoid.
+
+    `PredictorModel(machine)` shares `machine`'s spec, backbone and head."""
 
     def __init__(self, machine):
-        self.machine = machine
-
-    @property
-    def spec(self):
-        return self.machine.spec
+        super().__init__(machine.spec, machine.backbone, machine.head)
 
     def forward_scores(self, batch: np.ndarray) -> Tensor:
-        logits = self.machine.forward(Tensor(batch))
+        logits = self.forward(Tensor(batch))
         return T.sigmoid(T.reshape(logits, (batch.shape[0],)))
 
     def predict_batch(self, pixels: np.ndarray) -> np.ndarray:
@@ -64,9 +62,6 @@ class PredictorModel:
         so that results never depend on batching."""
         with no_graph():
             return np.array([float(self.forward_scores(image[None]).data[0]) for image in pixels])
-
-    def parameters(self):
-        return self.machine.parameters()
 
 
 def build_predictor(spec: MachineSpec, seed: int) -> PredictorModel:
@@ -188,5 +183,5 @@ def load_predictor(path) -> PredictorModel:
     except ConfigError as exc:
         raise DataFormatError(f"bad architecture sidecar: {exc}", path=str(meta_path)) from None
     model = build_predictor(spec, seed=0)
-    load_into_machine(model.machine, path)
+    load_into_machine(model, path)
     return model

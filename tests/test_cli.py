@@ -228,18 +228,42 @@ def test_mistyped_config_value_exits_2(tmp_path, ppm_dataset_dir, overrides, key
 def test_non_finite_config_number_exits_2_without_outputs(tmp_path, ppm_dataset_dir, command, overrides, capsys):
     # Python's json reads NaN and Infinity, so a config file can hold them.
     out = tmp_path / "o"
-    if command == "train-predictor":
-        dataset, scores = synth.brightness_scored_images(count=20, seed=17, size=6)
-        data = synth.write_ppm_dataset(dataset, tmp_path / "data")
-        measurer.write_score_csv(ScoreTable(scores, 10, "fixture", "h", 0), tmp_path / "scores.csv")
-        config = tmp_path / "train.json"
-        config.write_text(json.dumps(dict(overrides, epochs=1)))
-        argv = ["--config", str(config), "--scores", str(tmp_path / "scores.csv"), "--data", str(data)]
-    else:
-        argv = ["--config", str(measure_config(tmp_path, **overrides)), "--data", str(ppm_dataset_dir)]
-    assert run_cli(command, *argv, "--out", str(out)) == 2
+    assert run_cli(command, *_config_argv(tmp_path, ppm_dataset_dir, command, overrides), "--out", str(out)) == 2
     assert "finite and nonnegative" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("measure", {"lr_a": 10**400}, "lr_a"),
+        ("measure", {"weight_decay": -(10**400)}, "weight_decay"),
+        ("sweep", {"knob": "lr_a", "values": [0.01, 10**400]}, "lr_a"),
+        ("train-predictor", {"lr": 10**400}, "lr"),
+    ],
+    ids=["measure-lr_a", "measure-weight_decay", "sweep-lr_a", "train-predictor-lr"],
+)
+def test_float_key_given_an_int_too_large_for_a_float_exits_2_without_outputs(
+    tmp_path, ppm_dataset_dir, command, overrides, key, capsys
+):
+    # json reads any integer exactly; float() of one past the float range raises OverflowError.
+    out = tmp_path / "o"
+    assert run_cli(command, *_config_argv(tmp_path, ppm_dataset_dir, command, overrides), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and f"{key!r} must be float" in err
+    assert not out.exists()
+
+
+def _config_argv(tmp_path, ppm_dataset_dir, command, overrides):
+    """`command`'s --config and input flags, for a one-epoch config with `overrides`."""
+    if command != "train-predictor":
+        return ["--config", str(measure_config(tmp_path, **overrides)), "--data", str(ppm_dataset_dir)]
+    dataset, scores = synth.brightness_scored_images(count=20, seed=17, size=6)
+    data = synth.write_ppm_dataset(dataset, tmp_path / "data")
+    measurer.write_score_csv(ScoreTable(scores, 10, "fixture", "h", 0), tmp_path / "scores.csv")
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps(dict(overrides, epochs=1)))
+    return ["--config", str(config), "--scores", str(tmp_path / "scores.csv"), "--data", str(data)]
 
 
 def test_measure_missing_data_exits_2(tmp_path):

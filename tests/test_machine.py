@@ -1,5 +1,7 @@
 """Machine construction, forward contracts, head swaps, checkpoints."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,53 @@ from memmeter.engine import SGD, Tensor, build_machine, load_into_machine, load_
 from memmeter.engine.losses import softmax_cross_entropy
 from memmeter.engine.machine import MachineSpec
 from memmeter.errors import ConfigError, DataFormatError
+from memmeter.predictor import build_predictor
+
+SPECS = {
+    "linear": MachineSpec(kind="linear", in_channels=3, height=6, width=5),
+    "mlp": MachineSpec(kind="mlp", in_channels=2, height=5, width=6, hidden=(7, 5)),
+    "small_cnn-1": MachineSpec(kind="small_cnn", in_channels=3, height=7, width=6, conv_channels=(4,), fc_width=9),
+    "small_cnn-2": MachineSpec(kind="small_cnn", in_channels=3, height=12, width=10, conv_channels=(4, 6), fc_width=8),
+}
+
+# sha256 over each parameter's name, shape and bytes. Every score depends on these
+# initial draws, so a rebuilt machine must draw the same values in the same order.
+PARAMETER_DIGESTS = {
+    "linear": "716128abfd6894b4b36d91522214a3c47329b6369c53cf91ce2ffb175202a100",
+    "mlp": "d3c1849d02fd7bf116e6aef5c72bf48137c30d4d9112ccc8e28b1daeb8ced055",
+    "small_cnn-1": "094c0b8e588eaef53336521b01152b4062f2ad60ede5eedd9d02d4a31cc01310",
+    "small_cnn-2": "457e827c74c1eacfbb481c0ace78137819ef7097fad0ac224fc1ef10bed654b1",
+    "predictor": "ceaf5285e87ffd49cf0bb313cc459201e23632b758d117549cebdc71f1a87686",
+}
+
+
+def _parameter_digest(params):
+    digest = hashlib.sha256()
+    for name, tensor in params:
+        digest.update(f"{name}{tensor.data.shape}".encode())
+        digest.update(tensor.data.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(PARAMETER_DIGESTS))
+def test_initial_parameters_are_pinned(kind):
+    if kind == "predictor":
+        model = build_predictor(SPECS["small_cnn-2"], seed=5)
+    else:
+        model = build_machine(SPECS[kind], 4, seed=5)
+    assert _parameter_digest(model.parameters()) == PARAMETER_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_head_reads_the_flattened_backbone_width(kind, rng):
+    spec = SPECS[kind]
+    machine = build_machine(spec, 4, seed=1)
+    features = Tensor(rng.random((2, spec.in_channels, spec.height, spec.width)))
+    for _, layer in machine.backbone:
+        features = layer.forward(features)
+    assert features.data.shape == (2, machine.head.in_features)
+    machine.replace_head(2, seed=3)
+    assert (machine.head.in_features, machine.head.out_features) == (features.data.shape[1], 2)
 
 
 def test_linear_machine_with_zero_weights_maps_to_zero(rng):
@@ -77,6 +126,10 @@ def test_spec_validation():
         MachineSpec(kind="mlp", hidden=())
     with pytest.raises(ConfigError):
         MachineSpec(kind="small_cnn", height=2, width=2)  # collapses under pooling
+    assert build_machine(MachineSpec(kind="small_cnn", height=4, width=4), 4, seed=1).head.in_features == 64
+    for height, width in ((3, 8), (8, 3)):
+        with pytest.raises(ConfigError, match=f"{height}x{width} input collapses under 2 pooling stages"):
+            MachineSpec(kind="small_cnn", height=height, width=width)
 
 
 def test_small_cnn_has_conv_and_pool(cnn_spec):

@@ -91,6 +91,22 @@ def test_perfbench_tracer_records_both_spans_of_every_timed_engine_op():
     assert not any(name.endswith(".bwd") for name in evaluated)
 
 
+def test_perfbench_tracer_times_the_predictor_forward_under_forward_scores():
+    # The tracer patches forward on Machine; the predictor, a subclass, must reach that patch.
+    module = _load_tracer()
+    model = predictor.build_predictor(MachineSpec(kind="small_cnn", in_channels=3, height=8, width=8), seed=2)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        model.forward_scores(np.random.default_rng(6).random((2, 3, 8, 8)))
+        spans = list(tracer.spans)
+    finally:
+        tracer.restore()
+    outer = [i for i, span in enumerate(spans) if span[0] == "predictor.forward_scores.batch2"]
+    assert len(outer) == 1
+    assert [span[3] for span in spans if span[0] == "engine.Machine.forward"] == outer
+
+
 def test_perfbench_tracer_records_the_attribute_spans():
     # Traced runs and --smoke read these spans by name; compute_attributes must keep
     # calling hsv_stats and global_contrast through the module, where the tracer patches them.

@@ -9,7 +9,7 @@ import pytest
 import synth
 from memmeter.data import Dataset, _sample_erase_rect, augment_for_regression, load_ppm_dir
 from memmeter.engine import SGD, mse_loss, save_params
-from memmeter.engine.machine import MachineSpec
+from memmeter.engine.machine import Machine, MachineSpec
 from memmeter.errors import ConfigError
 from memmeter.measurer import ScoreTable
 from memmeter.metrics import spearman
@@ -272,8 +272,9 @@ def test_save_load_roundtrip(tmp_path, scored_fixture):
     path = tmp_path / "predictor.mmt1"
     save_predictor(model, path)
     loaded = load_predictor(path)
+    assert isinstance(model, Machine) and isinstance(loaded, Machine)
     pixels = dataset.batch(dataset.ids[:5])
-    assert np.array_equal(model.predict_batch(pixels), loaded.predict_batch(pixels))
+    assert model.predict_batch(pixels).tobytes() == loaded.predict_batch(pixels).tobytes()
 
 
 def test_load_accepts_sidecar_with_relu_activation_key(tmp_path, scored_fixture):

@@ -499,7 +499,7 @@ def test_training_steps_reuse_the_same_workspace_arrays(cnn_spec, rng):
     model = build_predictor(cnn_spec, seed=2)
     machine = build_machine(cnn_spec, 4, seed=3)
     steps = {
-        "predictor": (model.machine, SGD(model.parameters(), lr=0.01, weight_decay=0.0, total_steps=4),
+        "predictor": (model, SGD(model.parameters(), lr=0.01, weight_decay=0.0, total_steps=4),
                       lambda i: mse_loss(model.forward_scores(images[rng.permutation(16)]), rng.random(16))),
         "rotation": (machine, SGD(machine.parameters(), lr=0.01, total_steps=4),
                      lambda i: rotation_loss(machine, rotated_batch(images[i]))),
