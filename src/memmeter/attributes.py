@@ -2,6 +2,25 @@
 
 Grayscale conversion uses Rec.601 luma (0.299/0.587/0.114) throughout.
 All attributes are computed on native-resolution pixels.
+
+`compute_attributes` is the one entry that takes an ImageTensor. It
+computes the gray plane once and hands it to `global_contrast` and
+`entropy`; `hsv_stats` and `colorfulness` take the (3, H, W) pixels.
+
+A 32x32 image's statistics are a few dozen numpy calls on small arrays,
+so the pass costs what those calls dispatch, and each statistic makes only
+the calls its arithmetic needs. Every rounded operation stays the same
+operation on the same operands, so an attribute keeps its bytes:
+- a mean is `np.add.reduce(a, axis=None) / a.size`, which is what
+  `ndarray.mean` computes, without its Python wrapper;
+- hue starts from `np.select`'s default branch and copies the other two
+  onto it in `np.select`'s order;
+- contrast keeps one plan per level shape, like `_block_plan`: a function
+  over buffers and views built once. A level's gaps go into zero-bordered
+  gap buffers, so each pixel's gap sum is whole-array adds in one fixed
+  order, and a missing neighbor adds the border's +0.0, which is exact.
+  Every caller in a process writes the same buffers, so two threads must
+  not compute contrast at once; the program computes attributes in one.
 """
 
 from __future__ import annotations
@@ -15,6 +34,7 @@ import numpy as np
 from . import report
 
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
+_LUMA_ROW = LUMA_WEIGHTS.reshape(1, 3)
 
 # Per-resolution weights of the global contrast factor, i = 1..9.
 GCF_LEVELS = 9
@@ -23,6 +43,9 @@ GCF_LEVELS = 9
 def _gcf_weight(i: int) -> float:
     x = i / GCF_LEVELS
     return (-0.406385 * x + 0.334573) * x + 0.0877526
+
+
+GCF_WEIGHTS = tuple(_gcf_weight(i) for i in range(1, GCF_LEVELS + 1))
 
 
 @dataclass
@@ -42,35 +65,49 @@ ATTRIBUTE_NAMES = tuple(f.name for f in fields(AttributeVector))
 
 
 def grayscale(pixels: np.ndarray) -> np.ndarray:
-    return pixels[0] if pixels.shape[0] == 1 else np.tensordot(LUMA_WEIGHTS, pixels, axes=1)
+    """The (H, W) luma plane of (C, H, W) pixels: the one channel, or Rec.601 of three."""
+    if pixels.shape[0] == 1:
+        return pixels[0]
+    # np.tensordot(LUMA_WEIGHTS, pixels, axes=1), without its Python wrapper: the same dot
+    # of the same (1, 3) and (3, H*W) operands, so a channel-last image keeps its rounding.
+    return np.dot(_LUMA_ROW, pixels.reshape(3, -1)).reshape(pixels.shape[1:])
 
 
-def hsv_stats(image) -> tuple:
-    """Mean hue (circular, degrees), saturation, and value of an RGB image.
+def _mean(a: np.ndarray) -> float:
+    # What ndarray.mean computes, without its Python wrapper.
+    return float(np.add.reduce(a, axis=None) / a.size)
+
+
+def hsv_stats(pixels: np.ndarray) -> tuple:
+    """Mean hue (circular, degrees), saturation, and value of (3, H, W) RGB pixels.
 
     Achromatic pixels carry no hue; when every pixel is achromatic (or
     hues cancel) the mean hue is undefined and returned as None.
     """
-    r, g, b = image.pixels
+    r, g, b = pixels
     mx = np.maximum(np.maximum(r, g), b)
-    mn = np.minimum(np.minimum(r, g), b)
-    delta = mx - mn
+    delta = mx - np.minimum(np.minimum(r, g), b)
     chromatic = delta > 0
     safe = np.where(chromatic, delta, 1.0)
-    hue = np.select(
-        [mx == r, mx == g],
-        [np.mod((g - b) / safe, 6.0), (b - r) / safe + 2.0],
-        default=(r - g) / safe + 4.0,
-    ) * 60.0
-    radians = np.deg2rad(hue)
-    resultant_x = float(np.where(chromatic, np.cos(radians), 0.0).mean())
-    resultant_y = float(np.where(chromatic, np.sin(radians), 0.0).mean())
+    # np.select's order: the default branch, then each branch where its condition
+    # holds, last condition first, so red wins a tie with green.
+    hue = (r - g) / safe + 4.0
+    np.copyto(hue, (b - r) / safe + 2.0, where=mx == g)
+    red_max = (g - b) / safe
+    # np.mod(red_max, 6.0) where red is the maximum: there red_max is in [-1, 1], where
+    # numpy's floor modulo is the value itself, or the value + 6.0 below zero.
+    np.add(red_max, 6.0, out=red_max, where=red_max < 0.0)
+    np.copyto(hue, red_max, where=mx == r)
+    hue *= 60.0
+    radians = np.deg2rad(hue, out=hue)
+    resultant_x = _mean(np.where(chromatic, np.cos(radians), 0.0))
+    resultant_y = _mean(np.where(chromatic, np.sin(radians, out=radians), 0.0))
     if np.hypot(resultant_x, resultant_y) < 1e-9:
         mean_hue = None
     else:
         mean_hue = float(np.rad2deg(np.arctan2(resultant_y, resultant_x)) % 360.0)
-    saturation = np.where(mx > 0, delta / np.where(mx > 0, mx, 1.0), 0.0)
-    return mean_hue, float(saturation.mean()), float(mx.mean())
+    saturation = np.divide(delta, mx, out=np.zeros_like(mx), where=mx > 0)
+    return mean_hue, _mean(saturation), _mean(mx)
 
 
 @lru_cache(maxsize=64)
@@ -92,77 +129,86 @@ def _block_average(arr: np.ndarray) -> np.ndarray:
     return sums / counts
 
 
-# Where each gap lands: every gap counts for both pixels of its pair, the one
-# below (right of) it and the one above (left of) it.
-_GAP_TARGETS = (np.s_[1:], np.s_[:-1], np.s_[:, 1:], np.s_[:, :-1])
-
-
 @lru_cache(maxsize=64)
-def _neighbor_count(shape):
-    """How many 4-neighbors each pixel of an image of this shape has."""
-    count = np.zeros(shape)
-    for target in _GAP_TARGETS:
-        count[target] += 1
-    count.flags.writeable = False
-    return count
+def _level_plan(shape):
+    """Mean local contrast at one level shape: the average over pixels of the mean
+    absolute luminance gap to their 4-neighbors.
+
+    Returned as a function of the level's linear gray plane, over buffers and views
+    built once per shape: lum, the diff sum, the neighbor count, and vertical and
+    horizontal gap buffers one row (column) longer than lum, whose zero border
+    rows (columns) are never written. Every call overwrites the rest.
+    """
+    h, w = shape
+    lum, diff_sum = np.empty(shape), np.empty(shape)
+    count = np.full(shape, 4.0)
+    for edge in (np.s_[0], np.s_[-1], np.s_[:, 0], np.s_[:, -1]):
+        count[edge] -= 1.0
+    vertical, horizontal = np.zeros((h + 1, w)), np.zeros((h, w + 1))
+    below, above, vertical_gaps = lum[1:], lum[:-1], vertical[1:-1]
+    right, left, horizontal_gaps = lum[:, 1:], lum[:, :-1], horizontal[:, 1:-1]
+    up, down, from_left, from_right = vertical[:-1], vertical[1:], horizontal[:, :-1], horizontal[:, 1:]
+
+    def mean_local_contrast(linear):
+        np.multiply(np.sqrt(linear, out=lum), 100.0, out=lum)
+        np.abs(np.subtract(below, above, out=vertical_gaps), out=vertical_gaps)
+        np.abs(np.subtract(right, left, out=horizontal_gaps), out=horizontal_gaps)
+        # Each pixel adds its gaps up, down, left, right, in that order, which fixes the
+        # rounding; a missing neighbor's gap is the border's +0.0, which adds exactly.
+        np.add(np.add(np.add(up, down, out=diff_sum), from_left, out=diff_sum), from_right, out=diff_sum)
+        return _mean(np.divide(diff_sum, count, out=diff_sum))
+
+    return mean_local_contrast
 
 
-def _mean_local_contrast(linear: np.ndarray) -> float:
-    """Average over pixels of the mean absolute luminance gap to 4-neighbors."""
-    lum = 100.0 * np.sqrt(linear)
-    vertical, horizontal = np.abs(np.diff(lum, axis=0)), np.abs(np.diff(lum, axis=1))
-    diff_sum = np.zeros(lum.shape)
-    # Adding up, down, left, right in this order fixes the rounding.
-    for target, gaps in zip(_GAP_TARGETS, (vertical, vertical, horizontal, horizontal)):
-        diff_sum[target] += gaps
-    return float((diff_sum / _neighbor_count(lum.shape)).mean())
-
-
-def global_contrast(image) -> float:
-    """Multi-resolution global contrast factor.
+def global_contrast(gray: np.ndarray) -> float:
+    """Multi-resolution global contrast factor of an (H, W) linear gray plane.
 
     Luminance is 100*sqrt(linear gray); local contrast is averaged over
     9 superpixel levels obtained by factor-2 block averaging of the
     linear image, weighted per level. Levels smaller than 2x2 contribute 0.
     """
-    linear = grayscale(image.pixels)
+    if min(gray.shape) < 2:
+        return 0.0
+    linear = gray
     total = 0.0
-    for level in range(1, GCF_LEVELS + 1):
-        if min(linear.shape) < 2:
-            break  # block averaging never grows a side, so no later level counts either
-        total += _gcf_weight(level) * _mean_local_contrast(linear)
+    for weight in GCF_WEIGHTS:
+        total += weight * _level_plan(linear.shape)(linear)
+        if min(linear.shape) < 3:
+            break  # the next level, half this one rounded up, is under 2x2, and so is every later one
         linear = _block_average(linear)
     return total
 
 
-def colorfulness(image) -> float:
-    """Opponent-channel colorfulness on the 0-255 scale."""
-    r, g, b = image.pixels * 255.0
+def colorfulness(pixels: np.ndarray) -> float:
+    """Opponent-channel colorfulness of (3, H, W) RGB pixels, on the 0-255 scale."""
+    r, g, b = pixels * 255.0
     rg = r - g
     yb = 0.5 * (r + g) - b
     std_term = np.sqrt(rg.std() ** 2 + yb.std() ** 2)
-    mean_term = np.sqrt(rg.mean() ** 2 + yb.mean() ** 2)
+    mean_term = np.sqrt(_mean(rg) ** 2 + _mean(yb) ** 2)
     return float(std_term + 0.3 * mean_term)
 
 
-def entropy(image) -> float:
-    """Shannon entropy (bits) of the 256-bin 8-bit grayscale histogram."""
-    gray = grayscale(image.pixels)
+def entropy(gray: np.ndarray) -> float:
+    """Shannon entropy (bits) of the 256-bin 8-bit histogram of an (H, W) gray plane."""
     levels = np.floor(gray * 255.0 + 0.5).astype(np.int64)  # round half up
     counts = np.bincount(levels.ravel(), minlength=256)
     probs = counts[counts > 0] / levels.size
-    return float(-(probs * np.log2(probs)).sum())
+    return float(-np.add.reduce(probs * np.log2(probs)))
 
 
 def compute_attributes(image) -> AttributeVector:
-    hue, saturation, value = hsv_stats(image)
+    """All six attributes of an ImageTensor, from one gray plane."""
+    gray = grayscale(image.pixels)
+    hue, saturation, value = hsv_stats(image.pixels)
     return AttributeVector(
         hue=hue,
         saturation=saturation,
         value=value,
-        contrast=global_contrast(image),
-        colorfulness=colorfulness(image),
-        entropy=entropy(image),
+        contrast=global_contrast(gray),
+        colorfulness=colorfulness(image.pixels),
+        entropy=entropy(gray),
     )
 
 

@@ -16,8 +16,8 @@ import pytest
 import synth
 from memmeter import cli, measurer
 from memmeter.analysis import consistency_matrix
-from memmeter.attributes import colorfulness, compute_attributes, entropy, global_contrast
-from memmeter.data import ImageTensor, rotate_pixels
+from memmeter.attributes import colorfulness, compute_attributes, entropy, global_contrast, grayscale
+from memmeter.data import rotate_pixels
 from memmeter.engine import Tensor, build_machine
 from memmeter.engine import tensor as T
 from memmeter.engine.losses import mse_loss, rotated_batch, softmax_cross_entropy
@@ -222,14 +222,14 @@ def test_rotation_group():
 
 def test_attribute_oracles():
     with criterion("attribute-oracles"):
-        constant = ImageTensor("c", np.full((3, 6, 6), 0.37))
-        assert entropy(constant) == 0.0
+        constant = np.full((3, 6, 6), 0.37)
+        assert entropy(grayscale(constant)) == 0.0
         assert colorfulness(constant) == 0.0
-        assert global_contrast(constant) == 0.0
+        assert global_contrast(grayscale(constant)) == 0.0
 
         levels = np.arange(256, dtype=np.float64) / 255.0
-        uniform = ImageTensor("u", np.tile(levels.reshape(1, 16, 16), (3, 1, 1)))
-        assert entropy(uniform) == 8.0
+        uniform = np.tile(levels.reshape(1, 16, 16), (3, 1, 1))
+        assert entropy(grayscale(uniform)) == 8.0
 
         from test_attributes import gcf_weight
 

@@ -1,16 +1,19 @@
-"""Attribute extraction against scalar-loop and hand-computed oracles."""
+"""Attribute extraction against scalar-loop and hand-computed oracles, and its pinned bytes."""
 
 import colorsys
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from memmeter.attributes import (
+    LUMA_WEIGHTS,
     colorfulness,
     compute_attributes,
     entropy,
     global_contrast,
+    grayscale,
     hsv_stats,
     read_attribute_csv,
     write_attribute_csv,
@@ -29,14 +32,14 @@ def solid(r, g, b, size=4):
 # --- HSV -------------------------------------------------------------------------
 
 def test_pure_red():
-    hue, saturation, value = hsv_stats(solid(1.0, 0.0, 0.0))
+    hue, saturation, value = hsv_stats(solid(1.0, 0.0, 0.0).pixels)
     assert hue == 0.0
     assert saturation == 1.0
     assert value == 1.0
 
 
 def test_uniform_gray_has_undefined_hue():
-    hue, saturation, value = hsv_stats(solid(0.5, 0.5, 0.5))
+    hue, saturation, value = hsv_stats(solid(0.5, 0.5, 0.5).pixels)
     assert hue is None
     assert saturation == 0.0
     assert value == 0.5
@@ -44,7 +47,7 @@ def test_uniform_gray_has_undefined_hue():
 
 def test_hsv_matches_colorsys_loop_oracle(rng):
     image = random_image("x", rng, size=4)
-    hue, saturation, value = hsv_stats(image)
+    hue, saturation, value = hsv_stats(image.pixels)
 
     sats, vals, vectors = [], [], []
     _, height, width = image.pixels.shape
@@ -74,21 +77,20 @@ def gcf_weight(i):
 
 
 def test_constant_image_has_zero_contrast():
-    assert global_contrast(solid(0.3, 0.3, 0.3)) == 0.0
+    assert global_contrast(grayscale(solid(0.3, 0.3, 0.3).pixels)) == 0.0
 
 
 def test_single_pixel_has_zero_contrast():
-    assert global_contrast(ImageTensor("p", np.full((1, 1, 1), 0.7))) == 0.0
+    assert global_contrast(np.full((1, 1), 0.7)) == 0.0
 
 
 def test_checkerboard_matches_two_level_hand_oracle():
-    pixels = np.array([[[1.0, 0.0], [0.0, 1.0]]])
-    image = ImageTensor("cb", pixels)
+    gray = np.array([[1.0, 0.0], [0.0, 1.0]])
     # level 1: luminance 100*sqrt({1,0}); every pixel has two neighbors,
     # each differing by 100, so the mean local contrast is 100.
     # level 2 collapses to 1x1 and contributes zero, as do levels 3..9.
     expected = gcf_weight(1) * 100.0
-    assert global_contrast(image) == pytest.approx(expected, abs=1e-12)
+    assert global_contrast(gray) == pytest.approx(expected, abs=1e-12)
 
 
 def test_contrast_matches_scalar_loop_oracle(rng):
@@ -123,14 +125,14 @@ def test_contrast_matches_scalar_loop_oracle(rng):
         if min(current.shape) >= 2:
             expected += gcf_weight(level) * level_contrast(current)
         current = shrink(current)
-    assert global_contrast(image) == pytest.approx(expected, abs=1e-9)
+    assert global_contrast(grayscale(image.pixels)) == pytest.approx(expected, abs=1e-9)
 
 
-def four_direction_global_contrast(image):
+def four_direction_global_contrast(gray):
     """The global contrast factor with each pixel's gaps taken one direction at a time."""
-    from memmeter.attributes import _block_average, grayscale
+    from memmeter.attributes import _block_average
 
-    linear = grayscale(image.pixels)
+    linear = gray
     total = 0.0
     for level in range(1, 10):
         if min(linear.shape) >= 2:
@@ -157,8 +159,8 @@ def four_direction_global_contrast(image):
 def test_contrast_has_the_bytes_of_the_four_direction_formula(shape, rng):
     # A different summation order changes the last bit of about one image in seven.
     for k in range(20):
-        image = ImageTensor("x", rng.random((1 + 2 * (k % 2), *shape)))
-        assert np.float64(global_contrast(image)).tobytes() == np.float64(four_direction_global_contrast(image)).tobytes()
+        gray = grayscale(rng.random((1 + 2 * (k % 2), *shape)))
+        assert np.float64(global_contrast(gray)).tobytes() == np.float64(four_direction_global_contrast(gray)).tobytes()
 
 
 # --- colorfulness ---------------------------------------------------------------------
@@ -166,7 +168,7 @@ def test_contrast_has_the_bytes_of_the_four_direction_formula(shape, rng):
 def test_gray_images_have_zero_colorfulness(rng):
     gray = rng.random((4, 4))
     image = ImageTensor("g", np.stack([gray, gray, gray]))
-    assert colorfulness(image) == 0.0
+    assert colorfulness(image.pixels) == 0.0
 
 
 def test_half_red_half_green_matches_direct_formula():
@@ -185,7 +187,7 @@ def test_half_red_half_green_matches_direct_formula():
     expected = math.sqrt(rg.std() ** 2 + yb.std() ** 2) + 0.3 * math.sqrt(
         rg.mean() ** 2 + yb.mean() ** 2
     )
-    assert colorfulness(image) == pytest.approx(expected, abs=1e-9)
+    assert colorfulness(pixels) == pytest.approx(expected, abs=1e-9)
 
 
 def test_colorfulness_invariant_under_pixel_permutation(rng):
@@ -193,19 +195,19 @@ def test_colorfulness_invariant_under_pixel_permutation(rng):
     flat = image.pixels.reshape(3, -1)
     perm = rng.permutation(flat.shape[1])
     shuffled = ImageTensor("y", flat[:, perm].reshape(image.pixels.shape))
-    assert colorfulness(shuffled) == pytest.approx(colorfulness(image), abs=1e-12)
+    assert colorfulness(shuffled.pixels) == pytest.approx(colorfulness(image.pixels), abs=1e-12)
 
 
 # --- entropy ---------------------------------------------------------------------------
 
 def test_constant_image_entropy_zero():
-    assert entropy(solid(0.42, 0.42, 0.42)) == 0.0
+    assert entropy(grayscale(solid(0.42, 0.42, 0.42).pixels)) == 0.0
 
 
 def test_uniform_256_levels_has_entropy_exactly_8():
     levels = np.arange(256, dtype=np.float64) / 255.0
     image = ImageTensor("u", np.tile(levels.reshape(1, 16, 16), (3, 1, 1)))
-    assert entropy(image) == 8.0
+    assert entropy(grayscale(image.pixels)) == 8.0
 
 
 def test_entropy_matches_histogram_oracle(rng):
@@ -217,7 +219,7 @@ def test_entropy_matches_histogram_oracle(rng):
         counts[level] = counts.get(level, 0) + 1
     total = gray.size
     expected = -sum((c / total) * math.log2(c / total) for c in counts.values())
-    assert entropy(image) == pytest.approx(expected, abs=1e-12)
+    assert entropy(grayscale(image.pixels)) == pytest.approx(expected, abs=1e-12)
 
 
 # --- shared properties --------------------------------------------------------------------
@@ -243,9 +245,9 @@ def test_permutation_invariance_except_contrast(rng):
     flat = image.pixels.reshape(3, -1)
     perm = rng.permutation(flat.shape[1])
     shuffled = ImageTensor("y", flat[:, perm].reshape(image.pixels.shape))
-    assert entropy(shuffled) == pytest.approx(entropy(image), abs=1e-12)
-    _, s1, v1 = hsv_stats(image)
-    _, s2, v2 = hsv_stats(shuffled)
+    assert entropy(grayscale(shuffled.pixels)) == pytest.approx(entropy(grayscale(image.pixels)), abs=1e-12)
+    _, s1, v1 = hsv_stats(image.pixels)
+    _, s2, v2 = hsv_stats(shuffled.pixels)
     assert (s1, v1) == pytest.approx((s2, v2), abs=1e-12)
     # global contrast is spatial: no equality asserted
 
@@ -254,9 +256,83 @@ def test_value_complement_for_grayscale(rng):
     gray = rng.random((5, 5))
     image = ImageTensor("g", np.stack([gray] * 3))
     inverse = ImageTensor("gi", np.stack([1.0 - gray] * 3))
-    _, _, value = hsv_stats(image)
-    _, _, value_inv = hsv_stats(inverse)
+    _, _, value = hsv_stats(image.pixels)
+    _, _, value_inv = hsv_stats(inverse.pixels)
     assert value == pytest.approx(1.0 - value_inv, abs=1e-12)
+
+
+# --- pinned bytes ------------------------------------------------------------------------
+
+PIN_SIZES = ((2, 2), (2, 3), (3, 2), (3, 3), (4, 7), (5, 5), (8, 8), (9, 16), (12, 12), (13, 11), (16, 16), (17, 31), (32, 32), (33, 20), (33, 33))
+
+
+@pytest.mark.parametrize("order", ["chw", "hwc"])
+def test_grayscale_has_the_bytes_of_tensordot(order, rng):
+    # A channel-last (PPM-like) array rounds differently from a C-order copy, so
+    # grayscale must make tensordot's own dot of the same operands.
+    for h, w in PIN_SIZES:
+        pixels = rng.random((3, h, w)) if order == "chw" else rng.random((h, w, 3)).transpose(2, 0, 1)
+        assert grayscale(pixels).tobytes() == np.tensordot(LUMA_WEIGHTS, pixels, axes=1).tobytes()
+
+
+def pinned_images():
+    """Seeded (name, pixels) cases: every size in both memory orders, PPM-like channel-last
+    and CIFAR-like C-order, with continuous, 8-bit and coarse samples (many ties between
+    channels), an achromatic block, all-grey and all-black; then 1-channel planes."""
+    rng = np.random.default_rng(2011)
+    for h, w in PIN_SIZES:
+        for order in ("hwc", "chw"):
+            samples = {
+                "continuous": rng.random((3, h, w)),
+                "8bit": rng.integers(0, 256, (3, h, w)) / 255.0,
+                "coarse": rng.integers(0, 4, (3, h, w)) / 3.0,
+                "grey": np.full((3, h, w), 0.5),
+                "black": np.zeros((3, h, w)),
+            }
+            achromatic = rng.integers(0, 256, (3, h, w)) / 255.0
+            achromatic[1:, : (h + 1) // 2] = achromatic[0, : (h + 1) // 2]
+            samples["achromatic"] = achromatic
+            for kind, pixels in samples.items():
+                if order == "hwc":
+                    pixels = np.ascontiguousarray(pixels.transpose(1, 2, 0)).transpose(2, 0, 1)
+                yield f"{kind}-{order}-{h}x{w}", pixels
+        yield f"gray-{h}x{w}", rng.random((1, h, w))
+        yield f"gray8bit-{h}x{w}", rng.integers(0, 256, (1, h, w)) / 255.0
+
+
+def pinned_attributes(pixels):
+    """{attribute: value} of one case: all six for RGB, contrast and entropy for one channel."""
+    if len(pixels) == 3:
+        return compute_attributes(ImageTensor("pin", pixels)).as_row()
+    return {"contrast": global_contrast(pixels[0]), "entropy": entropy(pixels[0])}
+
+
+# sha256 over each case's name and value bytes, per attribute (an undefined hue hashes as "None").
+ATTRIBUTE_DIGESTS = {
+    "hue": "b31300078cb7c7140bf97d274e893cc089b4a0481f5a715fc106d8c5bd810a16",
+    "saturation": "95d452c650055223274fd9d5ecce13aecac52c0634d0a5272cf0b9bbe0ae5c90",
+    "value": "d8792eeb60ca663cc29818d9e84b15548820bd34d321f13b8c5ef299341b1738",
+    "contrast": "d2d76bae8d96cc8fd51936f0be1f2628bdc7939b4c61e380fc253d92b32079f3",
+    "colorfulness": "71b8399e2f1d6e23014600c554c71b64c2a30d67554738f0b211cc648770f81a",
+    "entropy": "dbbcd231c076c96065797659b6ccef689015378e026f99cb58b4ebd4d7f96fa3",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_digests():
+    digests = {name: hashlib.sha256() for name in ATTRIBUTE_DIGESTS}
+    for case, pixels in pinned_images():
+        for name, value in pinned_attributes(pixels).items():
+            digests[name].update(case.encode())
+            digests[name].update(b"None" if value is None else np.float64(value).tobytes())
+    return {name: digest.hexdigest() for name, digest in digests.items()}
+
+
+@pytest.mark.parametrize("name", sorted(ATTRIBUTE_DIGESTS))
+def test_attribute_bytes_are_pinned(name, pinned_digests):
+    # Every attribute float is a fixed sequence of rounded numpy operations; a rewrite
+    # that reorders one of them moves these digests, and attributes.csv with them.
+    assert pinned_digests[name] == ATTRIBUTE_DIGESTS[name]
 
 
 # --- CSV round trip --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from memmeter.engine import SGD, Tensor, build_machine, load_into_machine, load_
 from memmeter.engine.losses import softmax_cross_entropy
 from memmeter.engine.machine import MachineSpec
 from memmeter.errors import ConfigError, DataFormatError
+from memmeter.measurer import seen_loss
 from memmeter.predictor import build_predictor
 
 SPECS = {
@@ -44,6 +45,27 @@ def test_initial_parameters_are_pinned(kind):
     else:
         model = build_machine(SPECS[kind], 4, seed=5)
     assert _parameter_digest(model.parameters()) == PARAMETER_DIGESTS[kind]
+
+
+# The same digest after six stage-(b) steps (batch of one image, 2-way head) of a
+# default small_cnn: PPM-like channel-last pixels at 12x12, CIFAR-like C-order at 32x32.
+TRAINED_DIGESTS = {
+    12: "614e4e1ccd13667910b1e32d5e26875e9e0199994ce7277b1b14760bf8a2e7f4",
+    32: "8fab74d683e0ef6cf2180aee648bfc9cb73c2c65fd9c0f1fb02c5fb3e8c1e00e",
+}
+
+
+@pytest.mark.parametrize("size", sorted(TRAINED_DIGESTS))
+def test_batch1_training_steps_are_pinned(size):
+    machine = build_machine(MachineSpec(kind="small_cnn", in_channels=3, height=size, width=size), 4, seed=5)
+    machine.replace_head(2, seed=6)
+    optimizer = SGD(machine.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4, total_steps=6)
+    rng = np.random.default_rng(size)
+    pixels = rng.random((6, size, size, 3)).transpose(0, 3, 1, 2) if size == 12 else rng.random((6, 3, size, size))
+    for k, image in enumerate(pixels):
+        seen_loss(machine, image, k % 2).backward()
+        optimizer.step()
+    assert _parameter_digest(machine.parameters()) == TRAINED_DIGESTS[size]
 
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
