@@ -2,15 +2,17 @@
 
 Images are channel-major float64 arrays with values in [0, 1]. A Dataset holds
 its images as the samples its loader read, 8-bit for both file formats, with
-one scale per image, converted to `samples / scale` when asked for: one image
-as a read-only array in an ImageTensor, a plain (id, pixels) record, for the
+one scale per image, converted to `samples / scale` into a new array when
+asked for: one image in an ImageTensor, a plain (id, pixels) record, for the
 callers that go image by image (attributes, predict, write_ppm); several as
-one writable (k, C, H, W) array, for a predictor training batch, which
+one (k, C, H, W) array, for a predictor training batch, which
 `augment_for_regression` changes in place, and for an episode's images, which
-the measurer's stages take as slices. One range rule, every sample finite and
-in [0, scale] of its image, checks pixels where they enter the program, over a
-Dataset's samples (every loader builds one), and where they leave it, in
-`write_ppm` at scale 1.0; what a Dataset hands out is not checked again.
+the measurer's stages take as slices. The episode sampler only draws ids from
+outside set A; which draw joins which set is the measurer's. One range rule,
+every sample finite and in [0, scale] of its image, checks pixels where they
+enter the program, over a Dataset's samples (every loader builds one), and
+where they leave it, in `write_ppm` at scale 1.0; what a Dataset hands out is
+not checked again.
 Rotations are exact counterclockwise pixel permutations. `load_dataset` alone
 picks a path's on-disk format: CIFAR-10 binary batches (1 label byte + 3072
 pixel bytes per record, scale 255), or binary PPM (P6, maxval <= 255, scale
@@ -61,9 +63,9 @@ class Dataset:
     samples they read, with the file's maxval (255 for CIFAR) as the scale,
     and an array of [0, 1] pixels is its own samples at the default scale
     1.0, whose division is exact. `image()` and iteration convert one image
-    at a time into a new read-only float64 array, and `batch()` converts
-    several into one new writable array; both keep the samples' memory
-    order. The samples are taken over as they are and made read-only.
+    at a time into a new float64 array, and `batch()` converts several into
+    one new array; both keep the samples' memory order. The samples are
+    taken over as they are and made read-only.
     """
 
     def __init__(self, ids, samples, scale=1.0, source=""):
@@ -89,23 +91,18 @@ class Dataset:
         return image_id in self._rows
 
     def __iter__(self):
-        return map(ImageTensor, self.ids, map(self._pixels, range(len(self.ids))))
+        return map(ImageTensor, self.ids, map(self._convert, range(len(self.ids))))
 
     @property
     def dims(self):
         return self.samples.shape[1:]
 
     def image(self, image_id: str) -> ImageTensor:
-        return ImageTensor(image_id, self._pixels(self._rows[image_id]))
+        return ImageTensor(image_id, self._convert(self._rows[image_id]))
 
     def batch(self, ids) -> np.ndarray:
-        """The images `ids`, in order, as one new writable (k, C, H, W) array."""
+        """The images `ids`, in order, as one new (k, C, H, W) array."""
         return self._convert([self._rows[image_id] for image_id in ids])
-
-    def _pixels(self, row):
-        pixels = self._convert(row)
-        pixels.flags.writeable = False
-        return pixels
 
     def _convert(self, rows):
         # One row or a list of rows; either way the result keeps the samples' memory order.
@@ -137,31 +134,16 @@ def rotate_pixels(pixels: np.ndarray, quarter_turns: int, out=None) -> np.ndarra
 
 # --- episode sampling ------------------------------------------------------
 
-@dataclass(frozen=True)
-class EpisodeSets:
-    set_a: tuple
-    set_b: tuple
-    set_c: tuple
-    calib_seen: tuple = ()
-    calib_unseen: tuple = ()
+def sample_episode_sets(dataset, set_a, count, episode_seed) -> tuple:
+    """`count` distinct ids drawn uniformly without replacement from the
+    dataset minus the fixed set A, fully determined by episode_seed.
 
-
-def sample_episode_sets(dataset, set_a, n, episode_seed, reserve=0) -> EpisodeSets:
-    """Draw disjoint sets B and C (and optional calibration reserves).
-
-    B, C, and the reserves are drawn uniformly without replacement from
-    the dataset minus the fixed set A, fully determined by episode_seed.
-    Expects a set A that `measurer.check_measurement` accepted.
+    Expects a set A that `measurer.check_measurement` accepted; the
+    measurer says which draw joins which set.
     """
-    set_a = tuple(set_a)
     taken = set(set_a)
     pool = [i for i in dataset.ids if i not in taken]
-    needed = 2 * n + 2 * reserve
-    rng = make_rng(episode_seed)
-    chosen = tuple(pool[i] for i in rng.choice(len(pool), size=needed, replace=False))
-    return EpisodeSets(
-        set_a, chosen[:n], chosen[n : 2 * n], chosen[2 * n : 2 * n + reserve], chosen[2 * n + reserve :]
-    )
+    return tuple(pool[i] for i in make_rng(episode_seed).choice(len(pool), size=count, replace=False))
 
 
 # --- loaders ---------------------------------------------------------------
@@ -266,8 +248,9 @@ def load_ppm_dir(path) -> Dataset:
         if raster.shape != rasters[0].shape:
             raise DataFormatError(f"shape {raster.shape} differs from the dataset's {rasters[0].shape}", path=str(file))
     # np.stack keeps the rasters' channel-last memory order, and so does the division
-    # that hands an image out, as in read_ppm. attributes.grayscale's tensordot rounds
-    # differently on a channel-first copy, so that would change attributes.
+    # that hands an image out, as in read_ppm. attributes.grayscale takes np.dot of a
+    # (3, H*W) reshape whose strides follow that order; on a channel-first copy the dot
+    # rounds differently, so attributes would change.
     return Dataset([image_id for image_id, _ in entries], np.stack(rasters), scale=maxvals, source=str(path))
 
 

@@ -10,7 +10,10 @@ fraction of gate-passing episodes that called an image "seen".
 
 This module defines the protocol's classes and head widths (ROTATION_LABELS
 per pretext mode, SEEN_CLASS and UNSEEN_CLASS) and the two losses built on
-them; the engine supplies only the generic cross-entropy.
+them; the engine supplies only the generic cross-entropy. It alone lays out
+an episode: `data.sample_episode_sets` draws ids from outside set A, and
+`run_episode` says which draw is B, C or a calibration reserve, and converts
+them once in the row order A, B, seen reserve, unseen reserve, C.
 """
 
 from __future__ import annotations
@@ -227,12 +230,14 @@ def select_epoch(calibration_trace) -> int:
 
 def run_episode(dataset, set_a, config: EpisodeConfig, episode_index: int) -> EpisodeResult:
     """One episode on one conversion of its images, whose rows are A, B, the seen and unseen reserves, then C."""
-    episode_seed = derive_seed(config.base_seed, "episode", episode_index)
-    sets = sample_episode_sets(dataset, set_a, config.n, episode_seed, reserve=config.calibration_reserve)
     n, reserve = config.n, config.calibration_reserve
-    ids = sets.set_a + sets.set_b + sets.calib_seen + sets.calib_unseen + sets.set_c
+    episode_seed = derive_seed(config.base_seed, "episode", episode_index)
+    drawn = sample_episode_sets(dataset, set_a, config.required_images - n, episode_seed)
+    # The draw's first n ids are B, the next n C, and the rest the seen reserve, then the unseen one.
+    ids = (*set_a, *drawn[:n], *drawn[2 * n :], *drawn[n : 2 * n])
     pixels = dataset.batch(ids)
-    calib = slice(2 * n, 2 * n + 2 * reserve)  # the seen reserve, then the unseen one
+    a, b, calib, c = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + 2 * reserve), slice(2 * n + 2 * reserve, None)
+    seen = slice(0, 2 * n + reserve)  # A, B and the seen reserve
 
     machine = build_machine(
         config.machine, config.head_width_a, derive_seed(config.base_seed, "init", episode_index)
@@ -243,7 +248,7 @@ def run_episode(dataset, set_a, config: EpisodeConfig, episode_index: int) -> Ep
     # Everything trained in stage (a) counts as seen, including any
     # held-out calibration reserve.
     shuffle_seed = derive_seed(config.base_seed, "shuffle", episode_index, "a")
-    accuracy = stage_a(machine, pixels[: 2 * n + reserve], config, shuffle_seed)
+    accuracy = stage_a(machine, pixels[seen], config, shuffle_seed)
     if accuracy < config.accuracy_gate:
         log.warning(
             "episode %d discarded: stage (a) accuracy %.3f below gate %.2f",
@@ -265,8 +270,8 @@ def run_episode(dataset, set_a, config: EpisodeConfig, episode_index: int) -> Ep
     trace = []
     verdicts_by_epoch = []
     for _ in range(config.epochs_b):
-        stage_b_epoch(machine, pixels[n : 2 * n], pixels[-n:], optimizer, shuffle_rng)
-        verdicts, calibration = stage_c(machine, sets.set_a, pixels[:n], config, ids[calib], pixels[calib])
+        stage_b_epoch(machine, pixels[b], pixels[c], optimizer, shuffle_rng)
+        verdicts, calibration = stage_c(machine, ids[a], pixels[a], config, ids[calib], pixels[calib])
         trace.append(calibration)
         verdicts_by_epoch.append(verdicts)
     chosen = select_epoch(trace)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from memmeter.data import Dataset, EpisodeSets, ImageTensor
+from memmeter.data import Dataset, ImageTensor
 from memmeter.rng import make_rng
 
 SIZE = 12
@@ -55,16 +55,17 @@ def separable_dataset(ramps=64, stripes=32, seed=1, size=SIZE):
     return stack_dataset(images, source="synthetic-separable")
 
 
-def stratified_sampler(dataset, set_a, n, episode_seed, reserve=0):
-    """A stand-in for `sample_episode_sets` that draws B from the ramp pool
-    and C from the stripe pool; it reserves no calibration images."""
+def stratified_sampler(dataset, set_a, count, episode_seed):
+    """A stand-in for `sample_episode_sets` that draws the first half of its
+    ids from the ramp pool outside set A and the second half from the stripe
+    pool: B and C of a seen_only episode, which draws no calibration reserve."""
     rng = make_rng(episode_seed)
     taken = set(set_a)
     ramp_pool = [i for i in dataset.ids if i.startswith("ramp") and i not in taken]
     stripe_pool = [i for i in dataset.ids if i.startswith("stripe")]
-    set_b = tuple(ramp_pool[k] for k in rng.choice(len(ramp_pool), size=n, replace=False))
-    set_c = tuple(stripe_pool[k] for k in rng.choice(len(stripe_pool), size=n, replace=False))
-    return EpisodeSets(tuple(set_a), set_b, set_c)
+    set_b = tuple(ramp_pool[k] for k in rng.choice(len(ramp_pool), size=count // 2, replace=False))
+    set_c = tuple(stripe_pool[k] for k in rng.choice(len(stripe_pool), size=count // 2, replace=False))
+    return set_b + set_c
 
 
 def write_ppm_dataset(dataset, directory, labels=None):

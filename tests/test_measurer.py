@@ -1,5 +1,6 @@
 """Episode orchestration: stages, gating, epoch selection, aggregation."""
 
+import hashlib
 import multiprocessing
 
 import numpy as np
@@ -337,19 +338,42 @@ def test_run_episode_hands_each_stage_its_sets_from_one_conversion(small_spec, m
     def rows(ids):
         return dataset.batch(list(ids)).tobytes()
 
-    ((_, sets),) = calls["sample_episode_sets"]
+    # The draw's first n ids are B, the next n C, then the seen reserve and the unseen one.
+    ((_, drawn),) = calls["sample_episode_sets"]
+    n, reserve = config.n, config.calibration_reserve
+    set_a, set_b, set_c = tuple(dataset.ids[:10]), drawn[:n], drawn[n : 2 * n]
+    calib_seen, calib_unseen = drawn[2 * n : 2 * n + reserve], drawn[2 * n + reserve :]
+    assert len(drawn) == 2 * n + 2 * reserve == len(set(drawn) - set(set_a))
     assert len(batches) == 1
-    assert len(sets.calib_seen) == len(sets.calib_unseen) == config.calibration_reserve
+    assert len(calib_seen) == len(calib_unseen) == reserve
     ((stage_a_args, _),) = calls["stage_a"]
-    assert stage_a_args[1].tobytes() == rows(sets.set_a + sets.set_b + sets.calib_seen)
+    assert stage_a_args[1].tobytes() == rows(set_a + set_b + calib_seen)
     assert len(calls["stage_b_epoch"]) == len(calls["stage_c"]) == config.epochs_b
     for (_, seen_pixels, unseen_pixels, *_), _ in calls["stage_b_epoch"]:
-        assert seen_pixels.tobytes() == rows(sets.set_b)
-        assert unseen_pixels.tobytes() == rows(sets.set_c)
+        assert seen_pixels.tobytes() == rows(set_b)
+        assert unseen_pixels.tobytes() == rows(set_c)
     for (_, a_ids, a_pixels, _, calib_ids, calib_pixels), _ in calls["stage_c"]:
-        assert tuple(a_ids) == sets.set_a and a_pixels.tobytes() == rows(sets.set_a)
-        assert tuple(calib_ids) == sets.calib_seen + sets.calib_unseen
+        assert tuple(a_ids) == set_a and a_pixels.tobytes() == rows(set_a)
+        assert tuple(calib_ids) == calib_seen + calib_unseen
         assert calib_pixels.tobytes() == rows(calib_ids)
+
+
+def test_episode_rows_keep_their_pinned_ids(small_spec, monkeypatch):
+    # The ids each episode converts, in row order, over 20 episodes in both calibration
+    # modes; stage (a) fails the gate at once, so only the draw and the layout run.
+    # Ids alone do not depend on the floating-point kernels.
+    dataset = episode_pool()
+    batches = []
+    real_batch = Dataset.batch
+    monkeypatch.setattr(Dataset, "batch", lambda self, ids: batches.append(tuple(ids)) or real_batch(self, ids))
+    monkeypatch.setattr(measurer, "stage_a", lambda *args, **kwargs: 0.0)
+    for mode in ("seen_only", "held_out"):
+        config = quick_config(small_spec, n=10, calibration_mode=mode)
+        for index in range(20):
+            assert not run_episode(dataset, dataset.ids[:10], config, index).passed_gate
+    assert len(batches) == 40 and {len(ids) for ids in batches} == {30, 34}
+    digest = hashlib.sha256("\n".join(",".join(ids) for ids in batches).encode()).hexdigest()
+    assert digest == "f42b424eeb3c08b749d202327bb80ca989cc160b87672ff9a86172de4271e03d"
 
 
 # --- measure aggregation ----------------------------------------------------------------
