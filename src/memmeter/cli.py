@@ -2,11 +2,15 @@
 
 Subcommands: measure | attributes | analyze | train-predictor | predict |
 sweep. Options come from a JSON config file (--config) with CLI flags
-taking precedence over file fields, which take precedence over defaults.
+taking precedence over file fields, which take precedence over defaults;
+_load_config builds every command's config that way.
+main() is the one runner: it times the command's handler, maps its errors
+to exit codes, and on success writes manifest.json and prints the summary
+line the handler returns.
 Exit codes: 0 ok, 2 config error, 3 data format error, 4 measurement
 failure; any other exception (an internal error, or an episode whose
 training diverged) ends the run with a traceback and exit 1.
-MEMMETER_LOG sets the log level.
+MEMMETER_LOG names the log level; any other value means WARNING.
 
 sweep measures once per entry of `values`, with the measure key named by
 `knob` (any measure key but set_a and workers; a machine value is a whole
@@ -67,17 +71,28 @@ CLI_KEY_TYPES = {
 
 
 def _setup_logging():
-    level = os.environ.get("MEMMETER_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    # getLevelName maps a registered level name to its number and anything else to a string.
+    level = logging.getLevelName(os.environ.get("MEMMETER_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
 
 
-def _load_config(path, defaults):
+def _usable_cores():
+    """The cores this process may run on: its CPU affinity where the platform reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _load_config(args, defaults):
+    """A command's config: its defaults, then the --config file, then --seed and --workers;
+    workers None becomes every core this process may run on."""
     merged = dict(defaults)
+    path = args.config
     if path:
+        if not Path(path).is_file():
+            raise ConfigError(f"config file not found: {path}")
         try:
             loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not UTF-8 text (byte offset {exc.start})") from None
         except json.JSONDecodeError as exc:
@@ -89,6 +104,15 @@ def _load_config(path, defaults):
             raise ConfigError(f"unknown config keys in {path}: {unknown}")
         check_types(loaded, CLI_KEY_TYPES, "config key")
         merged.update(loaded)
+    if getattr(args, "seed", None) is not None:
+        merged["base_seed"] = args.seed
+    if "workers" in merged:
+        if args.workers is not None:
+            merged["workers"] = args.workers
+        if merged["workers"] is None:
+            merged["workers"] = _usable_cores()
+        if merged["workers"] < 1:
+            raise ConfigError("workers must be >= 1")
     return merged
 
 
@@ -133,27 +157,8 @@ def _out_dir(path):
     return out
 
 
-def _usable_cores():
-    """The cores this process may run on: its CPU affinity where the platform reports one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _apply_common_overrides(cfg, args):
-    if args.seed is not None:
-        cfg["base_seed"] = args.seed
-    if "workers" in cfg:
-        if args.workers is not None:
-            cfg["workers"] = args.workers
-        if cfg["workers"] is None:
-            cfg["workers"] = _usable_cores()
-        if cfg["workers"] < 1:
-            raise ConfigError("workers must be >= 1")
-    return cfg
-
-
 # --- commands ------------------------------------------------------------------
+# Each handler returns (out dir, config to record, config hash, dataset or None, summary line).
 
 def _episode_config(cfg, dataset, set_a_seed):
     """The EpisodeConfig of one measurement and its set A, drawn with set_a_seed."""
@@ -170,32 +175,26 @@ def _write_measurement(table, episodes, out):
 
 
 def cmd_measure(args):
-    started = time.monotonic()
-    cfg = _apply_common_overrides(_load_config(args.config, MEASURE_DEFAULTS), args)
+    cfg = _load_config(args, MEASURE_DEFAULTS)
     dataset = load_dataset(args.data)
     config, set_a = _episode_config(cfg, dataset, cfg["base_seed"])
     table, episodes = measurer.measure(dataset, set_a, config, workers=cfg["workers"])
     out = _write_measurement(table, episodes, args.out)
     cfg["machine"] = asdict(config.machine)
-    _write_manifest(out, "measure", cfg, table.config_hash, dataset, time.monotonic() - started)
-    print(f"measured {len(table.scores)} images over {table.m_effective}/{config.m} episodes -> {out / 'scores.csv'}")
-    return 0
+    summary = f"measured {len(table.scores)} images over {table.m_effective}/{config.m} episodes -> {out / 'scores.csv'}"
+    return out, cfg, table.config_hash, dataset, summary
 
 
 def cmd_attributes(args):
-    started = time.monotonic()
     dataset = load_dataset(args.data)
     out = _out_dir(args.out)
     rows = {img.id: attributes.compute_attributes(img) for img in dataset}
     attributes.write_attribute_csv(rows, out / "attributes.csv")
-    _write_manifest(out, "attributes", {}, "", dataset, time.monotonic() - started)
-    print(f"wrote {len(rows)} attribute rows -> {out / 'attributes.csv'}")
-    return 0
+    return out, {}, "", dataset, f"wrote {len(rows)} attribute rows -> {out / 'attributes.csv'}"
 
 
 def cmd_analyze(args):
-    started = time.monotonic()
-    cfg = _load_config(args.config, ANALYZE_DEFAULTS)
+    cfg = _load_config(args, ANALYZE_DEFAULTS)
     config = _from_cfg(analysis.AnalyzeConfig, cfg)
     table = measurer.read_score_csv(args.scores)
     columns = {}
@@ -235,9 +234,7 @@ def cmd_analyze(args):
             report.write_csv(out / name, *payload)
         else:
             report.write_json(out / name, payload)
-    _write_manifest(out, "analyze", cfg, table.config_hash, None, time.monotonic() - started)
-    print("wrote " + ", ".join(str(out / name) for name in outputs))
-    return 0
+    return out, cfg, table.config_hash, None, "wrote " + ", ".join(str(out / name) for name in outputs)
 
 
 def _read_labels(path):
@@ -247,8 +244,7 @@ def _read_labels(path):
 
 
 def cmd_train_predictor(args):
-    started = time.monotonic()
-    cfg = _apply_common_overrides(_load_config(args.config, TRAIN_DEFAULTS), args)
+    cfg = _load_config(args, TRAIN_DEFAULTS)
     table = measurer.read_score_csv(args.scores)
     dataset = load_dataset(args.data)
     reg_config = _from_cfg(predictor.RegressionConfig, cfg)
@@ -263,27 +259,21 @@ def cmd_train_predictor(args):
         "test_images": len(result.test_ids),
     }
     report.write_json(out / "eval.json", evaluation)
-    _write_manifest(out, "train-predictor", cfg, table.config_hash, dataset, time.monotonic() - started)
-    print(f"trained predictor ({len(result.train_ids)} train / {len(result.test_ids)} test) -> {out / 'predictor.mmt1'}")
-    return 0
+    summary = f"trained predictor ({len(result.train_ids)} train / {len(result.test_ids)} test) -> {out / 'predictor.mmt1'}"
+    return out, cfg, table.config_hash, dataset, summary
 
 
 def cmd_predict(args):
-    started = time.monotonic()
     model = predictor.load_predictor(args.model)
     dataset = load_dataset(args.data)
     predictions = predictor.predict(model, dataset)
     out = _out_dir(args.out)
     report.write_csv(out / "predictions.csv", ("image_id", "predicted_score"), sorted(predictions.items()))
-    _write_manifest(out, "predict", {}, "", dataset, time.monotonic() - started)
-    print(f"wrote {len(predictions)} predictions -> {out / 'predictions.csv'}")
-    return 0
+    return out, {}, "", dataset, f"wrote {len(predictions)} predictions -> {out / 'predictions.csv'}"
 
 
 def cmd_sweep(args):
-    started = time.monotonic()
-    defaults = dict(MEASURE_DEFAULTS, knob=None, values=None)
-    cfg = _apply_common_overrides(_load_config(args.config, defaults), args)
+    cfg = _load_config(args, dict(MEASURE_DEFAULTS, knob=None, values=None))
     knob, values = cfg.pop("knob"), cfg.pop("values")
     knobs = [f.name for f in fields(measurer.EpisodeConfig)]
     if knob not in knobs:
@@ -316,9 +306,7 @@ def cmd_sweep(args):
     matrix = analysis.consistency_matrix(tables).tolist()
     report.write_csv(out / "consistency.csv", ["run_id"] + run_ids, ([r] + row for r, row in zip(run_ids, matrix)))
     report.write_json(out / "consistency.json", {"runs": run_payload, "run_ids": run_ids, "matrix": matrix})
-    _write_manifest(out, "sweep", dict(cfg, knob=knob, values=values), "", dataset, time.monotonic() - started)
-    print(f"swept {knob} over {values} -> {out / 'consistency.csv'}")
-    return 0
+    return out, dict(cfg, knob=knob, values=values), "", dataset, f"swept {knob} over {values} -> {out / 'consistency.csv'}"
 
 
 # --- entry point -----------------------------------------------------------------
@@ -368,11 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: on success write its manifest.json and print its summary line."""
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        out, cfg, config_hash, dataset, summary = args.func(args)
+        _write_manifest(out, args.command, cfg, config_hash, dataset, time.monotonic() - started)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -382,6 +372,8 @@ def main(argv=None) -> int:
     except MeasurementError as exc:
         print(f"measurement failure: {exc}", file=sys.stderr)
         return 4
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

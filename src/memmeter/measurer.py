@@ -29,10 +29,11 @@ import numpy as np
 
 from . import report
 from .data import sample_episode_sets
-from .engine import SGD, Tensor, build_machine, load_into_machine, softmax_cross_entropy
-from .engine.losses import rotated_batch
-from .engine.tensor import no_graph
-from .engine.machine import MachineSpec
+from .engine.checkpoint import load_into_machine
+from .engine.losses import rotated_batch, softmax_cross_entropy
+from .engine.machine import MachineSpec, build_machine
+from .engine.optim import SGD
+from .engine.tensor import Tensor, no_graph
 from .errors import ConfigError, DataFormatError, MeasurementError
 from .metrics import rms_calibration_error
 from .rng import derive_seed, make_rng

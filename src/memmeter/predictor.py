@@ -16,10 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .engine import SGD, Tensor, build_machine, load_into_machine, mse_loss, save_params
 from .engine import tensor as T
-from .engine.tensor import no_graph
-from .engine.machine import Machine, MachineSpec, parse_machine_spec
+from .engine.checkpoint import load_into_machine, save_params
+from .engine.losses import mse_loss
+from .engine.machine import Machine, MachineSpec, build_machine, parse_machine_spec
+from .engine.optim import SGD
+from .engine.tensor import Tensor, no_graph
 from .data import augment_for_regression
 from .errors import ConfigError, DataFormatError
 from .rng import derive_seed, make_rng

@@ -18,10 +18,10 @@ from memmeter import cli, measurer
 from memmeter.analysis import consistency_matrix
 from memmeter.attributes import colorfulness, compute_attributes, entropy, global_contrast, grayscale
 from memmeter.data import rotate_pixels
-from memmeter.engine import Tensor, build_machine
 from memmeter.engine import tensor as T
 from memmeter.engine.losses import mse_loss, rotated_batch, softmax_cross_entropy
-from memmeter.engine.machine import MachineSpec
+from memmeter.engine.machine import MachineSpec, build_machine
+from memmeter.engine.tensor import Tensor
 from memmeter.measurer import (
     SEEN_CLASS,
     EpisodeConfig,

@@ -1,8 +1,11 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
+import logging
 import math
 import re
 import shlex
@@ -15,8 +18,8 @@ import pytest
 import synth
 from memmeter import cli, measurer, predictor
 from memmeter.data import Dataset, write_ppm
-from memmeter.engine import build_machine, save_params
-from memmeter.engine.machine import MachineSpec
+from memmeter.engine.checkpoint import save_params
+from memmeter.engine.machine import MachineSpec, build_machine
 from memmeter.measurer import SCORE_HEADER, ScoreTable, read_score_csv
 from memmeter.metrics import spearman
 from memmeter.rng import make_rng
@@ -163,10 +166,10 @@ def test_default_workers_count_the_cores_the_process_may_run_on(monkeypatch, aff
         monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
     else:
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
-    args = argparse.Namespace(seed=None, workers=None)
-    assert cli._apply_common_overrides({"workers": None}, args)["workers"] == expected
+    args = argparse.Namespace(config=None, seed=None, workers=None)
+    assert cli._load_config(args, {"workers": None})["workers"] == expected
     args.workers = 2
-    assert cli._apply_common_overrides({"workers": None}, args)["workers"] == 2
+    assert cli._load_config(args, {"workers": None})["workers"] == 2
 
 
 def test_measure_n_too_large_exits_3_without_outputs(tmp_path, ppm_dataset_dir, capsys):
@@ -184,6 +187,16 @@ def test_measure_unknown_config_key_exits_2(tmp_path, ppm_dataset_dir, capsys):
     code = run_cli("measure", "--config", str(path), "--data", str(ppm_dataset_dir), "--out", str(tmp_path / "o"))
     assert code == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["missing.json", "a-directory"])
+def test_config_path_that_is_not_a_file_exits_2_without_outputs(tmp_path, name, capsys):
+    (tmp_path / "a-directory").mkdir()
+    scores = write_score_rows(tmp_path / "scores.csv")
+    config = tmp_path / name
+    assert run_cli("analyze", "--config", str(config), "--scores", str(scores), "--out", str(tmp_path / "o")) == 2
+    assert f"config error: config file not found: {config}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_measure_unknown_machine_key_exits_2(tmp_path, ppm_dataset_dir, capsys):
@@ -522,15 +535,25 @@ def test_bad_manifest_row_exits_3_naming_manifest_and_row(tmp_path, ppm_dataset_
     assert not out.exists()
 
 
-def test_log_level_env_var(tmp_path, ppm_dataset_dir, monkeypatch, caplog):
-    import logging
-
-    monkeypatch.setenv("MEMMETER_LOG", "INFO")
+def test_log_level_env_var(tmp_path, ppm_dataset_dir, monkeypatch):
+    root = logging.getLogger()
+    # basicConfig sets the level only on a root logger without handlers; pytest has given it some.
+    monkeypatch.setattr(root, "handlers", [])
+    before = root.level
     config = measure_config(tmp_path)
-    with caplog.at_level(logging.INFO):
-        run_cli("measure", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(tmp_path / "o"))
-    # env var accepted without error; the command still succeeds
-    assert (tmp_path / "o" / "scores.csv").exists()
+    # basic_format and _styles name attributes of the logging module that are not levels.
+    for name, level in [("INFO", logging.INFO), ("basic_format", logging.WARNING),
+                        ("_styles", logging.WARNING), ("no_such_level", logging.WARNING)]:
+        monkeypatch.setenv("MEMMETER_LOG", name)
+        root.handlers.clear()
+        out = tmp_path / name
+        try:
+            code = run_cli("measure", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(out))
+            set_level = root.level
+        finally:
+            root.setLevel(before)
+        assert (name, code, set_level) == (name, 0, level)
+        assert (out / "scores.csv").exists()
 
 
 # --- analyze ----------------------------------------------------------------------
@@ -1457,6 +1480,267 @@ def test_sweep_checks_every_init_checkpoint_before_the_first_run(tmp_path, ppm_d
     assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(out)) == 2
     assert str(missing) in capsys.readouterr().err
     assert not (out / "run_0" / "scores.csv").exists()
+
+
+# --- every command ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def every_command(tmp_path_factory, ppm_dataset_dir):
+    """Each command run once on the ramp pool, in pipeline order: {command: (exit code, stdout, manifest)}.
+
+    The manifest is its text without the wall_time_s line; the output root, the data
+    path and the version read OUT, DATA and VERSION in stdout and manifest alike."""
+    work = tmp_path_factory.mktemp("commands")
+    (work / "measure.json").write_text(json.dumps(
+        {"n": 5, "m": 2, "epochs_a": 1, "epochs_b": 2, "accuracy_gate": 0.01, "base_seed": 5,
+         "machine": {"kind": "mlp", "hidden": [8]}}))
+    (work / "train.json").write_text(json.dumps({"epochs": 2, "batch_size": 4, "test_fraction": 0.6}))
+    (work / "analyze.json").write_text(json.dumps({"top_k": 1}))
+    (work / "sweep.json").write_text(json.dumps(
+        {"n": 4, "m": 2, "epochs_a": 1, "epochs_b": 1, "accuracy_gate": 0.01,
+         "machine": {"kind": "mlp", "hidden": [8]}, "knob": "base_seed", "values": [1, 2]}))
+    data = str(ppm_dataset_dir)
+
+    def placeholders(text):
+        version = f'"version": "{cli.__version__}"'
+        return text.replace(str(work), "OUT").replace(data, "DATA").replace(version, '"version": "VERSION"')
+
+    argvs = {
+        "measure": f"--config {work}/measure.json --data {data} --out {work}/measure --workers 1",
+        "attributes": f"--data {data} --out {work}/attributes",
+        "analyze": f"--config {work}/analyze.json --scores {work}/measure/scores.csv "
+                   f"--attributes {work}/attributes/attributes.csv --out {work}/analyze",
+        "train-predictor": f"--config {work}/train.json --scores {work}/measure/scores.csv --data {data} "
+                           f"--out {work}/train-predictor --seed 3",
+        "predict": f"--model {work}/train-predictor/predictor.mmt1 --data {data} --out {work}/predict",
+        "sweep": f"--config {work}/sweep.json --data {data} --out {work}/sweep --workers 1",
+    }
+    runs = {}
+    for command, argv in argvs.items():
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = run_cli(command, *argv.split())
+        manifest = "".join(line for line in (work / command / "manifest.json").read_text().splitlines(keepends=True)
+                           if '"wall_time_s"' not in line)
+        runs[command] = (code, placeholders(stdout.getvalue()), placeholders(manifest))
+    return runs
+
+
+# What each command of `every_command` prints and records.
+PINNED_RUNS = {
+    "measure": (
+        "measured 5 images over 2/2 episodes -> OUT/measure/scores.csv\n",
+        """\
+{
+  "command": "measure",
+  "config": {
+    "accuracy_gate": 0.01,
+    "base_seed": 5,
+    "calibration_mode": "seen_only",
+    "epochs_a": 1,
+    "epochs_b": 2,
+    "init_checkpoint": null,
+    "lr_a": 0.01,
+    "lr_b": 0.01,
+    "m": 2,
+    "machine": {
+      "conv_channels": [
+        16,
+        32
+      ],
+      "fc_width": 64,
+      "height": 6,
+      "hidden": [
+        8
+      ],
+      "in_channels": 3,
+      "kind": "mlp",
+      "width": 6
+    },
+    "momentum": 0.9,
+    "n": 5,
+    "pretext_mode": "four_way",
+    "set_a": null,
+    "weight_decay": 0.0001,
+    "workers": 1
+  },
+  "config_hash": "9ac2cda0a3a8",
+  "dataset": {
+    "dims": [
+      3,
+      6,
+      6
+    ],
+    "images": 16,
+    "source": "DATA"
+  },
+  "version": "VERSION",
+}
+""",
+    ),
+    "attributes": (
+        "wrote 16 attribute rows -> OUT/attributes/attributes.csv\n",
+        """\
+{
+  "command": "attributes",
+  "config": {},
+  "config_hash": "",
+  "dataset": {
+    "dims": [
+      3,
+      6,
+      6
+    ],
+    "images": 16,
+    "source": "DATA"
+  },
+  "version": "VERSION",
+}
+""",
+    ),
+    "analyze": (
+        "wrote OUT/analyze/correlations.json\n",
+        """\
+{
+  "command": "analyze",
+  "config": {
+    "min_count": 5,
+    "top_k": 1
+  },
+  "config_hash": "9ac2cda0a3a8",
+  "dataset": {
+    "dims": null,
+    "images": null,
+    "source": null
+  },
+  "version": "VERSION",
+}
+""",
+    ),
+    "train-predictor": (
+        "trained predictor (2 train / 3 test) -> OUT/train-predictor/predictor.mmt1\n",
+        """\
+{
+  "command": "train-predictor",
+  "config": {
+    "augment": true,
+    "base_seed": 3,
+    "batch_size": 4,
+    "epochs": 2,
+    "lr": 0.01,
+    "machine": null,
+    "split_seed": null,
+    "test_fraction": 0.6
+  },
+  "config_hash": "9ac2cda0a3a8",
+  "dataset": {
+    "dims": [
+      3,
+      6,
+      6
+    ],
+    "images": 16,
+    "source": "DATA"
+  },
+  "version": "VERSION",
+}
+""",
+    ),
+    "predict": (
+        "wrote 16 predictions -> OUT/predict/predictions.csv\n",
+        """\
+{
+  "command": "predict",
+  "config": {},
+  "config_hash": "",
+  "dataset": {
+    "dims": [
+      3,
+      6,
+      6
+    ],
+    "images": 16,
+    "source": "DATA"
+  },
+  "version": "VERSION",
+}
+""",
+    ),
+    "sweep": (
+        "swept base_seed over [1, 2] -> OUT/sweep/consistency.csv\n",
+        """\
+{
+  "command": "sweep",
+  "config": {
+    "accuracy_gate": 0.01,
+    "base_seed": 0,
+    "calibration_mode": "seen_only",
+    "epochs_a": 1,
+    "epochs_b": 1,
+    "init_checkpoint": null,
+    "knob": "base_seed",
+    "lr_a": 0.01,
+    "lr_b": 0.01,
+    "m": 2,
+    "machine": {
+      "hidden": [
+        8
+      ],
+      "kind": "mlp"
+    },
+    "momentum": 0.9,
+    "n": 4,
+    "pretext_mode": "four_way",
+    "set_a": null,
+    "values": [
+      1,
+      2
+    ],
+    "weight_decay": 0.0001,
+    "workers": 1
+  },
+  "config_hash": "",
+  "dataset": {
+    "dims": [
+      3,
+      6,
+      6
+    ],
+    "images": 16,
+    "source": "DATA"
+  },
+  "version": "VERSION",
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_every_command_prints_and_records_its_pinned_run(every_command, command):
+    code, stdout, manifest = every_command[command]
+    assert code == 0
+    assert stdout == PINNED_RUNS[command][0]
+    assert manifest == PINNED_RUNS[command][1]
+
+
+@pytest.mark.parametrize(
+    "command,argv",
+    [
+        ("measure", "--data MISSING"),
+        ("attributes", "--data MISSING"),
+        ("analyze", "--scores MISSING"),
+        ("train-predictor", "--scores MISSING --data DATA"),
+        ("predict", "--model MISSING --data DATA"),
+        ("sweep", "--data MISSING"),
+    ],
+)
+def test_a_failing_command_writes_no_manifest(tmp_path, ppm_dataset_dir, command, argv, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = argv.replace("MISSING", str(tmp_path / "missing")).replace("DATA", str(ppm_dataset_dir))
+    assert run_cli(command, *argv.split(), "--out", str(out)) == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 # --- misc -------------------------------------------------------------------------------

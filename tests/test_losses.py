@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from memmeter.engine import Tensor, build_machine
 from memmeter.engine import tensor as T
 from memmeter.engine.losses import mse_loss, rotated_batch, softmax_cross_entropy
+from memmeter.engine.machine import build_machine
+from memmeter.engine.tensor import Tensor
 from memmeter.measurer import SEEN_CLASS, UNSEEN_CLASS, rotation_loss, seen_loss
 
 from synth import random_image

@@ -5,9 +5,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from memmeter.engine import SGD, Tensor, build_machine, load_into_machine, load_params, save_params
+from memmeter.engine.checkpoint import load_into_machine, load_params, save_params
 from memmeter.engine.losses import softmax_cross_entropy
-from memmeter.engine.machine import MachineSpec
+from memmeter.engine.machine import MachineSpec, build_machine
+from memmeter.engine.optim import SGD
+from memmeter.engine.tensor import Tensor
 from memmeter.errors import ConfigError, DataFormatError
 from memmeter.measurer import seen_loss
 from memmeter.predictor import build_predictor
@@ -162,8 +164,8 @@ def test_small_cnn_has_conv_and_pool(cnn_spec):
 
 
 def test_pool_before_relu_trains_bitwise_like_relu_before_pool(cnn_spec, rng):
-    from memmeter.engine import SGD, mse_loss
-    from memmeter.engine.losses import rotated_batch
+    from memmeter.engine.losses import mse_loss, rotated_batch
+    from memmeter.engine.optim import SGD
     from memmeter.measurer import rotation_loss
     from memmeter.predictor import PredictorModel
 

@@ -9,9 +9,9 @@ import pytest
 import synth
 from memmeter import measurer
 from memmeter.data import Dataset
-from memmeter.engine import SGD, build_machine
 from memmeter.engine.losses import rotated_batch
-from memmeter.engine.machine import MachineSpec
+from memmeter.engine.machine import MachineSpec, build_machine
+from memmeter.engine.optim import SGD
 from memmeter.errors import ConfigError, DataFormatError, MeasurementError
 from memmeter.measurer import (
     SEEN_CLASS,
@@ -188,7 +188,7 @@ class FixedLogitsMachine:
         self.row = np.asarray(row, dtype=float)
 
     def forward(self, x):
-        from memmeter.engine import Tensor
+        from memmeter.engine.tensor import Tensor
 
         return Tensor(np.tile(self.row, (x.data.shape[0], 1)))
 
@@ -494,7 +494,7 @@ def test_binary_pretext_with_linear_machine(small_dataset):
 
 
 def test_init_checkpoint_replaces_fresh_init(tmp_path, small_dataset, small_spec):
-    from memmeter.engine import save_params
+    from memmeter.engine.checkpoint import save_params
 
     donor = build_machine(small_spec, 4, seed=1234)
     checkpoint = tmp_path / "pretrained.mmt1"

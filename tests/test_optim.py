@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from memmeter.engine import SGD, Tensor, cosine_lr
+from memmeter.engine.optim import SGD, cosine_lr
+from memmeter.engine.tensor import Tensor
 
 
 def make_param(value):

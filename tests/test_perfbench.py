@@ -15,10 +15,10 @@ import pytest
 
 from memmeter import attributes, measurer, predictor
 from memmeter.data import Dataset, ImageTensor
-from memmeter.engine import SGD, build_machine, mse_loss
 from memmeter.engine import tensor as T
-from memmeter.engine.losses import rotated_batch
-from memmeter.engine.machine import MachineSpec
+from memmeter.engine.losses import mse_loss, rotated_batch
+from memmeter.engine.machine import MachineSpec, build_machine
+from memmeter.engine.optim import SGD
 from memmeter.measurer import ScoreTable
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

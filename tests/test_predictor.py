@@ -8,8 +8,10 @@ import pytest
 
 import synth
 from memmeter.data import Dataset, _sample_erase_rect, augment_for_regression, load_ppm_dir
-from memmeter.engine import SGD, mse_loss, save_params
+from memmeter.engine.checkpoint import save_params
+from memmeter.engine.losses import mse_loss
 from memmeter.engine.machine import Machine, MachineSpec
+from memmeter.engine.optim import SGD
 from memmeter.errors import ConfigError
 from memmeter.measurer import ScoreTable
 from memmeter.metrics import spearman

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from memmeter.engine import Conv2d, Tensor, build_machine
-from memmeter.engine.layers import MaxPool2, ReLU
 from memmeter.engine import tensor as T
+from memmeter.engine.layers import Conv2d, MaxPool2, ReLU
+from memmeter.engine.machine import build_machine
+from memmeter.engine.tensor import Tensor
 
 
 def finite_difference(fn, arr, index, h=1e-5):
@@ -326,8 +327,8 @@ def _zero_fill_accumulate(t, g, owned=False):
 
 @pytest.mark.parametrize("kind", ["linear", "mlp", "small_cnn"])
 def test_handed_over_gradients_train_bitwise_like_zero_filled_ones(kind, monkeypatch, rng):
-    from memmeter.engine import SGD, mse_loss
-    from memmeter.engine.losses import rotated_batch
+    from memmeter.engine.losses import mse_loss, rotated_batch
+    from memmeter.engine.optim import SGD
     from memmeter.measurer import SEEN_CLASS, UNSEEN_CLASS, rotation_loss, seen_loss
     from memmeter.engine.machine import MachineSpec
     from memmeter.predictor import PredictorModel
@@ -387,8 +388,8 @@ def test_conv2d_matches_direct_convolution(rng):
 
 
 def test_machine_training_is_bitwise_deterministic(mlp_spec, rng):
-    from memmeter.engine import SGD
     from memmeter.engine.losses import softmax_cross_entropy
+    from memmeter.engine.optim import SGD
 
     batches = [rng.normal(size=(2, 3, 6, 6)) for _ in range(10)]
     finals = []
@@ -405,8 +406,8 @@ def test_machine_training_is_bitwise_deterministic(mlp_spec, rng):
 
 
 def test_all_values_finite_after_training_step(cnn_spec, rng):
-    from memmeter.engine import SGD
     from memmeter.engine.losses import softmax_cross_entropy
+    from memmeter.engine.optim import SGD
 
     machine = build_machine(cnn_spec, 4, seed=5)
     optimizer = SGD(machine.parameters(), lr=0.01, total_steps=1)
@@ -490,8 +491,8 @@ def _workspace_arrays(machine):
 
 def test_training_steps_reuse_the_same_workspace_arrays(cnn_spec, rng):
     # Checked by object identity: page-fault counts depend on the allocator and the heap state.
-    from memmeter.engine import SGD, mse_loss
-    from memmeter.engine.losses import rotated_batch
+    from memmeter.engine.losses import mse_loss, rotated_batch
+    from memmeter.engine.optim import SGD
     from memmeter.measurer import rotation_loss
     from memmeter.predictor import build_predictor
 
@@ -529,7 +530,7 @@ def test_training_steps_reuse_the_same_workspace_arrays(cnn_spec, rng):
 
 
 def test_forward_only_pass_between_steps_leaves_training_unchanged(cnn_spec, mlp_spec, rng):
-    from memmeter.engine import SGD
+    from memmeter.engine.optim import SGD
 
     for spec in (cnn_spec, mlp_spec):  # conv and pool workspaces; none
         shape = (spec.in_channels, spec.height, spec.width)
@@ -559,8 +560,8 @@ EVAL_CASES = [(kind, batch) for kind in ("small_cnn", "mlp") for batch in (1, 4)
 
 def _eval_case(request, kind, batch, rng):
     """A machine of `kind`, trained one step on a batch of `batch`, and two more such batches."""
-    from memmeter.engine import SGD
     from memmeter.engine.losses import softmax_cross_entropy
+    from memmeter.engine.optim import SGD
 
     spec = request.getfixturevalue("cnn_spec" if kind == "small_cnn" else "mlp_spec")
     machine = build_machine(spec, 4, seed=21)
