@@ -306,7 +306,10 @@ def cmd_sweep(args):
     matrix = analysis.consistency_matrix(tables).tolist()
     report.write_csv(out / "consistency.csv", ["run_id"] + run_ids, ([r] + row for r, row in zip(run_ids, matrix)))
     report.write_json(out / "consistency.json", {"runs": run_payload, "run_ids": run_ids, "matrix": matrix})
-    return out, dict(cfg, knob=knob, values=values), "", dataset, f"swept {knob} over {values} -> {out / 'consistency.csv'}"
+    machines = [asdict(config.machine) for config, _ in runs]  # as built for the dataset, as measure records its one
+    resolved = {"values": machines} if knob == "machine" else {"machine": machines[0]}
+    summary = f"swept {knob} over {values} -> {out / 'consistency.csv'}"
+    return out, {**cfg, "knob": knob, "values": values, **resolved}, "", dataset, summary
 
 
 # --- entry point -----------------------------------------------------------------

@@ -39,6 +39,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 _graph = True  # False inside no_graph()
 
@@ -85,13 +86,12 @@ class Tensor:
             )
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None:  # leaves have neither parents nor a closure
-                if node.grad is not None:
-                    node._backward(node.grad)
-                node.grad = None  # an interior gradient may be a workspace buffer
-                node._parents = ()
-                node._backward = None
+        for node in reversed(order):  # interior nodes only: leaves have neither parents nor a closure
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad = None  # an interior gradient may be a workspace buffer
+            node._parents = ()
+            node._backward = None
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -99,21 +99,21 @@ class Tensor:
 
 
 def _toposort(root):
-    # Iterative post-order: parents appear before their consumers.
+    # Iterative post-order over interior nodes (`_backward` set): parents appear before their consumers.
     order = []
     visited = set()
-    stack = [(root, False)]
+    stack = [(root, False)] if root._backward is not None else []
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited:
+            if parent._backward is not None and parent not in visited:
                 stack.append((parent, False))
     return order
 
@@ -178,44 +178,55 @@ def _pool_corners(shape):
 
 
 class _ConvPlan:
-    """conv2d's plan for an (n, c, h, w) input and a kh x kw kernel.
+    """conv2d's plan for an (n, c, h, w) input and a 3x3 kernel, zero-padded by one pixel.
 
-    For the forward: the padded input buffer, whose zero border is never
-    written, and its interior; the read-only view of every filter window
-    over it; the im2col buffer `cols`, with its (n, c, kh, kw, out_h, out_w)
-    view and its transpose. For the backward, made by the first one: `dpad`,
-    the two strips of it that the first shifted column term misses, the
-    (dpad slice, column slice) pair of every shifted term, and `dx`, the
-    interior of `dpad`, which is the input gradient.
+    The input is one flat buffer: the rows of all n*c planes back to back, between
+    w + 1 zeros at each end. Tap (i, j) of plane k's output pixel p = y*w + x, input
+    pixel (y + i - 1, x + j - 1), sits at k*h*w + i*w + j + p, so a tap is one slice.
+    A tap that falls off its plane reads the next pixel over: j = 0 in an output's
+    first column, j = 2 in its last, i = 0 in its first row and i = 2 in its last;
+    these four `wrapped` parts of `cols` are zeroed after each copy into it, so the
+    columns are a zero-padded input's. Forward: `flat`, its (n, c, h, w) `interior`,
+    the read-only view `taps` over it, and `cols` with its tap view, wrapped parts
+    and transpose. Backward, made by the first one: `dflat`, its `tail` past tap
+    (0, 0), a (dflat, cols) tap pair each, and `dx`, dflat's C-contiguous interior.
     """
 
-    __slots__ = ("padded", "interior", "windows", "cols", "cols6", "cols_t", "dpad", "strips", "terms", "dx")
+    __slots__ = ("flat", "interior", "taps", "cols", "cols5", "wrapped", "cols_t", "dflat", "tail", "terms", "dx")
 
-    def __init__(self, shape, kh, kw):
+    def __init__(self, shape):
         n, c, h, w = shape
-        out_h, out_w = h - kh + 3, w - kw + 3
-        self.padded = np.zeros((n, c, h + 2, w + 2))
-        self.interior = self.padded[:, :, 1:-1, 1:-1]
-        self.windows = _windows(self.padded, kh, kw, out_h, out_w)
-        self.cols = np.empty((n, c * kh * kw, out_h * out_w))
-        self.cols6 = self.cols.reshape(n, c, kh, kw, out_h, out_w)
+        self.flat = np.zeros(n * c * h * w + 2 * w + 2)
+        self.interior = self.flat[w + 1 : -w - 1].reshape(shape)
+        s0, s1, sh, s = self.interior.strides
+        self.taps = as_strided(self.flat, (n, c, 3, 3, h * w), (s0, s1, sh, s, s), writeable=False)
+        self.cols = np.empty((n, c * 9, h * w))
+        self.cols5 = self.cols.reshape(n, c, 3, 3, h * w)
+        cols6 = self.cols.reshape(n, c, 3, 3, h, w)
+        self.wrapped = (cols6[:, :, :, 0, :, 0], cols6[:, :, :, 2, :, -1], cols6[:, :, 0, :, 0], cols6[:, :, 2, :, -1])
         self.cols_t = self.cols.transpose(0, 2, 1)
-        self.dpad = None
+        self.dflat = None
+
+    def im2col(self, x):
+        """Copy the input `x` into `flat` and every tap of it into `cols`."""
+        np.copyto(self.interior, x)
+        np.copyto(self.cols5, self.taps)
+        for part in self.wrapped:
+            part.fill(0.0)
 
     def col2im(self):
-        """Sum the column gradients in `cols` into `dpad`; returns its interior, `dx`."""
-        if self.dpad is None:  # first backward for this shape
-            _, _, kh, kw, out_h, out_w = self.cols6.shape
-            dpad = self.dpad = np.empty_like(self.padded)
-            self.strips = (dpad[:, :, out_h:, :], dpad[:, :, :out_h, out_w:])
-            self.terms = [
-                (dpad[:, :, i : i + out_h, j : j + out_w], self.cols6[:, :, i, j]) for i in range(kh) for j in range(kw)
-            ]
-            self.dx = dpad[:, :, 1:-1, 1:-1]
-        # The first shifted term is assigned, not added to zeros; only the strips it misses are zeroed.
-        np.copyto(*self.terms[0])
-        for strip in self.strips:
-            strip.fill(0.0)
+        """Sum the column gradients in `cols` into `dflat`, tap by tap in raster order; returns `dx`."""
+        if self.dflat is None:  # first backward for this shape
+            dflat = self.dflat = np.empty_like(self.flat)
+            self.tail = dflat[self.interior.size :]
+            dtaps = as_strided(dflat, self.taps.shape, self.taps.strides)  # each tap is written on its own
+            self.terms = [(dtaps[:, :, i, j], self.cols5[:, :, i, j]) for i in range(3) for j in range(3)]
+            w = self.interior.shape[3]
+            self.dx = dflat[w + 1 : -w - 1].reshape(self.interior.shape)
+        for part in self.wrapped:  # where a wrapped part's gradient lands it adds +0.0
+            part.fill(0.0)
+        np.copyto(*self.terms[0])  # tap (0, 0) is assigned, not added to zeros; only the tail it misses is zeroed
+        self.tail.fill(0.0)
         for dst, src in self.terms[1:]:
             dst += src
         return self.dx
@@ -330,46 +341,32 @@ def tensor_sum(x) -> Tensor:
     return _node(out_data, (x,), backward)
 
 
-def _windows(padded, kh, kw, out_h, out_w):
-    # Read-only (n, c, kh, kw, out_h, out_w) view of every filter window.
-    n, c, _, _ = padded.shape
-    s = padded.strides
-    return np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(n, c, kh, kw, out_h, out_w),
-        strides=(s[0], s[1], s[2], s[3], s[2], s[3]),
-        writeable=False,
-    )
-
-
 def conv2d(x, w, b, workspace) -> Tensor:
-    """Stride-1 cross-correlation of NCHW inputs, zero-padded by one pixel, with OIHW filters.
+    """Stride-1 cross-correlation of NCHW inputs, zero-padded by one pixel, with 3x3 OIHW filters.
 
     `workspace` is a dict, owned by the calling layer, that keeps a
-    `_ConvPlan` per input shape: the pad, im2col and input-gradient buffers
-    and every view over them. A forward that builds a graph takes its
+    `_ConvPlan` per input shape: the flat input, im2col and input-gradient
+    buffers and every view over them. A forward that builds a graph takes its
     shape's plan out and the backward puts it back, so a second forward
     while this graph is pending gets a plan of its own; one dropped without
     backward() takes the plan with it. An evaluation forward, inside
     no_graph(), uses the plan in place.
 
-    The backward sums the input gradient in the plan's `dpad` buffer and
-    hands its interior over as x.grad when x is interior; a leaf x, which
+    The backward sums the input gradient in the plan's `dflat` buffer and
+    hands its `dx` view over as x.grad when x is interior; a leaf x, which
     keeps its gradient past the next backward of this shape, gets a copy.
     """
     n, c, h, wd = x.data.shape
-    f, _, kh, kw = w.data.shape
-    out_h, out_w = h - kh + 3, wd - kw + 3
-    plan = _plan(workspace, x.data.shape, lambda: _ConvPlan(x.data.shape, kh, kw))
-    np.copyto(plan.interior, x.data)
-    np.copyto(plan.cols6, plan.windows)
-    w_mat = w.data.reshape(f, c * kh * kw)
+    f = len(w.data)
+    plan = _plan(workspace, x.data.shape, lambda: _ConvPlan(x.data.shape))
+    plan.im2col(x.data)
+    w_mat = w.data.reshape(f, c * 9)
     out_data = np.matmul(w_mat, plan.cols)
     out_data += b.data[:, None]
-    out_data = out_data.reshape(n, f, out_h, out_w)
+    out_data = out_data.reshape(n, f, h, wd)
 
     def backward(g):
-        g = g.reshape(n, f, out_h * out_w)
+        g = g.reshape(n, f, h * wd)
         _accumulate(b, g.sum(axis=(0, 2)), owned=True)
         _accumulate(w, np.matmul(g, plan.cols_t).sum(axis=0).reshape(w.data.shape), owned=True)
         if x.requires_grad:

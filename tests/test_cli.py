@@ -1412,12 +1412,16 @@ def test_sweep_run_equals_plain_measure(tmp_path, ppm_dataset_dir):
         sweep_out = tmp_path / f"sweep-{knob}"
         config = measure_config(tmp_path, knob=knob, values=values, **base)
         assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(sweep_out)) == 0
+        swept = json.loads((sweep_out / "manifest.json").read_text())["config"]
         for i, value in enumerate(values):
             measure_out = tmp_path / f"measure-{knob}-{i}"
             config = measure_config(tmp_path, **base, **{knob: value})
             assert run_cli("measure", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(measure_out)) == 0
             for name in ("scores.csv", "episodes.jsonl"):
                 assert (sweep_out / f"run_{i}" / name).read_bytes() == (measure_out / name).read_bytes(), (knob, i, name)
+            # Both manifests record the machine as built for the dataset.
+            machine = json.loads((measure_out / "manifest.json").read_text())["config"]["machine"]
+            assert (swept["values"][i] if knob == "machine" else swept["machine"]) == machine, (knob, i)
     run_ids = json.loads((tmp_path / "sweep-machine" / "consistency.json").read_text())["run_ids"]
     assert run_ids == ["machine=linear[in3x6x6]", "machine=mlp[8|in3x6x6]"]
 
@@ -1682,10 +1686,18 @@ PINNED_RUNS = {
     "lr_b": 0.01,
     "m": 2,
     "machine": {
+      "conv_channels": [
+        16,
+        32
+      ],
+      "fc_width": 64,
+      "height": 6,
       "hidden": [
         8
       ],
-      "kind": "mlp"
+      "in_channels": 3,
+      "kind": "mlp",
+      "width": 6
     },
     "momentum": 0.9,
     "n": 4,

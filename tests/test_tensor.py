@@ -86,6 +86,33 @@ def test_backward_drops_interior_gradients_and_leaves_keep_theirs():
     assert np.array_equal(p.grad, [[[[0.0, 0.0], [0.0, -8.0]]]])
 
 
+def every_node_toposort(root):
+    """The engine's earlier walk: an iterative post-order over every node, leaves included."""
+    order, visited, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in visited:
+            visited.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node._parents if id(parent) not in visited)
+    return order
+
+
+def test_toposort_walks_the_interior_nodes_in_the_order_of_a_walk_over_every_node(cnn_spec, rng):
+    machine = build_machine(cnn_spec, 4, seed=5)
+    x = T.mul(Tensor(rng.random((4, 3, 12, 12)), requires_grad=True), Tensor(np.full((4, 3, 12, 12), 0.5)))
+    for root in (_rotation_step_loss(machine, rng.random((4, 3, 12, 12))), T.tensor_sum(T.add(x, x))):
+        order = T._toposort(root)
+        assert order == [node for node in every_node_toposort(root) if node._backward is not None]
+        assert order[-1] is root and len(set(order)) == len(order)
+    leaf = Tensor(np.array(2.0), requires_grad=True)
+    assert T._toposort(leaf) == []
+    leaf.backward()
+    assert leaf.grad == 1.0
+
+
 def test_dropped_forward_is_freed_without_the_cyclic_gc(cnn_spec, rng):
     import gc
 
@@ -387,6 +414,84 @@ def test_conv2d_matches_direct_convolution(rng):
     assert np.allclose(out, expected, atol=1e-12)
 
 
+def padded_conv2d(x, w, b, g):
+    """Reference 3x3, pad-1 conv2d and its gradients through a padded buffer: (out, dx, dw, db).
+
+    The engine's earlier im2col/col2im: a zero-bordered (n, c, h+2, w+2) copy of x,
+    every window copied out of a strided 6-d view, and the input gradient summed in a
+    padded buffer, tap (0, 0) assigned and the other eight added in raster order.
+    """
+    n, c, h, wd = x.shape
+    f = len(w)
+    padded = np.zeros((n, c, h + 2, wd + 2))
+    padded[:, :, 1:-1, 1:-1] = x
+    s = padded.strides
+    windows = np.lib.stride_tricks.as_strided(padded, (n, c, 3, 3, h, wd), (*s, s[2], s[3]), writeable=False)
+    cols = np.empty((n, c * 9, h * wd))
+    cols6 = cols.reshape(n, c, 3, 3, h, wd)
+    np.copyto(cols6, windows)
+    w_mat = w.reshape(f, c * 9)
+    out = np.matmul(w_mat, cols)
+    out += b[:, None]
+    g = g.reshape(n, f, h * wd)
+    db = g.sum(axis=(0, 2))
+    dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    np.matmul(w_mat.T, g, out=cols)
+    dpad = np.empty_like(padded)
+    terms = [(dpad[:, :, i : i + h, j : j + wd], cols6[:, :, i, j]) for i in range(3) for j in range(3)]
+    np.copyto(*terms[0])
+    dpad[:, :, h:, :] = 0.0
+    dpad[:, :, :h, wd:] = 0.0
+    for dst, src in terms[1:]:
+        dst += src
+    return out.reshape(n, f, h, wd), dpad[:, :, 1:-1, 1:-1], dw, db
+
+
+CONV_ORACLE_CASES = [
+    (batch, channels, h, w, order, ties)
+    for batch, channels in ((1, 3), (4, 3), (16, 3), (1, 16), (4, 16), (16, 16))
+    for h, w in ((6, 6), (5, 7))
+    for order, ties in (("C", False), ("channel-last", True))
+] + [(2, 3, 4, 1, "C", True), (2, 3, 1, 4, "C", True), (3, 2, 1, 1, "channel-last", False)]
+
+
+@pytest.mark.parametrize("batch,channels,h,w,order,ties", CONV_ORACLE_CASES)
+@pytest.mark.parametrize("interior", [False, True], ids=["leaf", "interior"])
+def test_conv2d_matches_the_padded_im2col_bit_for_bit(batch, channels, h, w, order, ties, interior, rng):
+    def draw(shape):
+        if not ties:
+            return rng.normal(size=shape)
+        a = rng.integers(-2, 3, size=shape).astype(np.float64)  # integer plateaus: many equal sums
+        a[(a == 0.0) & (rng.random(shape) < 0.5)] = -0.0  # zeros of both signs
+        return a
+
+    x = draw((batch, channels, h, w))
+    if order == "channel-last":  # a PPM batch's memory order
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    weight, bias = draw((4, channels, 3, 3)), draw(4)
+    g = draw((batch, 4, h, w))
+    if ties:
+        g[:, :, : h // 2] = -0.0  # top rows whose every column-gradient product is a signed zero
+    out_expected, dx_expected, dw_expected, db_expected = padded_conv2d(x, weight, bias, g)
+    workspace = {}
+    with T.no_graph():  # an evaluation forward makes the plan; the training forwards then reuse it
+        assert T.conv2d(Tensor(x), Tensor(weight), Tensor(bias), workspace).data.tobytes() == out_expected.tobytes()
+    for _ in range(2):  # the backward makes its buffers, then reuses them; an evaluation forward runs between
+        leaf = Tensor(x, requires_grad=True)
+        xt = T.mul(leaf, Tensor(np.ones(x.shape))) if interior else leaf
+        wt, bt = Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True)
+        out = T.conv2d(xt, wt, bt, workspace)
+        assert out.data.tobytes() == out_expected.tobytes()
+        out._backward(g)
+        with T.no_graph():
+            assert T.conv2d(xt, wt, bt, workspace).data.tobytes() == out_expected.tobytes()
+        assert wt.grad.tobytes() == dw_expected.tobytes() and bt.grad.tobytes() == db_expected.tobytes()
+        if interior:  # handed over as summed: a wrapped tap's +0.0 may turn a -0.0 sum into +0.0
+            assert (xt.grad + 0.0).tobytes() == (dx_expected + 0.0).tobytes()
+        else:  # a leaf's first gradient is copied as g + 0.0
+            assert xt.grad.tobytes() == (dx_expected + 0.0).tobytes()
+
+
 def test_machine_training_is_bitwise_deterministic(mlp_spec, rng):
     from memmeter.engine.losses import softmax_cross_entropy
     from memmeter.engine.optim import SGD
@@ -513,10 +618,11 @@ def test_training_steps_reuse_the_same_workspace_arrays(cnn_spec, rng):
         assert not any(hasattr(layer, "workspace") for _, layer in owner.backbone if isinstance(layer, ReLU))
         for (name, shape), arrays in warm.items():
             layer = dict(owner.backbone)[name]
-            # conv: the padded input, its interior, the filter windows, cols and its two views; the
-            # backward adds dpad, its two zeroed strips, a (dpad, cols) slice pair per kernel tap and
-            # dx, except in conv0, whose input needs no gradient. pool: the gradient buffer alone.
-            expected = {Conv2d: 6 if name == "conv0" else 6 + 4 + 2 * 9, MaxPool2: 1}[type(layer)]
+            # conv: the flat input, its interior, the tap view, cols, its tap view, its four wrapped
+            # parts and its transpose; the backward adds dflat, its tail, a (dflat, cols) slice pair per
+            # kernel tap and dx, except in conv0, whose input needs no gradient. pool: the gradient
+            # buffer alone.
+            expected = {Conv2d: 10 if name == "conv0" else 10 + 3 + 2 * 9, MaxPool2: 1}[type(layer)]
             assert len(arrays) == expected, (name, len(arrays))
             if isinstance(layer, MaxPool2):
                 assert arrays[0].shape == shape and arrays[0].dtype == np.float64, name
