@@ -10,13 +10,3 @@ cross-run consistency) used to study the resulting scores.
 """
 
 __version__ = "0.1.0"
-
-from .errors import ConfigError, DataFormatError, MeasurementError, MemmeterError
-
-__all__ = [
-    "__version__",
-    "MemmeterError",
-    "ConfigError",
-    "DataFormatError",
-    "MeasurementError",
-]

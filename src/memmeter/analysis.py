@@ -1,9 +1,10 @@
 """Score analysis: decile grouping, attribute correlations, label rankings,
 and cross-run consistency matrices.
 
-All cross-table operations work on id intersections; images missing a
-value are dropped and logged, never imputed. Results are plain data; the
-CLI writes them through memmeter.report.
+All cross-table operations work on id intersections; every correlation
+pairs two tables through `paired_spearman`, and `metrics.spearman` decides
+when it is undefined. Images missing a value are dropped and logged, never
+imputed. Results are plain data; the CLI writes them through memmeter.report.
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ FULL_SCALE_REFERENCE = {
 }
 
 
+def paired_spearman(xs, ys) -> tuple:
+    """(rho, n): Spearman over the n ids that two {id: value} maps share, in id order;
+    rho is None where metrics.spearman finds the correlation undefined."""
+    shared = sorted(set(xs) & set(ys))
+    return spearman([xs[i] for i in shared], [ys[i] for i in shared]), len(shared)
+
+
 def group_by_decile(score_table, attribute_columns) -> list:
     """Split scored images into 10 nearly equal groups by ascending score.
 
@@ -85,23 +93,12 @@ def correlate(score_table, columns) -> dict:
     Returns {column: {"rho": float or None, "n": shared ids}}.
     """
     results = {}
-    any_overlap = False
     for name, column in columns.items():
-        shared = sorted(set(score_table.scores) & set(column))
-        dropped = len(score_table.scores) - len(shared)
-        if dropped:
-            log.info("column %s: dropped %d images without values", name, dropped)
-        if len(shared) < 3:
-            if shared:
-                any_overlap = True
-            results[name] = {"rho": None, "n": len(shared)}
-            continue
-        any_overlap = True
-        rho = spearman(
-            [score_table.scores[i] for i in shared], [column[i] for i in shared]
-        )
-        results[name] = {"rho": rho, "n": len(shared)}
-    if columns and not any_overlap:
+        rho, n = paired_spearman(score_table.scores, column)
+        if n < len(score_table.scores):
+            log.info("column %s: dropped %d images without values", name, len(score_table.scores) - n)
+        results[name] = {"rho": rho, "n": n}
+    if columns and not any(result["n"] for result in results.values()):
         raise ConfigError("no attribute column shares any ids with the score table")
     return results
 
@@ -126,7 +123,7 @@ def rank_labels(score_table, labels, min_count) -> list:
 def consistency_matrix(tables) -> np.ndarray:
     """Pairwise Spearman over (run_id, scores) tables' shared ids; diagonal is exactly 1.
 
-    An undefined correlation (a constant score table) is NaN.
+    An undefined correlation (a constant table, or fewer than three shared ids) is NaN.
     """
     tables = list(tables)
     if len(tables) < 2:
@@ -138,14 +135,6 @@ def consistency_matrix(tables) -> np.ndarray:
     matrix = np.eye(size)
     for i in range(size):
         for j in range(i + 1, size):
-            shared = sorted(set(tables[i][1]) & set(tables[j][1]))
-            if len(shared) < 3:
-                raise ConfigError(
-                    f"runs {run_ids[i]!r} and {run_ids[j]!r} share only {len(shared)} ids"
-                )
-            rho = spearman(
-                [tables[i][1][s] for s in shared], [tables[j][1][s] for s in shared]
-            )
-            value = float("nan") if rho is None else rho
-            matrix[i, j] = matrix[j, i] = value
+            rho, _ = paired_spearman(tables[i][1], tables[j][1])
+            matrix[i, j] = matrix[j, i] = float("nan") if rho is None else rho
     return matrix

@@ -57,6 +57,7 @@ def _from_cfg(config_cls, cfg, **overrides):
 
 # Keyword arguments are the CLI-only keys. workers None means every core this process may run on.
 MEASURE_DEFAULTS = _defaults(measurer.EpisodeConfig, machine={"kind": "small_cnn"}, set_a=None, workers=None)
+SWEEP_DEFAULTS = dict(MEASURE_DEFAULTS, knob=None, values=None)
 TRAIN_DEFAULTS = _defaults(predictor.RegressionConfig, base_seed=MEASURE_DEFAULTS["base_seed"], machine=None)
 
 ANALYZE_DEFAULTS = _defaults(analysis.AnalyzeConfig)
@@ -250,6 +251,7 @@ def cmd_train_predictor(args):
     reg_config = _from_cfg(predictor.RegressionConfig, cfg)
     spec = _machine_spec(cfg["machine"], dataset) if cfg["machine"] is not None else None
     result = predictor.train_predictor(table, dataset, reg_config, spec=spec, seed=cfg["base_seed"])
+    cfg["machine"] = asdict(result.model.spec)  # as built for the dataset, as measure records its own
     out = _out_dir(args.out)
     predictor.save_predictor(result.model, out / "predictor.mmt1")
     report.write_csv(out / "history.csv", ("epoch", "train_mse"), enumerate(result.history, start=1))
@@ -273,7 +275,7 @@ def cmd_predict(args):
 
 
 def cmd_sweep(args):
-    cfg = _load_config(args, dict(MEASURE_DEFAULTS, knob=None, values=None))
+    cfg = _load_config(args, SWEEP_DEFAULTS)
     knob, values = cfg.pop("knob"), cfg.pop("values")
     knobs = [f.name for f in fields(measurer.EpisodeConfig)]
     if knob not in knobs:

@@ -67,6 +67,8 @@ class EpisodeConfig:
     init_checkpoint: str | None = None
 
     def __post_init__(self):
+        if self.init_checkpoint == "":
+            raise ConfigError("init_checkpoint must name a checkpoint file or be null, got ''")
         if self.n < 1 or self.m < 1:
             raise ConfigError("n and m must be >= 1")
         if self.epochs_a < 1 or self.epochs_b < 1:

@@ -1,8 +1,9 @@
 """Calibration error and rank correlation primitives.
 
-All functions are pure over their array inputs. Spearman returns None (the
-undefined marker, rendered as "n/a" in reports) when either side has no
-rank variation.
+All functions are pure over their array inputs. `spearman` alone decides
+when a rank correlation is undefined: over fewer than MIN_RANK_VALUES
+values, or when either side has no rank variation, it returns None (the
+undefined marker, rendered as "n/a" in reports).
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+MIN_RANK_VALUES = 3  # below this a rank correlation is undefined
 
 
 def rms_calibration_error(confidence, correct, ids) -> float:
@@ -42,13 +45,14 @@ def midranks(values) -> np.ndarray:
 
 
 def spearman(xs, ys) -> float | None:
-    """Pearson correlation of midranks; None when either side is constant."""
+    """Pearson correlation of midranks; None over fewer than MIN_RANK_VALUES values
+    or when either side is constant. Vectors of different lengths raise ValueError."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError(f"spearman needs equal-length vectors, got {xs.shape} and {ys.shape}")
-    if len(xs) < 3:
-        raise ValueError("spearman needs at least 3 observations")
+    if len(xs) < MIN_RANK_VALUES:
+        return None
     rx = midranks(xs)
     ry = midranks(ys)
     dx = rx - rx.mean()

@@ -4,6 +4,8 @@ Trains against measured scores with mean squared error. The training
 settings of RegressionConfig (50 epochs, lr 0.01, batch 16 by default)
 are exposed configuration, chosen for reliable desk-scale convergence;
 momentum is fixed at the optimizer's 0.9 and the schedule is cosine.
+The held-out evaluation is `metrics.spearman`, so the split keeps at least
+`metrics.MIN_RANK_VALUES` test ids.
 """
 
 from __future__ import annotations
@@ -70,17 +72,14 @@ def build_predictor(spec: MachineSpec, seed: int) -> PredictorModel:
     return PredictorModel(build_machine(spec, 1, seed))
 
 
-MIN_TEST_IDS = 3  # metrics.spearman needs three observations
-
-
 def split_ids(ids, config: RegressionConfig):
     """Disjoint, exhaustive train/test split of the scored ids, checked before any training."""
     ids = sorted(ids)
     n_test = int(round(len(ids) * config.test_fraction))
-    if n_test < MIN_TEST_IDS or n_test >= len(ids):
+    if n_test < metrics.MIN_RANK_VALUES or n_test >= len(ids):
         raise ConfigError(
             f"test_fraction {config.test_fraction} leaves {n_test} of {len(ids)} ids for testing; "
-            f"the split needs at least {MIN_TEST_IDS} test ids and one training id"
+            f"the split needs at least {metrics.MIN_RANK_VALUES} test ids and one training id"
         )
     order = make_rng(derive_seed(config.split_seed, "split")).permutation(len(ids))
     test_ids = [ids[i] for i in order[:n_test]]
@@ -146,14 +145,15 @@ def predict(model, images) -> dict:
 
 
 def evaluate_predictor(model, score_table, dataset, test_ids):
-    """Spearman correlation between predicted and measured scores."""
+    """Spearman correlation between predicted and measured scores; None where it is undefined."""
     test_ids = list(test_ids)
     predicted = predict(model, map(dataset.image, test_ids))
     rho = metrics.spearman(
         [predicted[i] for i in test_ids], [score_table.scores[i] for i in test_ids]
     )
     if rho is None:
-        log.warning("predictor evaluation undefined: constant predictions or scores")
+        log.warning("predictor evaluation undefined: fewer than %d test ids, or constant predictions or scores",
+                    metrics.MIN_RANK_VALUES)
     return rho
 
 

@@ -194,8 +194,12 @@ def test_three_tables_match_pairwise_calls():
 def test_consistency_requires_overlap_and_two_tables():
     with pytest.raises(ValueError, match="at least two"):
         consistency_matrix([("solo", {"a": 1.0})])
-    with pytest.raises(ConfigError, match="share"):
-        consistency_matrix([("one", {"a": 1.0, "b": 0.5, "c": 0.2}), ("two", {"x": 1.0, "y": 0.5, "z": 0.2})])
+    # Fewer than three shared ids leave the correlation undefined, as a constant table does.
+    one = {"a": 1.0, "b": 0.5, "c": 0.2}
+    for two in ({"x": 1.0, "y": 0.5, "z": 0.2}, {"a": 0.3, "b": 0.1, "z": 0.2}):
+        result = consistency_matrix([("one", one), ("two", two)])
+        assert np.isnan(result[0, 1]) and np.isnan(result[1, 0])
+        assert result[0, 0] == result[1, 1] == 1.0
 
 
 # --- writers ------------------------------------------------------------------------------

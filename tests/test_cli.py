@@ -10,13 +10,14 @@ import math
 import re
 import shlex
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import synth
-from memmeter import cli, measurer, predictor
+from memmeter import analysis, cli, measurer, predictor
 from memmeter.data import Dataset, write_ppm
 from memmeter.engine.checkpoint import save_params
 from memmeter.engine.machine import MachineSpec, build_machine
@@ -300,6 +301,19 @@ def test_measure_checks_init_checkpoint_before_measuring(tmp_path, ppm_dataset_d
     assert run_cli("measure", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(out)) == code
     err = capsys.readouterr().err
     assert message in err and str(checkpoint) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,overrides",
+    [("measure", {"init_checkpoint": ""}), ("sweep", {"knob": "init_checkpoint", "values": [None, ""]})],
+)
+def test_empty_init_checkpoint_exits_2_without_outputs(tmp_path, ppm_dataset_dir, command, overrides, capsys):
+    # "" would measure as null does, under another config hash.
+    config = measure_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(out)) == 2
+    assert "init_checkpoint must name a checkpoint file or be null" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1258,6 +1272,9 @@ def test_train_and_predict_roundtrip(tmp_path):
     assert (train_out / "predictor.mmt1").exists()
     evaluation = json.loads((train_out / "eval.json").read_text())
     assert evaluation["test_images"] == 6
+    # The manifest records the machine as built for the dataset, as the architecture sidecar does.
+    manifest = json.loads((train_out / "manifest.json").read_text())
+    assert manifest["config"]["machine"] == json.loads((train_out / "predictor.mmt1.json").read_text())
     history = (train_out / "history.csv").read_text().splitlines()
     assert history[0] == "epoch,train_mse"
     assert len(history) == 3
@@ -1424,6 +1441,17 @@ def test_sweep_run_equals_plain_measure(tmp_path, ppm_dataset_dir):
             assert (swept["values"][i] if knob == "machine" else swept["machine"]) == machine, (knob, i)
     run_ids = json.loads((tmp_path / "sweep-machine" / "consistency.json").read_text())["run_ids"]
     assert run_ids == ["machine=linear[in3x6x6]", "machine=mlp[8|in3x6x6]"]
+
+
+def test_sweep_over_fewer_than_three_shared_ids_writes_undefined_cells(tmp_path, ppm_dataset_dir):
+    # At n=2 both runs score the same two images of set A, too few for a rank correlation.
+    config = measure_config(tmp_path, n=2, knob="base_seed", values=[1, 2])
+    out = tmp_path / "sweep-out"
+    assert run_cli("sweep", "--config", str(config), "--data", str(ppm_dataset_dir), "--out", str(out)) == 0
+    assert json.loads((out / "manifest.json").read_text())["command"] == "sweep"
+    assert json.loads((out / "consistency.json").read_text())["matrix"] == [[1.0, "n/a"], ["n/a", 1.0]]
+    rows = (out / "consistency.csv").read_text().splitlines()
+    assert rows == ["run_id,base_seed=1,base_seed=2", "base_seed=1,1.0,n/a", "base_seed=2,n/a,1.0"]
 
 
 def test_sweep_single_value_is_usage_error(tmp_path, ppm_dataset_dir, capsys):
@@ -1631,7 +1659,18 @@ PINNED_RUNS = {
     "batch_size": 4,
     "epochs": 2,
     "lr": 0.01,
-    "machine": null,
+    "machine": {
+      "conv_channels": [
+        16,
+        32
+      ],
+      "fc_width": 64,
+      "height": 6,
+      "hidden": [],
+      "in_channels": 3,
+      "kind": "small_cnn",
+      "width": 6
+    },
     "split_seed": null,
     "test_fraction": 0.6
   },
@@ -1785,6 +1824,29 @@ def test_readme_walkthrough_runs(tmp_path, monkeypatch):
             assert cli.main(argv[1:]) == 0, line
             commands.append(argv[1])
     assert commands == ["measure", "attributes", "analyze", "train-predictor", "predict", "sweep"]
+
+
+def readme_section(heading):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return readme.split(f"\n### {heading}\n", 1)[1].split("\n#", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "defaults,config_cls,sections",
+    [
+        (cli.MEASURE_DEFAULTS, measurer.EpisodeConfig, ["measure config"]),
+        (cli.SWEEP_DEFAULTS, measurer.EpisodeConfig, ["sweep config", "measure config"]),
+        (cli.TRAIN_DEFAULTS, predictor.RegressionConfig, ["train-predictor config"]),
+        (cli.ANALYZE_DEFAULTS, analysis.AnalyzeConfig, ["analyze config"]),
+    ],
+    ids=["measure", "sweep", "train-predictor", "analyze"],
+)
+def test_every_config_key_is_named_in_its_readme_section(defaults, config_cls, sections):
+    # A command's keys are its config dataclass's fields plus its CLI-only keys;
+    # a sweep config is a measure config plus the keys its own section names.
+    keys = {f.name for f in fields(config_cls)} | set(defaults)
+    text = "".join(readme_section(heading) for heading in sections)
+    assert sorted(key for key in keys if f"`{key}`" not in text) == []
 
 
 def test_version_flag():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from memmeter.metrics import midranks, rms_calibration_error, spearman
+from memmeter.metrics import MIN_RANK_VALUES, midranks, rms_calibration_error, spearman
 from memmeter.rng import make_rng
 
 
@@ -135,8 +135,10 @@ def test_constant_input_returns_none():
 def test_length_validation():
     with pytest.raises(ValueError):
         spearman([1.0, 2.0], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        spearman([1.0, 2.0], [1.0, 2.0])
+    # Fewer than three values: the rank correlation is undefined, as for a constant side.
+    for length in range(MIN_RANK_VALUES):
+        assert spearman([1.0, 2.0][:length], [2.0, 1.0][:length]) is None
+    assert spearman([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == -1.0
 
 
 def test_exhaustive_small_integer_vectors_match_oracle_exactly():

@@ -245,10 +245,13 @@ def test_evaluate_oracle_lookup_is_perfect(scored_fixture):
     assert evaluate_predictor(OracleModel(dataset, scores, flip=True), table, dataset, test_ids) == -1.0
 
 
-def test_evaluate_needs_test_ids(scored_fixture):
+def test_evaluate_needs_test_ids(scored_fixture, caplog):
     dataset, scores = scored_fixture
-    with pytest.raises(ValueError, match="at least 3"):
-        evaluate_predictor(OracleModel(dataset, scores), table_for(scores), dataset, [])
+    model, table = OracleModel(dataset, scores), table_for(scores)
+    for test_ids in ([], dataset.ids[:2]):
+        caplog.clear()
+        assert evaluate_predictor(model, table, dataset, test_ids) is None
+        assert "undefined: fewer than 3 test ids" in caplog.text
 
 
 def test_untrained_model_is_null_against_random_scores():
